@@ -20,13 +20,13 @@
 //!   serial-commit replay. The streamed-effect reduction (≥5×) is asserted
 //!   in-process on every run; the ≥1.3× wall-clock gate, like
 //!   `sharded_replay`'s, binds only on ≥4-core hosts.
-//! * `sharded_stateful` — the speculate-and-verify layer: an offline chat
-//!   burst under **least-outstanding** routing (a stateful policy that
-//!   reads live replica load) over 8 replicas, sequential vs sharded.
-//!   Byte-identical reports, an engaged fast path (no fallback), and a
-//!   misprediction rate below 30% of speculated windows are asserted
-//!   in-process on every run; the ≥1.5× wall-clock gate binds only on
-//!   ≥4-core hosts.
+//! * `sharded_stateful` — the arrival-barrier layer: the online
+//!   multi-tenant trace of the `multi_tenant_replay` example under
+//!   **least-outstanding** routing (a stateful policy that reads live
+//!   replica load) over 6 replicas, sequential vs 2 shards. Byte-identical
+//!   reports, an engaged fast path (no fallback), and zero mispredictions
+//!   and rolled-back events are asserted in-process on every run; the
+//!   wall-clock gate binds only on ≥4-core hosts.
 //! * `elastic_diurnal` — a diurnal amplified replay served twice: by a
 //!   statically-overprovisioned fleet sized for the peak, and by the SLO/
 //!   queue autoscaler growing from one replica inside the same ceiling.
@@ -41,7 +41,7 @@
 //! `crates/bench/baselines/BENCH_event_loop.json`), the run fails (exit 1)
 //! if `queue_churn` falls below its absolute floor or regresses more than
 //! 25% against the baseline, or if `sharded_replay` misses 2× (or
-//! `sharded_stateful` misses 1.5×) on a ≥4-core host. `BENCH_SMOKE=1`
+//! `sharded_stateful` falls below 1.0×) on a ≥4-core host. `BENCH_SMOKE=1`
 //! shrinks the workloads for CI.
 
 use serde::{Deserialize, Serialize};
@@ -118,6 +118,48 @@ fn best_of<O: PartialEq + std::fmt::Debug, F: FnMut() -> O>(reps: usize, mut f: 
         best = best.min(ns);
     }
     (best, expect)
+}
+
+/// The online multi-tenant shape of the `multi_tenant_replay` example:
+/// three tenants synthesized at 1 000 requests, amplified to `n`.
+fn online_mix_trace(n: usize) -> Trace {
+    let mix = MultiTenantWorkload::new(
+        "online-mix",
+        vec![
+            TenantStream {
+                tenant: "interactive".into(),
+                priority: 0,
+                workload: TraceWorkload::chat_1m(),
+                arrivals: ArrivalProcess::Diurnal {
+                    mean_qps: 2.0,
+                    amplitude: 0.8,
+                    period_secs: 600.0,
+                },
+                prefix: None,
+            },
+            TenantStream {
+                tenant: "standard".into(),
+                priority: 1,
+                workload: TraceWorkload::bwb_4k(),
+                arrivals: ArrivalProcess::Poisson { qps: 1.0 },
+                prefix: None,
+            },
+            TenantStream {
+                tenant: "batch".into(),
+                priority: 2,
+                workload: TraceWorkload::arxiv_4k(),
+                arrivals: ArrivalProcess::Mmpp {
+                    qps_base: 0.3,
+                    qps_burst: 10.0,
+                    mean_base_secs: 60.0,
+                    mean_burst_secs: 10.0,
+                },
+                prefix: None,
+            },
+        ],
+    );
+    mix.generate(1_000, &mut SimRng::new(42))
+        .amplify(n, &mut SimRng::new(7))
 }
 
 /// The multi-replica replay scenario behind `sharded_replay`: 4 replicas of
@@ -304,29 +346,28 @@ fn main() {
         results.push(r);
     }
 
-    // --- sharded_stateful: speculate-and-verify vs sequential ------------
+    // --- sharded_stateful: arrival barriers vs sequential ----------------
     {
-        let mut config = replay_config();
-        config.num_replicas = 8;
+        // The online multi-tenant shape of the `multi_tenant_replay`
+        // example: diurnal chat, Poisson bulk writing and MMPP-bursty
+        // summarization, amplified from a 1k-request log, over 6 vLLM
+        // replicas under least-outstanding routing (a stateful policy that
+        // reads live replica load). Completions interleave between nearly
+        // every pair of arrivals, so this is the regime the barrier runner
+        // must hold up in, not an offline burst.
+        let mut config = ClusterConfig::new(
+            ModelSpec::llama2_7b(),
+            GpuSku::a100_80g(),
+            ParallelismConfig::serial(),
+            6,
+            SchedulerConfig::new(BatchPolicyKind::Vllm, 256),
+        );
         config.global_policy = GlobalPolicyKind::LeastOutstanding;
-        // Cache-cold pricing: with the plan cache on, repeated batch shapes
-        // make shard-side simulation nearly free and the serial verify +
-        // commit replay dominates; cold pricing is the regime the paper's
-        // capacity sweeps run in (every config change invalidates shapes).
-        config.plan_cache = false;
-        // Offline burst (the paper's capacity-style replay): every arrival
-        // precedes every completion, so the load view speculation routes
-        // against matches the live tier and windows verify clean — the
-        // regime where speculation pays. (At steady-state qps, completions
-        // interleave into nearly every multi-arrival window and the
-        // adaptive controller equilibrates near alternating clean and
-        // mispredicted windows — still bit-exact, gated by the storm
-        // regression test, but rollback-bound rather than a speedup.)
-        let trace = {
-            let n = if smoke { 400 } else { 1_200 };
-            let mut rng = SimRng::new(31);
-            TraceWorkload::chat_1m().generate(n, &ArrivalProcess::Static, &mut rng)
-        };
+        config.tenant_slo = Some(TenantSlo {
+            ttft_secs: 2.0,
+            e2e_per_token_secs: 0.5,
+        });
+        let trace = online_mix_trace(if smoke { 600 } else { 2_000 });
         let est = onboard(
             &config.model,
             &config.parallelism,
@@ -334,54 +375,46 @@ fn main() {
             EstimatorKind::default(),
         );
         let source = RuntimeSource::Estimator((*est).clone());
+        let shards = 2;
         let run = |shards: usize| {
             let mut cfg = config.clone();
             cfg.shards = shards;
             ClusterSimulator::new(cfg, trace.clone(), source.clone(), 29).run_with_stats()
         };
         let (seq_ns, (seq_report, _)) = best_of(reps, || run(1));
-        let (spec_ns, (spec_report, spec_stats)) = best_of(reps, || run(4));
-        // The tentpole contract, asserted on every run regardless of host:
-        // speculation must engage (no silent fallback to one shard) and must
-        // not change a single bit of the report.
+        let (barrier_ns, (barrier_report, barrier_stats)) = best_of(reps, || run(shards));
+        // The runner's contract, asserted on every run regardless of host:
+        // the fast path engages (no silent fallback), nothing is guessed or
+        // rolled back, and not a single bit of the report changes.
         assert_eq!(
-            seq_report, spec_report,
-            "speculative sharded replay diverged from the sequential engine"
+            seq_report, barrier_report,
+            "barrier sharded replay diverged from the sequential engine"
         );
         assert_eq!(
-            spec_stats.fallback_reason, None,
+            barrier_stats.fallback_reason, None,
             "least-outstanding replay must stay on the sharded fast path"
         );
-        assert!(
-            spec_stats.spec_windows > 0,
-            "speculative run must report its windows"
-        );
-        // Speculation only pays off while most windows verify clean; a storm
-        // of rollbacks would silently serialize the run. 30% is loose — the
-        // committed offline-burst workload mispredicts no windows at all.
-        let miss_rate = spec_stats.mispredictions as f64 / spec_stats.spec_windows as f64;
-        assert!(
-            miss_rate < 0.30,
-            "misprediction rate {miss_rate:.3} exceeds the 0.30 ceiling ({} of {} windows)",
-            spec_stats.mispredictions,
-            spec_stats.spec_windows
+        assert_eq!(
+            (barrier_stats.mispredictions, barrier_stats.rollback_events),
+            (0, 0),
+            "the barrier runner must never mispredict or roll back"
         );
         let r = ScenarioResult {
             name: "sharded_stateful".to_string(),
-            optimized_ns: spec_ns,
+            optimized_ns: barrier_ns,
             reference_ns: seq_ns,
-            speedup: seq_ns / spec_ns,
-            shards: 4,
+            speedup: seq_ns / barrier_ns,
+            shards,
             quantile_mode: "exact".to_string(),
         };
         println!(
-            "bench: event_loop/sharded_stateful {:>4.1} ms (sequential {:>6.1} ms, {:>5.2}x on {} cores, {} windows, {} mispredicted)",
+            "bench: event_loop/sharded_stateful {:>4.1} ms (sequential {:>6.1} ms, {:>5.2}x on {} cores, {} barrier rounds, {} requests)",
             r.optimized_ns / 1e6,
             r.reference_ns / 1e6,
             r.speedup,
             cores,
-            spec_stats.spec_windows,
-            spec_stats.mispredictions
+            barrier_stats.spec_windows,
+            trace.len()
         );
         results.push(r);
     }
@@ -573,23 +606,23 @@ fn main() {
             .scenario("sharded_stateful")
             .expect("sharded_stateful scenario present");
         if cores >= 4 {
-            if stateful.speedup < 1.5 {
+            if stateful.speedup < 1.0 {
                 eprintln!(
-                    "FAIL: sharded_stateful speedup {:.2}x is below the 1.5x acceptance floor \
+                    "FAIL: sharded_stateful speedup {:.2}x is below the 1.0x acceptance floor \
                      ({cores} cores)",
                     stateful.speedup
                 );
                 failed = true;
             } else {
                 println!(
-                    "gate: sharded_stateful {:.2}x on {cores} cores (floor 1.50x) — ok",
+                    "gate: sharded_stateful {:.2}x on {cores} cores (floor 1.00x) — ok",
                     stateful.speedup
                 );
             }
         } else {
             println!(
-                "gate: sharded_stateful {:.2}x — skipped ({cores} cores < 4; bit-exactness and \
-                 misprediction ceiling still asserted)",
+                "gate: sharded_stateful {:.2}x — skipped ({cores} cores < 4; bit-exactness, no \
+                 fallback and zero rollback still asserted)",
                 stateful.speedup
             );
         }

@@ -26,7 +26,6 @@ use std::fmt;
 
 const NIL: u32 = u32::MAX;
 
-#[derive(Clone)]
 struct Node<K, E> {
     /// `Some` while the node is live, `None` while parked on the free list.
     slot: Option<(K, E)>,
@@ -49,10 +48,6 @@ struct Node<K, E> {
 /// equal times (as [`EventQueue`] does) include an insertion sequence in the
 /// key. The merge uses `<=` so equal keys would still favor the
 /// earlier-rooted node, but [`EventQueue`] never produces equal keys.
-/// Cloning snapshots the full slab (including parked free-list nodes), so a
-/// clone pops the exact same sequence as the original — the sharded
-/// simulator's window checkpoints rely on this.
-#[derive(Clone)]
 pub struct KeyedPairingHeap<K, E> {
     nodes: Vec<Node<K, E>>,
     root: u32,

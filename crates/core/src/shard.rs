@@ -53,10 +53,7 @@ pub enum ShardKey {
 /// A shard-local event queue ordered by `(time, ShardKey)`.
 ///
 /// Built on the same slab-backed pairing heap as the sequential queue, so
-/// steady-state churn is allocation-free. Cloning snapshots the pending set
-/// and the local-push counter, which is what lets the speculative sharded
-/// path checkpoint a shard at a window boundary and re-run the window.
-#[derive(Clone)]
+/// steady-state churn is allocation-free.
 pub struct ShardQueue<E> {
     heap: KeyedPairingHeap<(SimTime, ShardKey), E>,
     local_pushes: u64,
@@ -86,9 +83,11 @@ impl<E> ShardQueue<E> {
         }
     }
 
-    /// Pushes a pre-routed arrival carrying its global sequence number
-    /// (= its trace index). Must only be called before the shard starts
-    /// popping.
+    /// Pushes a routed arrival carrying its global sequence number (= its
+    /// trace index). The shard must not have popped anything ordered after
+    /// the arrival yet: the streaming runner pushes every arrival up front,
+    /// the barrier runner pushes each one while its shard waits at that
+    /// arrival's barrier.
     pub fn push_arrival(&mut self, time: SimTime, global_seq: u64, payload: E) {
         self.heap
             .push((time, ShardKey::Arrival(global_seq)), payload);
@@ -108,8 +107,8 @@ impl<E> ShardQueue<E> {
     }
 
     /// Borrows the `(time, key)` of the earliest pending event without
-    /// removing it. The windowed sharded runner uses this to stop a shard
-    /// exactly at the next window boundary.
+    /// removing it. The barrier runner uses this to stop a shard exactly at
+    /// the next arrival barrier.
     pub fn peek(&self) -> Option<(SimTime, ShardKey)> {
         self.heap.peek().copied()
     }
@@ -146,7 +145,7 @@ impl<E> EventPush<E> for ShardQueue<E> {
 /// global counter values to the events a committed handler pushed. The stamp
 /// table only holds stamps for pushed-but-not-yet-popped dynamic events, so
 /// its size is bounded by the shard's queue depth, not by the run length.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct ShardStamper {
     stamps: HashMap<u64, u64>,
     next_child: u64,

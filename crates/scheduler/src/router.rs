@@ -252,11 +252,6 @@ pub struct DeferredEntry {
 /// request, and the [`RouterView`]; the tier guarantees the view is
 /// up to date at every call.
 pub trait Router: fmt::Debug + Send {
-    /// Returns a boxed deep copy of this policy's state. The speculative
-    /// sharded router clones the whole tier to pre-route a window against a
-    /// throwaway copy of the live view, so every policy must be cloneable.
-    fn clone_box(&self) -> Box<dyn Router>;
-
     /// Called once per arriving request *before* it is counted in the view
     /// (fair-share uses this for idle-tenant virtual-time catch-up).
     fn on_arrival(&mut self, _req: &RouteRequest, _view: &RouterView) {}
@@ -288,16 +283,12 @@ pub trait Router: fmt::Debug + Send {
 // ---- the four seed policies, re-expressed --------------------------------
 
 /// Cycle through replicas (the seed's `RoundRobin`).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct RoundRobinRouter {
     next: usize,
 }
 
 impl Router for RoundRobinRouter {
-    fn clone_box(&self) -> Box<dyn Router> {
-        Box::new(self.clone())
-    }
-
     fn try_place(&mut self, _req: &RouteRequest, view: &RouterView) -> Option<usize> {
         if view.num_routable() == 0 {
             return None;
@@ -317,30 +308,22 @@ impl Router for RoundRobinRouter {
 }
 
 /// Fewest unfinished requests (the seed's `LeastOutstanding`).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct LeastOutstandingRouter;
 
 impl Router for LeastOutstandingRouter {
-    fn clone_box(&self) -> Box<dyn Router> {
-        Box::new(self.clone())
-    }
-
     fn try_place(&mut self, _req: &RouteRequest, view: &RouterView) -> Option<usize> {
         view.try_least_outstanding()
     }
 }
 
 /// Uniform random choice (the seed's `Random`; same RNG stream).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct RandomRouter {
     rng: SimRng,
 }
 
 impl Router for RandomRouter {
-    fn clone_box(&self) -> Box<dyn Router> {
-        Box::new(self.clone())
-    }
-
     fn try_place(&mut self, _req: &RouteRequest, view: &RouterView) -> Option<usize> {
         let routable = view.num_routable();
         if routable == 0 {
@@ -368,16 +351,12 @@ impl Router for RandomRouter {
 
 /// Hold requests centrally until some replica is below `max_outstanding`
 /// (the seed's stateful `Deferred`, paper §4.5).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DeferredRouter {
     max_outstanding: usize,
 }
 
 impl Router for DeferredRouter {
-    fn clone_box(&self) -> Box<dyn Router> {
-        Box::new(self.clone())
-    }
-
     fn try_place(&mut self, _req: &RouteRequest, view: &RouterView) -> Option<usize> {
         view.least_outstanding_below(self.max_outstanding)
     }
@@ -388,16 +367,12 @@ impl Router for DeferredRouter {
 /// Deferred routing that binds the most urgent waiting tier first: the held
 /// queue is drained in (priority, arrival) order, and each bind spreads onto
 /// the least-loaded replica below the outstanding cap.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct PriorityAwareRouter {
     max_outstanding: usize,
 }
 
 impl Router for PriorityAwareRouter {
-    fn clone_box(&self) -> Box<dyn Router> {
-        Box::new(self.clone())
-    }
-
     fn try_place(&mut self, _req: &RouteRequest, view: &RouterView) -> Option<usize> {
         view.least_outstanding_below(self.max_outstanding)
     }
@@ -417,7 +392,7 @@ impl Router for PriorityAwareRouter {
 /// time first. An idle tenant's clock catches up to the served floor on
 /// return, so sleeping never banks unbounded credit. Placement itself is
 /// load-aware below the outstanding cap, like [`GlobalPolicyKind::Deferred`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct FairShareRouter {
     max_outstanding: usize,
     /// Per-tenant weights (missing entries default to 1.0).
@@ -449,10 +424,6 @@ impl FairShareRouter {
 }
 
 impl Router for FairShareRouter {
-    fn clone_box(&self) -> Box<dyn Router> {
-        Box::new(self.clone())
-    }
-
     fn on_arrival(&mut self, req: &RouteRequest, view: &RouterView) {
         if view.tenant_in_system(req.tenant) == 0 {
             let floor = self.vfloor;
@@ -502,7 +473,7 @@ const NO_HOME: usize = usize::MAX;
 /// KV/prefix-reuse model — a tenant's context stays hot on its home), and a
 /// request only spills to the globally least-loaded replica when the home is
 /// more than `spill_margin` requests above it.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct AffinityRouter {
     spill_margin: usize,
     /// Per-tenant home replica, grown on first sight.
@@ -510,10 +481,6 @@ struct AffinityRouter {
 }
 
 impl Router for AffinityRouter {
-    fn clone_box(&self) -> Box<dyn Router> {
-        Box::new(self.clone())
-    }
-
     fn try_place(&mut self, req: &RouteRequest, view: &RouterView) -> Option<usize> {
         let least = view.try_least_outstanding()?;
         let idx = req.tenant as usize;
@@ -564,14 +531,10 @@ const KV_AWARE_LOAD_MARGIN: usize = 4;
 /// while any replica is routable; with no published hits (or no prefix
 /// cache) it degrades to most-free-KV placement over the least-loaded
 /// band.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct KvAwareRouter;
 
 impl Router for KvAwareRouter {
-    fn clone_box(&self) -> Box<dyn Router> {
-        Box::new(self.clone())
-    }
-
     fn try_place(&mut self, _req: &RouteRequest, view: &RouterView) -> Option<usize> {
         use std::cmp::Reverse;
         let least = (0..view.num_replicas())
@@ -632,21 +595,6 @@ pub struct RoutingTier {
     tenants: Vec<TenantRouting>,
     total_routed_tokens: u64,
     weights: Vec<f64>,
-}
-
-impl Clone for RoutingTier {
-    fn clone(&self) -> Self {
-        RoutingTier {
-            kind: self.kind,
-            router: self.router.clone_box(),
-            view: self.view.clone(),
-            deferred: self.deferred.clone(),
-            seq: self.seq,
-            tenants: self.tenants.clone(),
-            total_routed_tokens: self.total_routed_tokens,
-            weights: self.weights.clone(),
-        }
-    }
 }
 
 impl RoutingTier {
@@ -735,24 +683,6 @@ impl RoutingTier {
                 None
             }
         }
-    }
-
-    /// Routes an arriving request onto a caller-chosen replica, bypassing
-    /// the policy's placement decision but performing every other side
-    /// effect of [`RoutingTier::route`] (arrival hook, view counts, tenant
-    /// stats, dispatch accounting). The speculative sharded router uses this
-    /// to replay verified-correct placements into a throwaway tier clone
-    /// when re-speculating a window after a misprediction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is out of range.
-    pub fn route_forced(&mut self, req: RouteRequest, target: usize) {
-        assert!(target < self.view.num_replicas(), "forced target in range");
-        self.router.on_arrival(&req, &self.view);
-        *self.view.tenant_entry(req.tenant) += 1;
-        self.tenant_stats_entry(req.tenant);
-        self.commit(&req, target);
     }
 
     /// Binds and returns the next deferred request the policy is willing to

@@ -175,16 +175,18 @@ pub struct RunStats {
     /// mergeable mode only tier-relevant effects stream, so this drops by
     /// an order of magnitude. Zero on sequential runs (nothing streams).
     pub streamed_effects: u64,
-    /// Speculation windows the stateful-routing fast path executed
-    /// (retries of a rolled-back window count again). Zero on sequential
-    /// runs and on the stateless streaming path, which never speculates.
+    /// Barrier rounds the stateful-routing fast path executed: one per
+    /// distinct arrival instant (same-instant arrivals route in one round),
+    /// plus the final drain. Zero on sequential runs and on the stateless
+    /// streaming path, which routes up front.
     pub spec_windows: u64,
-    /// Arrivals whose speculative placement disagreed with the exact
-    /// live-view replay during the ordered commit. Each one rolls the
-    /// affected window back.
+    /// Routing mispredictions. Always 0: the arrival-barrier runner routes
+    /// on the exact live tier and never guesses. Kept for report
+    /// compatibility.
     pub mispredictions: u64,
-    /// Events discarded by window rollbacks and re-simulated with corrected
-    /// placements — the raw cost of misprediction.
+    /// Simulated events discarded by rollbacks. Always 0: the
+    /// arrival-barrier runner never rolls back. Kept for report
+    /// compatibility.
     pub rollback_events: u64,
     /// Why the run left the sharded fast path, when it did: `None` on
     /// sharded runs *and* on runs that never asked for sharding
@@ -214,8 +216,7 @@ pub struct ClusterSimulator {
     /// stateful policy deferred a request) can rebuild the simulator from
     /// scratch and re-run sequentially.
     pub(crate) seed: u64,
-    /// Reusable pre-route scratch for the sharded path (`order`/`targets`
-    /// live across windows and retries instead of reallocating per run).
+    /// Reusable arrival-order/placement scratch for the sharded path.
     pub(crate) sharded_scratch: crate::sharded::ShardedScratch,
 }
 
@@ -367,8 +368,8 @@ impl ClusterSimulator {
     }
 
     /// Like [`ClusterSimulator::run`], but also reports how the event loop
-    /// executed — shard count, serial-commit volume, speculation counters,
-    /// and the fast-path fallback reason ([`RunStats`]). The report is
+    /// executed — shard count, serial-commit volume, barrier rounds, and
+    /// the fast-path fallback reason ([`RunStats`]). The report is
     /// identical to the one `run` returns.
     pub fn run_with_stats(mut self) -> (SimulationReport, RunStats) {
         let shards = self.config.shards.min(self.config.num_replicas);

@@ -91,19 +91,11 @@ pub struct ClusterConfig {
     /// non-`Deferred` routing policy: stateless policies
     /// (round-robin/random) stream straight through, stateful ones
     /// (least-outstanding, priority-aware, fair-share, affinity, KV-aware)
-    /// run under windowed speculate-and-verify routing; anything else falls
+    /// route on the live tier at arrival barriers; anything else falls
     /// back to the sequential engine with the reason reported in
     /// `RunStats::fallback_reason`. Reports are bit-identical either way
     /// (see `vidur_simulator::sharded`).
     pub shards: usize,
-    /// Speculation window size for the sharded engine's stateful-routing
-    /// path: how many arrivals are pre-routed per window before the shards
-    /// simulate it. `None` (the default) sizes windows adaptively — halving
-    /// on mispredictions down to 1 (sequential-per-window, trivially exact),
-    /// doubling on clean windows. `Some(n)` pins the window at `n` arrivals,
-    /// which tests use to force misprediction pressure. Reports are
-    /// byte-identical for every window size; only wall-clock changes.
-    pub spec_window: Option<usize>,
     /// Determinism-contract version for the engine's stochastic draws.
     /// Version `1` (the default) draws CPU-overhead jitter from one
     /// engine-wide RNG in launch order — the historical stream every pinned
@@ -189,7 +181,6 @@ impl ClusterConfig {
             tenant_weights: Vec::new(),
             tenant_kv_quota: Vec::new(),
             shards: 1,
-            spec_window: None,
             rng_version: 1,
             timeseries: None,
             faults: FaultPlan::none(),

@@ -45,7 +45,7 @@ pub const MAX_EVENTS: u64 = 200_000_000;
 /// recycle through a free list, so the steady state is two Vec index
 /// operations and zero hashing, while stale ids from a simulator bug still
 /// miss (the generation check) instead of aliasing a live batch.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 struct InflightSlots {
     slots: Vec<Option<BatchComposition>>,
     generations: Vec<u32>,
@@ -104,7 +104,7 @@ impl InflightSlots {
 /// tracker, the earliest pending wake-up (dedupes `Wakeup` events), and the
 /// completion times of its in-flight batches (coalesces wake-ups that a
 /// completion handler would cover anyway).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct EngineReplica {
     /// Batch formation and KV block accounting.
     pub scheduler: ReplicaScheduler,
@@ -221,10 +221,7 @@ impl EngineSink for MetricsCollector {
 /// [`EngineSink`] and all event scheduling through
 /// [`EventPush`](vidur_core::event::EventPush). [`BatchEngine`] wraps one of
 /// these around the metrics collector for the sequential path; the sharded
-/// driver owns one per shard, sinking into an effect log. Cloning snapshots
-/// the full scheduling state (in-flight table, RNG streams, launch counter)
-/// — the speculative sharded path checkpoints cores at window boundaries.
-#[derive(Clone)]
+/// runner owns one per shard, sinking into an effect log.
 pub struct EngineCore {
     timer: StageTimer,
     rng: SimRng,

@@ -65,50 +65,55 @@
 //! sequence numbers. This shrinks the serial commit from every metric
 //! effect to a few effects per batch completion.
 //!
-//! # Speculate and verify: stateful policies on the fast path
+//! # Arrival barriers: stateful policies on the fast path
 //!
 //! Stateful policies (least-outstanding, priority-aware, fair-share,
 //! affinity, KV-aware) read the *live* load view at every arrival, so their
-//! decisions cannot be pre-routed: an interleaved completion on another
-//! shard can change the argmin. The windowed runner puts them on the
-//! parallel path anyway by treating the pre-route as a *guess* and checking
-//! it against ground truth:
+//! decisions cannot be pre-routed: a completion on another shard can change
+//! the argmin. But replicas interact *only* through that routing decision,
+//! and only at arrival instants, which the trace fixes in advance. Between
+//! two arrivals no shard can affect another, so the inter-arrival gap is a
+//! free lookahead: every shard may simulate up to the next arrival without
+//! guessing anything. This is conservative parallel discrete-event
+//! simulation (Chandy–Misra/Bryant; Fujimoto, CACM 1990) with the arrival
+//! stream as the only cross-shard channel.
 //!
-//! 1. The arrival stream is chopped into windows. Each window's arrivals
-//!    are routed against a throwaway clone of the tier as of the last
-//!    exactly-committed point — speculation with a slightly stale view.
-//! 2. Every shard checkpoints its engine state (core, replicas, queue —
-//!    cheap `Clone`s of slab-backed structures), admits its share of the
-//!    window, and simulates independently up to the next window boundary,
-//!    logging effects exactly like the streaming path.
-//! 3. The merger walks the window logs in exact global `(time, seq)` order
-//!    (the same [`ShardStamper`] reconstruction) and *replays each routing
-//!    decision on the real tier at its exact sequential position*. Match:
-//!    the placement was right. Mismatch: the window rolls back — shards
-//!    restore their checkpoints, the tier/stampers/seq counter restore
-//!    theirs — and the window re-runs with the corrected placement forced
-//!    ([`RoutingTier::route_forced`]). The first mismatch position strictly
-//!    advances per retry, so a window re-runs at most once per arrival.
-//! 4. Only after a window verifies does the merger replay its metric
-//!    effects, in the recorded commit order — so the collector sees the
-//!    byte-identical call sequence of a sequential run and never needs a
-//!    snapshot. (This holds for every quantile mode; stateful runs use the
-//!    full-replay commit even in mergeable mode, where the tier stream is
-//!    the narrow seam being verified.)
+//! The barrier runner keeps one persistent worker per shard for the whole
+//! run (the merger thread simulates shard 0 itself, so at most `shards`
+//! threads are ever runnable; idle workers park on their channel) and
+//! repeats one round per arrival instant:
 //!
-//! The window is sized adaptively: it halves after a mispredicted window
-//! (down to one arrival, which is trivially exact — speculation over a
-//! single arrival against the committed tier *is* the sequential decision)
-//! and doubles after a clean one. A misprediction storm therefore degrades
-//! toward sequential-per-window instead of thrashing on rollbacks.
-//! [`ClusterConfig::spec_window`] pins the size for tests that want to
-//! force misprediction pressure.
+//! 1. **Route.** The merger routes the next arrival on the live
+//!    [`RoutingTier`] and hands it to the shard owning the target replica.
+//!    Consecutive arrivals at the same instant route in the same round: a
+//!    handler's children sort after every same-instant arrival
+//!    ([`ShardKey::Local`] after [`ShardKey::Arrival`]), so no event can
+//!    come between them. An offline burst therefore routes in one round.
+//! 2. **Advance.** Every shard with work before the *barrier* — the
+//!    `(time, ShardKey::Arrival)` of the next unrouted arrival — simulates
+//!    up to it, exclusive, logging effects exactly like the streaming path.
+//!    The cut is exact: at the barrier's instant every local event sorts
+//!    after the arrival, and dynamic global seqs exceed every arrival seq,
+//!    so "before the barrier in shard order" equals "before it in global
+//!    order". A shard whose queue head is already past the barrier is not
+//!    woken.
+//! 3. **Merge.** The merger walks the round's logs once in exact global
+//!    `(time, seq)` order (the same [`ShardStamper`] reconstruction, with
+//!    stampers persisting across rounds) and applies tier *and* metric
+//!    effects in that single pass. The tier then holds exactly the
+//!    sequential state at the barrier, so the next route *is* the
+//!    sequential decision.
 //!
-//! Deferred binds are the one thing speculation cannot honor: a deferral
-//! parks the request centrally and binds it on a *later* event, possibly on
-//! another shard. If any route call defers — during speculation or during
-//! verify — the sharded attempt aborts and the caller rebuilds and re-runs
-//! sequentially, reporting why in
+//! Nothing is guessed, so nothing is checkpointed, cloned, or rolled back,
+//! and the collector sees the byte-identical call sequence of a sequential
+//! run in every quantile mode (stateful runs replay every metric effect
+//! through the merger even in mergeable mode). The cost is one
+//! synchronization per arrival instant.
+//!
+//! Deferred binds are the one thing barriers cannot honor: a deferral parks
+//! the request centrally and binds it on a *later* event, possibly on
+//! another shard. If a route call defers, the sharded attempt aborts and the
+//! caller rebuilds and re-runs sequentially, reporting why in
 //! [`RunStats::fallback_reason`](crate::cluster::RunStats).
 //!
 //! # Fast path and fallback
@@ -121,8 +126,8 @@
 //! on the merged metrics mid-run), the fleet must be fixed (elastic events
 //! are globally ordered), the prefix cache must be off (hit publication is
 //! cross-replica), and the policy must not be the deferred one. Round-robin
-//! and random take the streaming path (one pre-route, no verification);
-//! every other policy takes the windowed speculate-and-verify path.
+//! and random take the streaming path (one pre-route, no barriers); every
+//! other policy takes the arrival-barrier path.
 //! Everything else silently uses the sequential engine, which stays the
 //! differential oracle: `tests/engine_regression.rs` pins that every
 //! scenario reports identically with shards on and off, and that
@@ -132,7 +137,6 @@ use crate::cluster::{batch_bytes, ClusterSimulator, RunStats, SimEvent};
 use crate::config::ClusterConfig;
 use crate::engine::{EngineCore, EngineReplica, EngineSink, MAX_EVENTS};
 use crate::metrics::MetricsCollector;
-use std::collections::HashMap;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use vidur_core::metrics::QuantileMode;
@@ -149,13 +153,6 @@ const CHUNK_ENTRIES: usize = 4096;
 /// In-flight chunks per shard channel: bounds memory (shards block when the
 /// merger falls behind) while keeping the pipeline full.
 const CHANNEL_DEPTH: usize = 4;
-/// Starting speculation window (arrivals) when [`ClusterConfig::spec_window`]
-/// leaves sizing adaptive.
-const DEFAULT_WINDOW: usize = 64;
-/// Adaptive windows never grow beyond this: past a few thousand arrivals the
-/// per-window overheads are fully amortized, while a rollback still only
-/// discards bounded work.
-const MAX_WINDOW: usize = 4096;
 /// Abort reason when a stateful policy defers: deferred binds happen on
 /// later events and may cross shards, which no shard-local replay can honor.
 const DEFER_ABORT: &str = "stateful policy deferred a request mid-run";
@@ -232,6 +229,7 @@ impl LogChunk {
 
 /// [`EngineSink`] that appends effects to the chunk under construction
 /// instead of touching the collector.
+#[derive(Default)]
 struct LogSink {
     chunk: LogChunk,
 }
@@ -315,50 +313,41 @@ pub(crate) fn block_reason(config: &ClusterConfig, jitters: bool) -> Option<&'st
     None
 }
 
-/// Reusable pre-route scratch hoisted onto the simulator: the `(arrival
-/// time, trace idx)`-sorted order and the per-arrival placements. The
-/// windowed runner re-speculates into `targets` every window and retry, so
-/// keeping the buffers across calls avoids a pair of per-run allocations
-/// (and re-sorts on the retry path).
+/// Reusable sharded-run scratch hoisted onto the simulator: the `(arrival
+/// time, trace idx)`-sorted arrival order both runners walk, and the
+/// streaming path's per-arrival placements.
 #[derive(Debug, Default)]
 pub(crate) struct ShardedScratch {
     order: Vec<u32>,
     targets: Vec<u32>,
 }
 
+/// Routes trace request `idx` on the live `tier`. Errs when the policy
+/// defers (see [`DEFER_ABORT`]).
+fn route(tier: &mut RoutingTier, trace: &Trace, idx: u32) -> Result<usize, &'static str> {
+    let tr = trace.requests[idx as usize];
+    tier.route(RouteRequest {
+        key: idx as u64,
+        tenant: tr.tenant,
+        priority: tr.priority,
+        tokens: tr.prefill_tokens + tr.decode_tokens,
+    })
+    .ok_or(DEFER_ABORT)
+}
+
 /// Routes `arrivals` (already in `(arrival time, trace idx)` = sequential
-/// pop order) through `tier`, writing each placement into `targets`.
-/// Arrivals present in `forced` skip the policy and commit to the recorded
-/// replica — the retry path for a window whose earlier speculation
-/// misplaced them. Errs when the policy defers (see [`DEFER_ABORT`]).
-///
-/// This is the single pre-route used by both sharded paths: the streaming
-/// path calls it once on the *real* tier over the whole trace (stateless
-/// policies never read the view, so the guess is the truth), the windowed
-/// path calls it per window on a throwaway clone.
-fn speculate(
+/// pop order) through `tier` up front, writing each placement into
+/// `targets`. Legal only for the streaming path's stateless policies, which
+/// never read the live view, so routing ahead of the run draws the decision
+/// sequence the interleaved run would.
+fn pre_route(
     tier: &mut RoutingTier,
     trace: &Trace,
     arrivals: &[u32],
-    forced: &HashMap<u32, u32>,
     targets: &mut [u32],
 ) -> Result<(), &'static str> {
     for &idx in arrivals {
-        let tr = trace.requests[idx as usize];
-        let req = RouteRequest {
-            key: idx as u64,
-            tenant: tr.tenant,
-            priority: tr.priority,
-            tokens: tr.prefill_tokens + tr.decode_tokens,
-        };
-        let target = match forced.get(&idx) {
-            Some(&t) => {
-                tier.route_forced(req, t as usize);
-                t as usize
-            }
-            None => tier.route(req).ok_or(DEFER_ABORT)?,
-        };
-        targets[idx as usize] = target as u32;
+        targets[idx as usize] = route(tier, trace, idx)? as u32;
     }
     Ok(())
 }
@@ -397,8 +386,6 @@ pub(crate) fn run_sharded(
     scratch
         .order
         .sort_by_key(|&i| trace.requests[i as usize].arrival);
-    scratch.targets.clear();
-    scratch.targets.resize(trace.requests.len(), 0);
 
     let deadline = config.max_sim_time;
     let timer = engine.timer().clone();
@@ -407,34 +394,27 @@ pub(crate) fn run_sharded(
         config.global_policy,
         GlobalPolicyKind::RoundRobin | GlobalPolicyKind::Random
     ) {
-        // Stateful policy: windowed speculate-and-verify.
-        let mut shards: Vec<SpecShard> = (0..num_shards)
-            .map(|shard| SpecShard {
-                shard,
+        // Stateful policy: route at arrival barriers on the live tier.
+        let mut shards: Vec<BarrierShard> = (0..num_shards)
+            .map(|_| BarrierShard {
                 num_shards,
                 core: EngineCore::with_timer(config, timer.clone(), seed),
                 replicas: Vec::new(),
                 queue: ShardQueue::new(),
+                targets: vec![0; trace.requests.len()],
                 processed: 0,
-                sink: LogSink {
-                    chunk: LogChunk::default(),
-                },
-                snapshot: None,
-                active: false,
             })
             .collect();
         for (r, replica) in std::mem::take(replicas).into_iter().enumerate() {
             shards[r % num_shards].replicas.push(replica);
         }
-        let stats = run_windowed(
+        let stats = run_barriers(
             config,
             trace,
             &mut engine.metrics,
             tier,
             &mut shards,
-            scratch,
-            num_shards,
-            deadline,
+            &scratch.order,
         )?;
         *replicas = reassemble(
             shards.into_iter().map(|s| s.replicas).collect(),
@@ -447,14 +427,10 @@ pub(crate) fn run_sharded(
     // Stateless policy: pre-route everything on the real tier up front —
     // round-robin/random placements depend only on router state, so
     // replaying the calls draws the identical decision (and RNG) sequence
-    // the interleaved run would — then stream effects with no verification.
-    speculate(
-        tier,
-        trace,
-        &scratch.order,
-        &HashMap::new(),
-        &mut scratch.targets,
-    )?;
+    // the interleaved run would — then stream effects with no barriers.
+    scratch.targets.clear();
+    scratch.targets.resize(trace.requests.len(), 0);
+    pre_route(tier, trace, &scratch.order, &mut scratch.targets)?;
 
     // Deal replicas round-robin onto shards (global replica r lives on
     // shard r % k at local index r / k) and split the arrival list.
@@ -641,9 +617,7 @@ impl ShardWorker<'_> {
                 SimEvent::Arrival(idx),
             );
         }
-        let mut sink = LogSink {
-            chunk: LogChunk::default(),
-        };
+        let mut sink = LogSink::default();
         let mut processed = 0u64;
         while let Some((time, key, event)) = queue.pop() {
             // Pops are time-nondecreasing, so the first event past the
@@ -690,7 +664,7 @@ impl ShardWorker<'_> {
 }
 
 /// Handles one shard-local event, logging its effects into `sink`. Shared
-/// by the streaming [`ShardWorker`] and the windowed [`SpecShard`]; the
+/// by the streaming [`ShardWorker`] and the [`BarrierShard`]; the
 /// mergeable-mode [`MergeWorker`] keeps its own copy (it sinks metric
 /// effects straight into a collector).
 #[allow(clippy::too_many_arguments)]
@@ -1024,17 +998,36 @@ fn merge_tier(mut streams: Vec<TierStream>, tier: &mut RoutingTier, trace: &Trac
     committed
 }
 
-/// Merger-side view of one shard's chunk stream.
-struct ShardStream {
-    rx: Receiver<LogChunk>,
-    recycle: SyncSender<LogChunk>,
-    chunk: Option<LogChunk>,
+/// Read cursor over one [`LogChunk`]: the next entry and the offsets into
+/// the chunk's flattened effect/event/id streams.
+#[derive(Default)]
+struct LogCursor {
     entry: usize,
     effect: usize,
     event: usize,
     id: usize,
     /// Resolved `(time, global_seq)` of the next uncommitted entry.
     head: Option<(SimTime, u64)>,
+}
+
+impl LogCursor {
+    /// Resolves the next entry of `chunk` into [`LogCursor::head`], if the
+    /// chunk has one left. Returns the head.
+    fn resolve(&mut self, chunk: &LogChunk, stamper: &mut ShardStamper) -> Option<(SimTime, u64)> {
+        if self.head.is_none() && self.entry < chunk.entries.len() {
+            let e = chunk.entries[self.entry];
+            self.head = Some((e.time, stamper.resolve(e.key)));
+        }
+        self.head
+    }
+}
+
+/// Merger-side view of one shard's chunk stream.
+struct ShardStream {
+    rx: Receiver<LogChunk>,
+    recycle: SyncSender<LogChunk>,
+    chunk: Option<LogChunk>,
+    cur: LogCursor,
     finished: bool,
     stamper: ShardStamper,
 }
@@ -1045,11 +1038,7 @@ impl ShardStream {
             rx,
             recycle,
             chunk: None,
-            entry: 0,
-            effect: 0,
-            event: 0,
-            id: 0,
-            head: None,
+            cur: LogCursor::default(),
             finished: false,
             stamper: ShardStamper::new(),
         }
@@ -1058,14 +1047,12 @@ impl ShardStream {
     /// Resolves the stream's next head, receiving chunks as needed. Blocks
     /// only when the shard is still producing.
     fn ensure_head(&mut self) {
-        if self.finished || self.head.is_some() {
+        if self.finished || self.cur.head.is_some() {
             return;
         }
         loop {
             if let Some(chunk) = &self.chunk {
-                if self.entry < chunk.entries.len() {
-                    let e = chunk.entries[self.entry];
-                    self.head = Some((e.time, self.stamper.resolve(e.key)));
+                if self.cur.resolve(chunk, &mut self.stamper).is_some() {
                     return;
                 }
                 if chunk.done {
@@ -1080,10 +1067,7 @@ impl ShardStream {
             match self.rx.recv() {
                 Ok(chunk) => {
                     self.chunk = Some(chunk);
-                    self.entry = 0;
-                    self.effect = 0;
-                    self.event = 0;
-                    self.id = 0;
+                    self.cur = LogCursor::default();
                 }
                 Err(_) => {
                     self.finished = true;
@@ -1111,7 +1095,7 @@ fn merge(
         let mut best: Option<(usize, (SimTime, u64))> = None;
         for (s, stream) in streams.iter_mut().enumerate() {
             stream.ensure_head();
-            if let Some(head) = stream.head {
+            if let Some(head) = stream.cur.head {
                 if best.is_none_or(|(_, b)| head < b) {
                     best = Some((s, head));
                 }
@@ -1120,7 +1104,17 @@ fn merge(
         let Some((best, _)) = best else {
             break;
         };
-        committed += commit(&mut streams[best], metrics, tier, trace, &mut counter);
+        let stream = &mut streams[best];
+        let chunk = stream.chunk.as_ref().expect("head implies a chunk");
+        committed += commit(
+            chunk,
+            &mut stream.cur,
+            &mut stream.stamper,
+            metrics,
+            tier,
+            trace,
+            &mut counter,
+        );
     }
     // Leftover stamps are normal on truncated runs (deadline / event
     // budget): committed entries claim seqs for children past the cutoff
@@ -1129,24 +1123,23 @@ fn merge(
     committed
 }
 
-/// Commits one entry: claims its children's global seqs and replays its
-/// effects into the collector/tier, in logged (= sequential call) order.
-/// Returns the number of effects replayed.
+/// Commits the entry at `cur`'s resolved head: claims its children's global
+/// seqs and replays its effects into the collector/tier, in logged (=
+/// sequential call) order. Returns the number of effects replayed.
 fn commit(
-    stream: &mut ShardStream,
+    chunk: &LogChunk,
+    cur: &mut LogCursor,
+    stamper: &mut ShardStamper,
     metrics: &mut MetricsCollector,
     tier: &mut RoutingTier,
     trace: &Trace,
     counter: &mut u64,
 ) -> u64 {
-    let (time, _seq) = stream.head.take().expect("commit needs a head");
-    let chunk = stream.chunk.as_ref().expect("head implies a chunk");
-    let entry = chunk.entries[stream.entry];
-    stream.entry += 1;
-    stream
-        .stamper
-        .claim_children(entry.n_children as u64, counter);
-    for effect in &chunk.effects[stream.effect..stream.effect + entry.n_effects as usize] {
+    let (time, _seq) = cur.head.take().expect("commit needs a head");
+    let entry = chunk.entries[cur.entry];
+    cur.entry += 1;
+    stamper.claim_children(entry.n_children as u64, counter);
+    for effect in &chunk.effects[cur.effect..cur.effect + entry.n_effects as usize] {
         match effect {
             Effect::Arrival {
                 id,
@@ -1168,17 +1161,17 @@ fn commit(
                 first_n,
             } => {
                 metrics.on_batch_work(*replica as usize, *tokens, *requests, *flops, *bytes);
-                for &id in &chunk.ids[stream.id..stream.id + *first_n as usize] {
+                for &id in &chunk.ids[cur.id..cur.id + *first_n as usize] {
                     metrics.mark_first_scheduled(id, time);
                 }
-                stream.id += *first_n as usize;
+                cur.id += *first_n as usize;
             }
             Effect::KvSample {
                 replica,
                 utilization,
             } => metrics.on_kv_sample(*replica as usize, time, *utilization),
             Effect::Retire { replica, n_events } => {
-                let events = &chunk.events[stream.event..stream.event + *n_events as usize];
+                let events = &chunk.events[cur.event..cur.event + *n_events as usize];
                 for ev in events {
                     if ev.finished {
                         let tr = trace.requests[ev.id as usize];
@@ -1190,7 +1183,7 @@ fn commit(
                     }
                 }
                 metrics.on_batch_complete(*replica as usize, time, events);
-                stream.event += *n_events as usize;
+                cur.event += *n_events as usize;
             }
             Effect::FreeKv {
                 replica,
@@ -1198,89 +1191,82 @@ fn commit(
             } => tier.set_free_kv_blocks(*replica as usize, *free_blocks),
         }
     }
-    stream.effect += entry.n_effects as usize;
+    cur.effect += entry.n_effects as usize;
     entry.n_effects as u64
 }
 
-/// One shard of the windowed speculate-and-verify runner. Unlike
-/// [`ShardWorker`] it lives across windows: between windows the merger owns
-/// it (verify, rollback, re-admit), during a window it runs on its own
-/// thread and logs into its in-memory window chunk — no channels, the whole
-/// window log is handed over at the scope join.
-struct SpecShard {
-    shard: usize,
+/// One shard of the arrival-barrier runner. Its state lives for the whole
+/// run; each round it admits its newly routed arrivals and simulates up to
+/// the round's barrier.
+struct BarrierShard {
     num_shards: usize,
     core: EngineCore,
     replicas: Vec<EngineReplica>,
     queue: ShardQueue<SimEvent>,
-    /// Events handled so far (persists across windows; the [`MAX_EVENTS`]
-    /// backstop is per shard, as on the streaming path).
+    /// Placement of every arrival admitted here (trace idx → global
+    /// replica), read by the arrival handler.
+    targets: Vec<u32>,
+    /// Events handled so far (the [`MAX_EVENTS`] backstop is per shard, as
+    /// on the streaming path).
     processed: u64,
-    /// The current window's effect log (the chunk is reset per attempt).
+}
+
+/// One round's hand-off between the merger and a shard. The same `Round`
+/// shuttles back and forth all run, so its buffers are reused.
+#[derive(Default)]
+struct Round {
+    /// Arrivals routed to the shard this round: `(trace idx, replica)`.
+    admit: Vec<(u32, u32)>,
+    /// The round's exclusive end: the next unrouted arrival's key, or
+    /// `None` to run the shard dry.
+    barrier: Option<(SimTime, ShardKey)>,
+    /// The round's effect log.
     sink: LogSink,
-    /// Pre-window checkpoint, taken at the start of every attempt this
-    /// shard participates in; restored on rollback.
-    snapshot: Option<SpecSnapshot>,
-    /// Did this shard run the current attempt? Inactive shards (no window
-    /// arrivals, no backlog before the boundary) skip the spawn, the
-    /// snapshot, and the rollback.
-    active: bool,
+    /// The shard's queue head once the round ended.
+    head: Option<(SimTime, ShardKey)>,
 }
 
-/// Everything a window can change on a shard. All slab-backed `Clone`s: the
-/// queue snapshot pops the exact same sequence as the original.
-struct SpecSnapshot {
-    core: EngineCore,
-    replicas: Vec<EngineReplica>,
-    queue: ShardQueue<SimEvent>,
-    processed: u64,
+impl Round {
+    /// Does the shard have anything to do before `barrier`? A shard whose
+    /// head is past the barrier (or the deadline) stays parked.
+    fn has_work(&self, barrier: Option<(SimTime, ShardKey)>, deadline: Option<SimTime>) -> bool {
+        !self.admit.is_empty()
+            || self
+                .head
+                .is_some_and(|h| barrier.is_none_or(|b| h < b) && deadline.is_none_or(|d| h.0 <= d))
+    }
 }
 
-impl SpecShard {
-    /// Checkpoints, admits this attempt's share of `window` (arrivals whose
-    /// speculated target lives here), and simulates up to — exclusive — the
-    /// next window's first arrival. The boundary cut is exact: a local
-    /// event at the boundary time always orders *after* the boundary
-    /// arrival ([`ShardKey::Local`] sorts after [`ShardKey::Arrival`], and
-    /// dynamic global seqs all exceed arrival seqs), so "peek before
-    /// boundary" equals "globally before the boundary".
-    fn run_window(
+impl BarrierShard {
+    /// Admits `round.admit` and handles every event before `round.barrier`,
+    /// logging into `round.sink`.
+    fn advance(
         &mut self,
         config: &ClusterConfig,
         trace: &Trace,
-        targets: &[u32],
-        window: &[u32],
-        boundary: Option<(SimTime, ShardKey)>,
         deadline: Option<SimTime>,
+        round: &mut Round,
     ) {
-        self.snapshot = Some(SpecSnapshot {
-            core: self.core.clone(),
-            replicas: self.replicas.clone(),
-            queue: self.queue.clone(),
-            processed: self.processed,
-        });
-        self.sink.chunk.reset();
-        for &idx in window {
-            if targets[idx as usize] as usize % self.num_shards == self.shard {
-                self.queue.push_arrival(
-                    trace.requests[idx as usize].arrival,
-                    idx as u64,
-                    SimEvent::Arrival(idx),
-                );
-            }
+        for (idx, target) in round.admit.drain(..) {
+            self.targets[idx as usize] = target;
+            self.queue.push_arrival(
+                trace.requests[idx as usize].arrival,
+                idx as u64,
+                SimEvent::Arrival(idx),
+            );
         }
         while let Some(head) = self.queue.peek() {
-            if boundary.is_some_and(|b| head >= b) {
-                break;
-            }
             // Pops are time-nondecreasing, so a past-deadline head means
             // everything left is past it too; it stays queued, unpopped —
             // the same effect-free drop the sequential engine performs.
-            if deadline.is_some_and(|d| head.0 > d) || self.processed >= MAX_EVENTS {
+            if round.barrier.is_some_and(|b| head >= b)
+                || deadline.is_some_and(|d| head.0 > d)
+                || self.processed >= MAX_EVENTS
+            {
                 break;
             }
             let (time, key, event) = self.queue.pop().expect("peeked head");
-            let effects_before = self.sink.chunk.effects.len();
+            let effects_before = round.sink.chunk.effects.len();
             let pushes_before = self.queue.local_pushes();
             shard_handle(
                 &mut self.core,
@@ -1288,340 +1274,146 @@ impl SpecShard {
                 self.num_shards,
                 config,
                 trace,
-                targets,
+                &self.targets,
                 time,
                 event,
                 &mut self.queue,
-                &mut self.sink,
+                &mut round.sink,
             );
-            self.sink.chunk.entries.push(EntryRec {
+            let chunk = &mut round.sink.chunk;
+            chunk.entries.push(EntryRec {
                 time,
                 key,
                 n_children: (self.queue.local_pushes() - pushes_before) as u32,
-                n_effects: (self.sink.chunk.effects.len() - effects_before) as u32,
+                n_effects: (chunk.effects.len() - effects_before) as u32,
             });
             self.processed += 1;
         }
-    }
-
-    /// Discards the current attempt: restores the pre-window checkpoint and
-    /// clears the window log.
-    fn rollback(&mut self) {
-        let snap = self.snapshot.take().expect("rollback without a snapshot");
-        self.core = snap.core;
-        self.replicas = snap.replicas;
-        self.queue = snap.queue;
-        self.processed = snap.processed;
-        self.sink.chunk.reset();
+        round.head = self.queue.peek();
     }
 }
 
-/// Per-shard read cursor over a window log, for the verify and commit
-/// passes.
-#[derive(Default)]
-struct LogCursor {
-    entry: usize,
-    effect: usize,
-    event: usize,
-    id: usize,
-    /// Resolved `(time, global_seq)` of the next uncommitted entry.
-    head: Option<(SimTime, u64)>,
-}
-
-/// Drives the windowed speculate-and-verify loop to completion. On `Ok` the
-/// collector and tier hold the exact sequential-run state; on `Err` a
-/// policy deferred and the caller falls back (the simulator is torn).
-#[allow(clippy::too_many_arguments)]
-fn run_windowed(
+/// Drives the arrival-barrier loop to completion over `shards` (replicas
+/// already dealt). On `Ok` the collector and tier hold the exact
+/// sequential-run state; on `Err` the policy deferred and the caller falls
+/// back (the simulator is torn).
+fn run_barriers(
     config: &ClusterConfig,
     trace: &Trace,
     metrics: &mut MetricsCollector,
     tier: &mut RoutingTier,
-    shards: &mut [SpecShard],
-    scratch: &mut ShardedScratch,
-    num_shards: usize,
-    deadline: Option<SimTime>,
+    shards: &mut [BarrierShard],
+    order: &[u32],
 ) -> Result<RunStats, &'static str> {
+    let num_shards = shards.len();
+    let deadline = config.max_sim_time;
+    let arrival = |i: usize| trace.requests[order[i] as usize].arrival;
+    // The sequential engine stops before popping any past-deadline event,
+    // so arrivals past the deadline are never routed.
+    let routable = deadline.map_or(order.len(), |d| {
+        order.partition_point(|&i| trace.requests[i as usize].arrival <= d)
+    });
     let mut stats = RunStats {
         shards: num_shards,
         ..RunStats::default()
     };
+    let mut rounds: Vec<Round> = (0..num_shards).map(|_| Round::default()).collect();
+    let mut cursors: Vec<LogCursor> = (0..num_shards).map(|_| LogCursor::default()).collect();
     let mut stampers: Vec<ShardStamper> = (0..num_shards).map(|_| ShardStamper::new()).collect();
     let mut counter = trace.requests.len() as u64;
-    // Corrected placements for the window being retried: trace idx → exact
-    // target. Persists across retries of one window, clears on commit.
-    let mut forced: HashMap<u32, u32> = HashMap::new();
-    let mut commit_order: Vec<u32> = Vec::new();
-    let pinned = config.spec_window;
-    let mut window = pinned.unwrap_or(DEFAULT_WINDOW).max(1);
+    let (local, remote) = shards.split_at_mut(1);
+    let local = &mut local[0];
 
-    let n = scratch.order.len();
-    let mut cursor = 0usize;
-    while cursor < n {
-        let end = (cursor + window).min(n);
-        // Split the sorted order so the window slice and the boundary
-        // lookup don't alias `scratch.targets` borrows below.
-        let (routed, rest) = scratch.order.split_at(end);
-        let window_arrivals = &routed[cursor..];
-        let boundary = rest.first().map(|&b| {
-            (
-                trace.requests[b as usize].arrival,
-                ShardKey::Arrival(b as u64),
-            )
-        });
-
-        let mut mispredicted = false;
-        loop {
-            // Speculate this window against a throwaway copy of the tier as
-            // of the last exactly-committed point. Re-speculation after a
-            // rollback reproduces the identical unforced prefix (same tier
-            // state, same deterministic policy), so the forced fix stays
-            // aligned with the mismatch it corrects.
-            {
-                let mut spec = tier.clone();
-                speculate(
-                    &mut spec,
-                    trace,
-                    window_arrivals,
-                    &forced,
-                    &mut scratch.targets,
-                )?;
-            }
-            let targets: &[u32] = &scratch.targets;
-            for shard in shards.iter_mut() {
-                let has_arrival = window_arrivals
-                    .iter()
-                    .any(|&idx| targets[idx as usize] as usize % num_shards == shard.shard);
-                let has_backlog = shard.queue.peek().is_some_and(|head| {
-                    boundary.is_none_or(|b| head < b) && deadline.is_none_or(|d| head.0 <= d)
-                });
-                shard.active = has_arrival || has_backlog;
-            }
-            stats.spec_windows += 1;
-            rayon::scope(|scope| {
-                for shard in shards.iter_mut() {
-                    if !shard.active {
-                        continue;
+    rayon::scope(|scope| {
+        // Persistent workers for shards 1..k, parked on their channel
+        // between rounds; shard 0 runs on this thread.
+        let mut links = Vec::with_capacity(remote.len());
+        for shard in remote.iter_mut() {
+            let (to_shard, from_merger) = sync_channel::<Round>(1);
+            let (to_merger, from_shard) = sync_channel::<Round>(1);
+            scope.spawn(move || {
+                while let Ok(mut round) = from_merger.recv() {
+                    shard.advance(config, trace, deadline, &mut round);
+                    if to_merger.send(round).is_err() {
+                        break;
                     }
-                    scope.spawn(move || {
-                        shard.run_window(
-                            config,
-                            trace,
-                            targets,
-                            window_arrivals,
-                            boundary,
-                            deadline,
-                        )
-                    });
                 }
             });
+            links.push((to_shard, from_shard));
+        }
 
-            let tier_checkpoint = tier.clone();
-            let stamper_checkpoint = stampers.clone();
-            let counter_checkpoint = counter;
-            commit_order.clear();
-            match verify_window(
-                shards,
-                &mut stampers,
-                &mut counter,
-                tier,
-                trace,
-                targets,
-                &mut commit_order,
-            )? {
-                None => {
-                    // The window is exact; replay its metric effects in the
-                    // verified global order.
-                    stats.streamed_effects += commit_metrics(shards, metrics, &commit_order);
+        let mut in_flight = vec![false; links.len()];
+        let mut next = 0;
+        loop {
+            // Route every arrival at the next arrival instant on the live
+            // tier, which now holds the exact sequential state there.
+            if next < routable {
+                let instant = arrival(next);
+                while next < routable && arrival(next) == instant {
+                    let idx = order[next];
+                    let target = route(tier, trace, idx)?;
+                    rounds[target % num_shards].admit.push((idx, target as u32));
+                    next += 1;
+                }
+            }
+            let barrier =
+                (next < routable).then(|| (arrival(next), ShardKey::Arrival(order[next] as u64)));
+
+            // Advance every shard with work before the barrier: wake the
+            // workers first, then run shard 0 here while they simulate.
+            for (s, (to_shard, _)) in links.iter().enumerate() {
+                let round = &mut rounds[s + 1];
+                in_flight[s] = round.has_work(barrier, deadline);
+                if in_flight[s] {
+                    round.barrier = barrier;
+                    to_shard
+                        .send(std::mem::take(round))
+                        .expect("barrier shard worker exited");
+                }
+            }
+            if rounds[0].has_work(barrier, deadline) {
+                rounds[0].barrier = barrier;
+                local.advance(config, trace, deadline, &mut rounds[0]);
+            }
+            for (s, (_, from_shard)) in links.iter().enumerate() {
+                if in_flight[s] {
+                    rounds[s + 1] = from_shard.recv().expect("barrier shard worker exited");
+                }
+            }
+            stats.spec_windows += 1;
+
+            // Merge the round's logs in exact global order.
+            for cur in &mut cursors {
+                *cur = LogCursor::default();
+            }
+            loop {
+                let mut best: Option<(usize, (SimTime, u64))> = None;
+                for (s, round) in rounds.iter().enumerate() {
+                    if let Some(head) = cursors[s].resolve(&round.sink.chunk, &mut stampers[s]) {
+                        if best.is_none_or(|(_, b)| head < b) {
+                            best = Some((s, head));
+                        }
+                    }
+                }
+                let Some((s, _)) = best else {
                     break;
-                }
-                Some((idx, actual)) => {
-                    stats.mispredictions += 1;
-                    mispredicted = true;
-                    for shard in shards.iter_mut() {
-                        if shard.active {
-                            stats.rollback_events += shard.sink.chunk.entries.len() as u64;
-                            shard.rollback();
-                        }
-                    }
-                    *tier = tier_checkpoint;
-                    stampers = stamper_checkpoint;
-                    counter = counter_checkpoint;
-                    forced.insert(idx, actual);
-                }
+                };
+                stats.streamed_effects += commit(
+                    &rounds[s].sink.chunk,
+                    &mut cursors[s],
+                    &mut stampers[s],
+                    metrics,
+                    tier,
+                    trace,
+                    &mut counter,
+                );
+            }
+            for round in &mut rounds {
+                round.sink.chunk.reset();
+            }
+            if barrier.is_none() {
+                return Ok(stats);
             }
         }
-        forced.clear();
-        cursor = end;
-        if pinned.is_none() {
-            // Halve under misprediction pressure (a one-arrival window is
-            // trivially exact), grow while speculation holds.
-            window = if mispredicted {
-                (window / 2).max(1)
-            } else {
-                (window * 2).min(MAX_WINDOW)
-            };
-        }
-    }
-    Ok(stats)
-}
-
-/// The verify pass: walks the active shards' window logs in exact global
-/// `(time, seq)` order, replaying every routing decision on the live tier
-/// at its exact sequential position and applying the tier effects
-/// (`on_finished`, `set_free_kv_blocks`) along the way. Metric effects are
-/// untouched — they commit only after the whole window verifies, so a
-/// mid-window mismatch needs no collector snapshot.
-///
-/// Returns `Ok(None)` when every placement matched (with `commit_order`
-/// holding the shard sequence for the commit pass), `Ok(Some((idx,
-/// actual)))` at the first mismatch, or `Err` if the policy deferred.
-fn verify_window(
-    shards: &[SpecShard],
-    stampers: &mut [ShardStamper],
-    counter: &mut u64,
-    tier: &mut RoutingTier,
-    trace: &Trace,
-    targets: &[u32],
-    commit_order: &mut Vec<u32>,
-) -> Result<Option<(u32, u32)>, &'static str> {
-    let mut cursors: Vec<LogCursor> = shards.iter().map(|_| LogCursor::default()).collect();
-    loop {
-        // Linear min-scan over resolved heads, as in `merge`.
-        let mut best: Option<(usize, (SimTime, u64))> = None;
-        for (s, shard) in shards.iter().enumerate() {
-            if !shard.active {
-                continue;
-            }
-            let cur = &mut cursors[s];
-            if cur.head.is_none() {
-                let chunk = &shard.sink.chunk;
-                if cur.entry < chunk.entries.len() {
-                    let e = chunk.entries[cur.entry];
-                    cur.head = Some((e.time, stampers[s].resolve(e.key)));
-                }
-            }
-            if let Some(head) = cur.head {
-                if best.is_none_or(|(_, b)| head < b) {
-                    best = Some((s, head));
-                }
-            }
-        }
-        let Some((s, _)) = best else {
-            return Ok(None);
-        };
-        let cur = &mut cursors[s];
-        cur.head = None;
-        let chunk = &shards[s].sink.chunk;
-        let entry = chunk.entries[cur.entry];
-        cur.entry += 1;
-        stampers[s].claim_children(entry.n_children as u64, counter);
-        // An arrival entry is where the sequential engine would have routed:
-        // replay the decision on the exact live view and compare.
-        if let ShardKey::Arrival(seq) = entry.key {
-            let idx = seq as u32;
-            let tr = trace.requests[idx as usize];
-            let actual = tier
-                .route(RouteRequest {
-                    key: seq,
-                    tenant: tr.tenant,
-                    priority: tr.priority,
-                    tokens: tr.prefill_tokens + tr.decode_tokens,
-                })
-                .ok_or(DEFER_ABORT)?;
-            if actual as u32 != targets[idx as usize] {
-                return Ok(Some((idx, actual as u32)));
-            }
-        }
-        for effect in &chunk.effects[cur.effect..cur.effect + entry.n_effects as usize] {
-            match effect {
-                Effect::Retire { replica, n_events } => {
-                    for ev in &chunk.events[cur.event..cur.event + *n_events as usize] {
-                        if ev.finished {
-                            let tr = trace.requests[ev.id as usize];
-                            tier.on_finished(
-                                *replica as usize,
-                                tr.tenant,
-                                tr.prefill_tokens + tr.decode_tokens,
-                            );
-                        }
-                    }
-                    cur.event += *n_events as usize;
-                }
-                Effect::FreeKv {
-                    replica,
-                    free_blocks,
-                } => tier.set_free_kv_blocks(*replica as usize, *free_blocks),
-                _ => {}
-            }
-        }
-        cur.effect += entry.n_effects as usize;
-        commit_order.push(s as u32);
-    }
-}
-
-/// The commit pass: replays a verified window's *metric* effects into the
-/// collector, following the shard sequence the verify pass recorded — the
-/// collector receives the byte-identical call sequence of a sequential run.
-/// Tier effects were already applied during verification and are skipped.
-/// Returns the number of effects committed.
-fn commit_metrics(
-    shards: &[SpecShard],
-    metrics: &mut MetricsCollector,
-    commit_order: &[u32],
-) -> u64 {
-    let mut cursors: Vec<LogCursor> = shards.iter().map(|_| LogCursor::default()).collect();
-    let mut committed = 0u64;
-    for &s in commit_order {
-        let chunk = &shards[s as usize].sink.chunk;
-        let cur = &mut cursors[s as usize];
-        let entry = chunk.entries[cur.entry];
-        cur.entry += 1;
-        let time = entry.time;
-        for effect in &chunk.effects[cur.effect..cur.effect + entry.n_effects as usize] {
-            match effect {
-                Effect::Arrival {
-                    id,
-                    decode_tokens,
-                    tenant,
-                } => metrics.on_arrival(*id, time, *decode_tokens, *tenant),
-                Effect::OpSecs { replica, timing } => {
-                    metrics.on_op_secs(*replica as usize, timing.op_secs())
-                }
-                Effect::GpuBusy { replica, gpu_secs } => {
-                    metrics.on_gpu_busy(*replica as usize, *gpu_secs)
-                }
-                Effect::BatchWork {
-                    replica,
-                    tokens,
-                    requests,
-                    flops,
-                    bytes,
-                    first_n,
-                } => {
-                    metrics.on_batch_work(*replica as usize, *tokens, *requests, *flops, *bytes);
-                    for &id in &chunk.ids[cur.id..cur.id + *first_n as usize] {
-                        metrics.mark_first_scheduled(id, time);
-                    }
-                    cur.id += *first_n as usize;
-                }
-                Effect::KvSample {
-                    replica,
-                    utilization,
-                } => metrics.on_kv_sample(*replica as usize, time, *utilization),
-                Effect::Retire { replica, n_events } => {
-                    metrics.on_batch_complete(
-                        *replica as usize,
-                        time,
-                        &chunk.events[cur.event..cur.event + *n_events as usize],
-                    );
-                    cur.event += *n_events as usize;
-                }
-                Effect::FreeKv { .. } => {}
-            }
-        }
-        cur.effect += entry.n_effects as usize;
-        committed += entry.n_effects as u64;
-    }
-    committed
+    })
 }

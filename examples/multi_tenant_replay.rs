@@ -14,10 +14,9 @@
 //!
 //! 5. Replay the same trace on the parallel sharded engine (estimator
 //!    runtimes) twice — round-robin on the streaming fast path, then
-//!    least-outstanding on the windowed speculate-and-verify path — assert
-//!    both reports are byte-identical to the sequential engine's, and print
-//!    the speculation counters (windows, mispredictions, rollbacks) and any
-//!    fallback reason.
+//!    least-outstanding on the arrival-barrier path — assert both reports
+//!    are byte-identical to the sequential engine's, and print the barrier
+//!    round count and any fallback reason.
 //! 6. With `VIDUR_MERGEABLE=1`, rerun the sharded replay in the mergeable
 //!    metrics mode — latency sketches fold inside the shards, only tier
 //!    effects stream to the merger — assert the report is invariant across
@@ -179,11 +178,11 @@ fn main() {
     );
 
     // 5. The parallel sharded engine, both fast paths: round-robin streams
-    // pre-routed effects with no verification; least-outstanding reads the
-    // live load view, so the sharded engine speculates window placements
-    // and verifies each one at its exact sequential position. Either way
-    // the contract holds: reports agree bit for bit, only wall-clock
-    // changes.
+    // pre-routed effects with no barriers; least-outstanding reads the live
+    // load view, so the shards advance to each arrival, the merger commits
+    // their logs in exact order, and routes the arrival on the live tier.
+    // Either way the contract holds: reports agree bit for bit, only
+    // wall-clock changes.
     let shards: usize = std::env::var("VIDUR_SHARDS")
         .map(|v| v.parse().expect("VIDUR_SHARDS must be a number"))
         .unwrap_or(6);
@@ -234,19 +233,17 @@ fn main() {
     let (lo_shard, lo_stats, lo_shard_wall) = timed_run(GlobalPolicyKind::LeastOutstanding, shards);
     assert_eq!(
         lo_seq, lo_shard,
-        "speculative sharded routing must be bit-identical to the sequential engine"
+        "barrier sharded routing must be bit-identical to the sequential engine"
     );
     match lo_stats.fallback_reason {
-        Some(reason) => println!("speculative: fell back to sequential ({reason})"),
+        Some(reason) => println!("barriers   : fell back to sequential ({reason})"),
         None => println!(
-            "speculative: least-outstanding on {} shards in {:.0} ms vs sequential {:.0} ms — \
-             {} windows, {} mispredictions, {} events rolled back",
+            "barriers   : least-outstanding on {} shards in {:.0} ms vs sequential {:.0} ms — \
+             {} barrier rounds",
             lo_stats.shards,
             lo_shard_wall.as_secs_f64() * 1e3,
             lo_seq_wall.as_secs_f64() * 1e3,
             lo_stats.spec_windows,
-            lo_stats.mispredictions,
-            lo_stats.rollback_events,
         ),
     }
 

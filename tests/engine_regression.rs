@@ -493,12 +493,13 @@ fn sharded_multi_tenant_identical() {
     );
 }
 
-// ---- speculative sharded routing (stateful policies) ---------------------
+// ---- arrival-barrier sharded routing (stateful policies) -----------------
 
 /// Runs `cfg` sequentially and with `shards` shards under the estimator
-/// source, asserting byte-identical reports AND that the windowed
-/// speculate-and-verify path actually engaged — no silent fallback.
-fn assert_speculative_identical(
+/// source, asserting byte-identical reports AND that the arrival-barrier
+/// path actually engaged — no silent fallback, nothing guessed or rolled
+/// back.
+fn assert_barrier_identical(
     label: &str,
     cfg: ClusterConfig,
     trace: &Trace,
@@ -514,7 +515,7 @@ fn assert_speculative_identical(
         ClusterSimulator::new(sharded_cfg, trace.clone(), source, 5).run_with_stats();
     assert_eq!(
         sequential, sharded,
-        "{label}: speculative sharded run must be bit-exact"
+        "{label}: barrier sharded run must be bit-exact"
     );
     assert_eq!(
         stats.fallback_reason, None,
@@ -523,16 +524,21 @@ fn assert_speculative_identical(
     assert_eq!(stats.shards, shards, "{label}: must engage {shards} shards");
     assert!(
         stats.spec_windows > 0,
-        "{label}: must execute speculation windows"
+        "{label}: must execute barrier rounds"
+    );
+    assert_eq!(
+        (stats.mispredictions, stats.rollback_events),
+        (0, 0),
+        "{label}: barriers never guess, so nothing mispredicts or rolls back"
     );
     stats
 }
 
-/// Every admitted stateful policy, every shard count (including a trivial
-/// one-shard deal and a count that does not divide the replicas): the
-/// speculative path must reproduce the sequential report bit for bit. The
-/// deferral-capable policies get caps high enough to never defer here; the
-/// deferral abort has its own test below.
+/// Every admitted stateful policy, every shard count (including a count
+/// that does not divide the replicas): the barrier path must reproduce the
+/// sequential report bit for bit. The deferral-capable policies get caps
+/// high enough to never defer here; the deferral abort has its own test
+/// below.
 #[test]
 fn sharded_stateful_policies_identical() {
     let policies = [
@@ -556,70 +562,47 @@ fn sharded_stateful_policies_identical() {
                 ttft_secs: 2.0,
                 e2e_per_token_secs: 0.5,
             });
-            assert_speculative_identical(&format!("{policy:?}_7x{shards}"), cfg, &trace, shards);
+            assert_barrier_identical(&format!("{policy:?}_7x{shards}"), cfg, &trace, shards);
         }
     }
 }
 
-/// Pinning a large speculation window forces misprediction pressure: the
-/// stale pre-routes must actually be caught and rolled back — and the
-/// report must still come out byte-identical. This is the deterministic
-/// rollback pin: if the verify loop ever stops detecting mismatches (or
-/// the rollback path corrupts state), one of these two asserts fails.
+/// The storm trace that made speculation thrash: two heavily loaded
+/// replicas whose least-outstanding argmin flips between most arrivals.
+/// The barrier runner routes every arrival on the exact live tier, so the
+/// report stays bit-exact with zero mispredictions and zero rolled-back
+/// events — and online traffic (distinct arrival instants) costs one round
+/// per arrival plus the final drain.
 #[test]
-fn sharded_speculation_rollback_fires_and_stays_exact() {
-    let mut cfg = base_config();
-    cfg.num_replicas = 4;
-    cfg.global_policy = GlobalPolicyKind::LeastOutstanding;
-    cfg.spec_window = Some(256);
-    let trace = fixed_trace(400, 30.0, 57);
-    let stats = assert_speculative_identical("rollback_pin_4x4", cfg, &trace, 4);
-    assert!(
-        stats.mispredictions > 0,
-        "a 256-arrival window under 30 QPS must mispredict at least once \
-         (got {} windows, {} mispredictions)",
-        stats.spec_windows,
-        stats.mispredictions
-    );
-    assert!(
-        stats.rollback_events > 0,
-        "mispredictions must discard simulated events"
-    );
-}
-
-/// One-arrival windows are trivially exact: speculation against the
-/// committed tier *is* the sequential decision, so nothing can mispredict.
-#[test]
-fn sharded_single_arrival_windows_never_mispredict() {
-    let mut cfg = base_config();
-    cfg.num_replicas = 4;
-    cfg.global_policy = GlobalPolicyKind::LeastOutstanding;
-    cfg.spec_window = Some(1);
-    let trace = fixed_trace(150, 20.0, 59);
-    let stats = assert_speculative_identical("window1_4x4", cfg, &trace, 4);
-    assert_eq!(
-        stats.mispredictions, 0,
-        "one-arrival windows must never mispredict"
-    );
-}
-
-/// A misprediction storm under adaptive sizing: the window shrinks instead
-/// of thrashing, the run degrades toward sequential-per-window, and the
-/// report stays byte-identical throughout.
-#[test]
-fn sharded_speculation_storm_degrades_bit_exact() {
+fn sharded_barrier_storm_stays_exact() {
     let mut cfg = base_config();
     cfg.num_replicas = 2;
     cfg.global_policy = GlobalPolicyKind::LeastOutstanding;
     let trace = fixed_trace(500, 50.0, 61);
-    let stats = assert_speculative_identical("storm_2x2", cfg, &trace, 2);
+    let stats = assert_barrier_identical("storm_2x2", cfg, &trace, 2);
     assert!(
-        stats.mispredictions > 0,
-        "two heavily loaded replicas must flip the argmin at least once"
+        stats.spec_windows <= trace.len() as u64 + 1,
+        "at most one barrier round per arrival plus the drain, got {}",
+        stats.spec_windows
     );
+}
+
+/// Same-instant arrivals route in one round (no event can come between
+/// them), so an offline burst needs far fewer barrier rounds than it has
+/// arrivals — and coalescing must not change a bit.
+#[test]
+fn sharded_barrier_coalesces_offline_burst() {
+    let mut cfg = base_config();
+    cfg.num_replicas = 4;
+    cfg.global_policy = GlobalPolicyKind::LeastOutstanding;
+    let trace =
+        TraceWorkload::chat_1m().generate(200, &ArrivalProcess::Static, &mut SimRng::new(67));
+    let stats = assert_barrier_identical("burst_4x2", cfg, &trace, 2);
     assert!(
-        stats.spec_windows > stats.mispredictions,
-        "adaptive shrink must keep committing windows between rollbacks"
+        stats.spec_windows < trace.len() as u64,
+        "coalescing must engage: {} rounds for {} arrivals",
+        stats.spec_windows,
+        trace.len()
     );
 }
 
@@ -651,7 +634,7 @@ fn rng_v2_jitter_fingerprint_pinned() {
 /// draw order depends only on that replica's schedule sequence — which is
 /// identical for any shard count — so jittered oracle runs join the sharded
 /// fast path: byte-identical on both the streaming (round-robin) and the
-/// speculative (least-outstanding) paths.
+/// arrival-barrier (least-outstanding) paths.
 #[test]
 fn sharded_jittered_v2_identical() {
     for policy in [

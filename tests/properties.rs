@@ -231,9 +231,9 @@ proptest! {
     }
 }
 
-/// A two-tenant, two-priority trace for the speculative-sharding
-/// differential: enough load structure that every stateful policy has real
-/// decisions to make (and mispredict).
+/// A two-tenant, two-priority trace for the barrier-sharding differential:
+/// enough load structure that every stateful policy has real decisions to
+/// make, with completions interleaving between most arrivals.
 fn spec_trace(n: usize, qps: f64, seed: u64) -> Trace {
     let mut rng = SimRng::new(seed);
     let times = ArrivalProcess::Poisson { qps }.generate(n, &mut rng);
@@ -271,16 +271,14 @@ fn stateful_policy() -> impl Strategy<Value = GlobalPolicyKind> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The speculative sharded engine's whole contract, fuzzed: any
-    /// admitted stateful policy, any shard count, any pinned window size —
-    /// including tiny windows that force misprediction pressure, and
+    /// The arrival-barrier sharded engine's whole contract, fuzzed: any
+    /// admitted stateful policy and any shard count — including
     /// deferral-prone caps that force the mid-run abort — must reproduce
     /// the sequential report byte for byte.
     #[test]
     fn speculative_sharding_differential(
         policy in stateful_policy(),
         shards in prop_oneof![Just(1usize), Just(2), Just(3), Just(7)],
-        window in prop_oneof![Just(1usize), Just(2), Just(3), Just(8)],
         qps in 4.0f64..24.0,
         seed in 0u64..1000,
     ) {
@@ -304,12 +302,11 @@ proptest! {
         let sequential = ClusterSimulator::new(
             config.clone(), trace.clone(), source.clone(), seed).run();
         config.shards = shards;
-        config.spec_window = Some(window);
         let (sharded, stats) = ClusterSimulator::new(
             config, trace, source, seed).run_with_stats();
         prop_assert_eq!(&sequential, &sharded,
-            "{:?} shards={} window={}: speculative run must be bit-exact \
-             (stats: {:?})", policy, shards, window, stats);
+            "{:?} shards={}: barrier run must be bit-exact (stats: {:?})",
+            policy, shards, stats);
         // A deferral-prone cap may abort to the sequential engine; that is
         // a legal outcome, but it must say so.
         if shards > 1 && stats.shards == 1 {
