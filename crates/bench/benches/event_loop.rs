@@ -9,18 +9,15 @@
 //!   same deterministic churn on the pairing-heap [`EventQueue`] and on the
 //!   seed's binary-heap [`BaselineQueue`], in-process, and reports the
 //!   ratio — hardware-independent, like the scheduler suite's gates.
-//! * `sharded_replay` — the end-to-end layer: a multi-replica estimator
-//!   replay run sequentially and with one shard per replica. The reports
+//! * `sharded_replay` — the end-to-end layer: a multi-replica round-robin
+//!   estimator replay run sequentially and with one shard per replica,
+//!   routing ahead on the sharded runner. The reports
 //!   must be **byte-identical** (that assertion runs everywhere); the ≥2×
 //!   wall-clock gate only applies when the host actually has ≥ 4 cores
 //!   (`available_parallelism`), since shard threads time-slice on smaller
 //!   machines. The host's core count is recorded in the report.
-//! * `metrics_merge` — the same sharded replay in mergeable-metrics mode
-//!   (per-shard collectors folded at drain) against the exact mode's full
-//!   serial-commit replay. The streamed-effect reduction (≥5×) is asserted
-//!   in-process on every run; the ≥1.3× wall-clock gate, like
-//!   `sharded_replay`'s, binds only on ≥4-core hosts.
-//! * `sharded_stateful` — the arrival-barrier layer: the online
+//! * `sharded_stateful` — the same runner routing one arrival instant per
+//!   round: the online
 //!   multi-tenant trace of the `multi_tenant_replay` example under
 //!   **least-outstanding** routing (a stateful policy that reads live
 //!   replica load) over 6 replicas, sequential vs 2 shards. Byte-identical
@@ -55,8 +52,7 @@ use vidur_model::{ModelSpec, ParallelismConfig};
 use vidur_scheduler::{BatchPolicyKind, GlobalPolicyKind, SchedulerConfig};
 use vidur_simulator::cluster::RuntimeSource;
 use vidur_simulator::{
-    onboard, AutoscalerSpec, ClusterConfig, ClusterSimulator, QuantileMode, SimulationReport,
-    TenantSlo,
+    onboard, AutoscalerSpec, ClusterConfig, ClusterSimulator, SimulationReport, TenantSlo,
 };
 use vidur_workload::{ArrivalProcess, MultiTenantWorkload, TenantStream, Trace, TraceWorkload};
 
@@ -295,57 +291,6 @@ fn main() {
         results.push(r);
     }
 
-    // --- metrics_merge: fold-in-the-shards vs full serial-commit replay --
-    {
-        let config = replay_config();
-        let trace = replay_trace(smoke);
-        let est = onboard(
-            &config.model,
-            &config.parallelism,
-            &config.sku,
-            EstimatorKind::default(),
-        );
-        let source = RuntimeSource::Estimator((*est).clone());
-        let run = |mode: QuantileMode| {
-            let mut cfg = config.clone();
-            cfg.shards = 4;
-            cfg.quantile_mode = mode;
-            ClusterSimulator::new(cfg, trace.clone(), source.clone(), 29).run_with_stats()
-        };
-        let (replay_ns, (_, replay_stats)) = best_of(reps, || run(QuantileMode::Exact));
-        let (fold_ns, (_, fold_stats)) = best_of(reps, || run(QuantileMode::Mergeable));
-        // Smoke gate, asserted on every run: the mergeable mode exists to
-        // shrink the serial commit, so the streamed-effect count must drop
-        // at least 5x regardless of host speed.
-        assert!(
-            fold_stats.streamed_effects > 0,
-            "mergeable mode must still stream tier effects"
-        );
-        assert!(
-            replay_stats.streamed_effects >= 5 * fold_stats.streamed_effects,
-            "mergeable mode must stream >=5x fewer effects: replay {} vs fold {}",
-            replay_stats.streamed_effects,
-            fold_stats.streamed_effects
-        );
-        let r = ScenarioResult {
-            name: "metrics_merge".to_string(),
-            optimized_ns: fold_ns,
-            reference_ns: replay_ns,
-            speedup: replay_ns / fold_ns,
-            shards: 4,
-            quantile_mode: "mergeable".to_string(),
-        };
-        println!(
-            "bench: event_loop/metrics_merge  {:>6.1} ms (serial commit {:>6.1} ms, {:>5.2}x, effects {} -> {})",
-            r.optimized_ns / 1e6,
-            r.reference_ns / 1e6,
-            r.speedup,
-            replay_stats.streamed_effects,
-            fold_stats.streamed_effects
-        );
-        results.push(r);
-    }
-
     // --- sharded_stateful: arrival barriers vs sequential ----------------
     {
         // The online multi-tenant shape of the `multi_tenant_replay`
@@ -575,30 +520,6 @@ fn main() {
             println!(
                 "gate: sharded_replay {:.2}x — skipped ({cores} cores < 4; bit-exactness still asserted)",
                 replay.speedup
-            );
-        }
-
-        let fold = report
-            .scenario("metrics_merge")
-            .expect("metrics_merge scenario present");
-        if cores >= 4 {
-            if fold.speedup < 1.3 {
-                eprintln!(
-                    "FAIL: metrics_merge speedup {:.2}x is below the 1.3x acceptance floor \
-                     ({cores} cores)",
-                    fold.speedup
-                );
-                failed = true;
-            } else {
-                println!(
-                    "gate: metrics_merge {:.2}x on {cores} cores (floor 1.30x) — ok",
-                    fold.speedup
-                );
-            }
-        } else {
-            println!(
-                "gate: metrics_merge {:.2}x — skipped ({cores} cores < 4; effect-count drop still asserted)",
-                fold.speedup
             );
         }
 

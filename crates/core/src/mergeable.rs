@@ -4,7 +4,7 @@
 //! [`crate::metrics::P2Quantile`]) either stores every sample or sketches
 //! them in an order-dependent way — neither state can be *merged* across
 //! threads without replaying the raw stream. This module provides the two
-//! mergeable summaries the sharded simulator folds inside its shards:
+//! mergeable summaries behind the collector's mergeable mode:
 //!
 //! - [`TDigest`]: bounded-memory quantile sketch (Dunning's t-digest with
 //!   the k1 arcsine scale function). The twist relative to textbook

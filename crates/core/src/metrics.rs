@@ -233,11 +233,9 @@ pub enum QuantileMode {
     Sketch,
     /// Fold samples into mergeable t-digests ([`crate::mergeable::TDigest`]):
     /// bounded memory, approximate mid-quantiles, exact
-    /// count/sum/min/max — and collectors can be *merged*, so the sharded
-    /// simulator aggregates metrics inside the shards and folds the partial
-    /// collectors at drain. Reports are invariant under merge order (any
-    /// shard count yields identical bytes) but are not bit-comparable with
-    /// the other two modes.
+    /// count/sum/min/max — and collectors can be *merged*. Reports are
+    /// invariant under merge order (any shard count yields identical bytes)
+    /// but are not bit-comparable with the other two modes.
     Mergeable,
 }
 

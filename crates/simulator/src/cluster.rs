@@ -170,15 +170,15 @@ pub struct RunStats {
     /// because sharding was off or the configuration fell off the fast
     /// path).
     pub shards: usize,
-    /// Effects the shards streamed through the serial merger. In
-    /// exact/sketch modes every metric effect replays serially; in
-    /// mergeable mode only tier-relevant effects stream, so this drops by
-    /// an order of magnitude. Zero on sequential runs (nothing streams).
+    /// Metric and tier effects the merger replayed from the shards' logs,
+    /// in exact sequential order: every effect the run produced, in every
+    /// quantile mode. Zero on sequential runs (nothing is logged).
     pub streamed_effects: u64,
-    /// Barrier rounds the stateful-routing fast path executed: one per
-    /// distinct arrival instant (same-instant arrivals route in one round),
-    /// plus the final drain. Zero on sequential runs and on the stateless
-    /// streaming path, which routes up front.
+    /// Rounds the sharded run executed, counting the final drain. A
+    /// stateful policy routes one arrival instant per round (same-instant
+    /// arrivals share a round); a stateless one (round-robin, random)
+    /// routes up to a fixed batch of arrivals per round. Zero on sequential
+    /// runs.
     pub spec_windows: u64,
     /// Routing mispredictions. Always 0: the arrival-barrier runner routes
     /// on the exact live tier and never guesses. Kept for report
@@ -216,8 +216,6 @@ pub struct ClusterSimulator {
     /// stateful policy deferred a request) can rebuild the simulator from
     /// scratch and re-run sequentially.
     pub(crate) seed: u64,
-    /// Reusable arrival-order/placement scratch for the sharded path.
-    pub(crate) sharded_scratch: crate::sharded::ShardedScratch,
 }
 
 impl std::fmt::Debug for ClusterSimulator {
@@ -341,7 +339,6 @@ impl ClusterSimulator {
             tier,
             elastic,
             seed,
-            sharded_scratch: crate::sharded::ShardedScratch::default(),
         }
     }
 
@@ -368,9 +365,9 @@ impl ClusterSimulator {
     }
 
     /// Like [`ClusterSimulator::run`], but also reports how the event loop
-    /// executed — shard count, serial-commit volume, barrier rounds, and
-    /// the fast-path fallback reason ([`RunStats`]). The report is
-    /// identical to the one `run` returns.
+    /// executed ([`RunStats`]): shard count, effects the merger replayed,
+    /// rounds, and the fast-path fallback reason. The report is identical
+    /// to the one `run` returns.
     pub fn run_with_stats(mut self) -> (SimulationReport, RunStats) {
         let shards = self.config.shards.min(self.config.num_replicas);
         let mut stats = RunStats {

@@ -64,9 +64,9 @@ pub struct ClusterConfig {
     /// records as they complete, bounding metrics memory on very long runs
     /// (per-token TBT streams) at the cost of approximate mid-quantiles;
     /// [`QuantileMode::Mergeable`] folds latencies into per-replica t-digest
-    /// slots so per-shard collectors merge into one report — reports are
-    /// invariant under merge order (identical bytes for any shard count) but
-    /// not bit-comparable with the other two modes.
+    /// slots whose partial collectors merge into one report — reports are
+    /// invariant under merge order (and so identical bytes for any shard
+    /// count) but not bit-comparable with the other two modes.
     pub quantile_mode: QuantileMode,
     /// Latency SLO judged per completed request for the per-tenant
     /// attainment column of the report. Only consulted on multi-tenant
@@ -88,13 +88,16 @@ pub struct ClusterConfig {
     /// above 1 opt into the sharded engine for configurations on its fast
     /// path — no late-abort, no elastic fleet, no armed prefix cache,
     /// jitter-free runtimes (unless [`Self::rng_version`] is 2), and any
-    /// non-`Deferred` routing policy: stateless policies
-    /// (round-robin/random) stream straight through, stateful ones
-    /// (least-outstanding, priority-aware, fair-share, affinity, KV-aware)
-    /// route on the live tier at arrival barriers; anything else falls
-    /// back to the sequential engine with the reason reported in
-    /// `RunStats::fallback_reason`. Reports are bit-identical either way
-    /// (see `vidur_simulator::sharded`).
+    /// non-`Deferred` routing policy. Every such run uses one loop: shards
+    /// simulate up to the next unrouted arrival, the merger replays their
+    /// effects in sequential order and routes on the live tier — one
+    /// arrival instant per round for stateful policies (least-outstanding,
+    /// priority-aware, fair-share, affinity, KV-aware), a batch of arrivals
+    /// ahead for stateless ones (round-robin, random), which never read the
+    /// live view. Anything else falls back to the sequential engine with
+    /// the reason reported in `RunStats::fallback_reason`. Reports are
+    /// bit-identical either way, in every quantile mode (see
+    /// `vidur_simulator::sharded`).
     pub shards: usize,
     /// Determinism-contract version for the engine's stochastic draws.
     /// Version `1` (the default) draws CPU-overhead jitter from one

@@ -1054,9 +1054,9 @@ impl MetricsCollector {
         self.completed
     }
 
-    /// Folds another collector into this one (mergeable mode only): the
-    /// sharded simulator gives each shard its own collector and merges the
-    /// partials at drain. Under the single-writer discipline — a replica's
+    /// Folds another collector into this one (mergeable mode only), e.g.
+    /// partial collectors that each observed a disjoint set of replicas.
+    /// Under the single-writer discipline — a replica's
     /// effects go to exactly one collector — the merged state is
     /// bit-identical to a single collector observing every replica, and
     /// the merge is order-invariant.

@@ -13,13 +13,14 @@
 //!    per-tenant latency/SLO/routing breakdowns.
 //!
 //! 5. Replay the same trace on the parallel sharded engine (estimator
-//!    runtimes) twice — round-robin on the streaming fast path, then
-//!    least-outstanding on the arrival-barrier path — assert both reports
-//!    are byte-identical to the sequential engine's, and print the barrier
-//!    round count and any fallback reason.
+//!    runtimes) twice — round-robin, which routes a batch of arrivals ahead
+//!    per round, then least-outstanding, which routes one arrival instant
+//!    per round on the live tier — assert both reports are byte-identical
+//!    to the sequential engine's, and print each run's round count and any
+//!    fallback reason.
 //! 6. With `VIDUR_MERGEABLE=1`, rerun the sharded replay in the mergeable
-//!    metrics mode — latency sketches fold inside the shards, only tier
-//!    effects stream to the merger — assert the report is invariant across
+//!    metrics mode — the merger replays every effect in sequential order,
+//!    exactly as in the other modes — assert the report is invariant across
 //!    shard counts, and print the per-minute time-series table.
 //! 7. With `VIDUR_FAULTS=1`, replay once more under an elastic fleet: a
 //!    fault plan crashes and recovers one replica mid-run, degrades another
@@ -177,10 +178,11 @@ fn main() {
         "every request routes through the tier exactly once"
     );
 
-    // 5. The parallel sharded engine, both fast paths: round-robin streams
-    // pre-routed effects with no barriers; least-outstanding reads the live
-    // load view, so the shards advance to each arrival, the merger commits
-    // their logs in exact order, and routes the arrival on the live tier.
+    // 5. The parallel sharded engine runs one loop: shards advance to the
+    // next unrouted arrival, the merger commits their logs in exact order
+    // and routes on the live tier. Round-robin never reads the live load
+    // view, so it routes a batch of arrivals ahead per round;
+    // least-outstanding does, so it routes one arrival instant per round.
     // Either way the contract holds: reports agree bit for bit, only
     // wall-clock changes.
     let shards: usize = std::env::var("VIDUR_SHARDS")
@@ -221,12 +223,12 @@ fn main() {
     );
     println!();
     println!(
-        "sharded    : {} shards in {:.0} ms vs sequential {:.0} ms — reports bit-identical \
-         ({} effects streamed)",
+        "sharded    : round-robin on {} shards in {:.0} ms vs sequential {:.0} ms — reports \
+         bit-identical ({} rounds)",
         shard_stats.shards,
         shard_wall.as_secs_f64() * 1e3,
         seq_wall.as_secs_f64() * 1e3,
-        shard_stats.streamed_effects,
+        shard_stats.spec_windows,
     );
 
     let (lo_seq, _, lo_seq_wall) = timed_run(GlobalPolicyKind::LeastOutstanding, 1);
@@ -247,15 +249,15 @@ fn main() {
         ),
     }
 
-    // 6. Mergeable metrics: fold the latency sketches inside the shards and
-    // stream only tier effects to the merger. Reports are invariant under
-    // the shard count (byte-identical to a one-shard run) and carry the
-    // windowed time series.
+    // 6. Mergeable metrics: merge-order-invariant latency sketches. The
+    // sharded merger replays every effect in sequential order, so reports
+    // are invariant under the shard count (byte-identical to a one-shard
+    // run) and carry the windowed time series.
     if std::env::var("VIDUR_MERGEABLE").as_deref() == Ok("1") {
         let mut mergeable_config = sharded_config.clone();
         mergeable_config.quantile_mode = QuantileMode::Mergeable;
         mergeable_config.timeseries = Some(TimeseriesConfig::per_minute());
-        let timed_fold = |shards: usize| {
+        let timed_mergeable = |shards: usize| {
             let mut cfg = mergeable_config.clone();
             cfg.shards = shards;
             let started = std::time::Instant::now();
@@ -263,24 +265,23 @@ fn main() {
                 ClusterSimulator::new(cfg, trace.clone(), est_source.clone(), 42).run_with_stats();
             (report, stats, started.elapsed())
         };
-        let (one_shard, _, _) = timed_fold(1);
-        let (fold_report, fold_stats, fold_wall) = timed_fold(shards);
+        let (one_shard, _, _) = timed_mergeable(1);
+        let (mergeable_report, mergeable_stats, mergeable_wall) = timed_mergeable(shards);
         assert_eq!(
-            one_shard, fold_report,
+            one_shard, mergeable_report,
             "mergeable reports must be invariant across shard counts"
         );
         println!();
         println!(
-            "mergeable  : {} shards in {:.0} ms, {} tier effects streamed (serial commit skipped), \
-             ~{:.0} distinct tenants",
-            fold_stats.shards,
-            fold_wall.as_secs_f64() * 1e3,
-            fold_stats.streamed_effects,
-            fold_report.distinct_tenants_est.unwrap_or(0.0),
+            "mergeable  : {} shards in {:.0} ms, {} effects replayed, ~{:.0} distinct tenants",
+            mergeable_stats.shards,
+            mergeable_wall.as_secs_f64() * 1e3,
+            mergeable_stats.streamed_effects,
+            mergeable_report.distinct_tenants_est.unwrap_or(0.0),
         );
         println!();
         println!("window (min)  completed  throughput (QPS)  TTFT p99 (s)  KV occupancy");
-        for row in &fold_report.timeseries {
+        for row in &mergeable_report.timeseries {
             println!(
                 "{:>12.0}  {:>9}  {:>16.2}  {:>12.2}  {:>11.1}%",
                 row.window_start_secs / 60.0,

@@ -420,8 +420,8 @@ fn sharded_uneven_shard_count_identical() {
     assert_sharded_identical("rr_4x3", cfg, fixed_trace(200, 8.0, 33), 3);
 }
 
-/// Random routing pre-draws the same RNG sequence when replayed in arrival
-/// order, so it shares the fast path with round-robin.
+/// Random routing draws the same RNG sequence when routed ahead in arrival
+/// order, so it routes ahead like round-robin.
 #[test]
 fn sharded_random_routing_identical() {
     let mut cfg = base_config();
@@ -451,7 +451,10 @@ fn sharded_sketch_metrics_identical() {
 }
 
 /// A deadline-capped overload: shards truncate independently at the cap and
-/// the merge must still agree with the sequential stop behavior.
+/// the merge must still agree with the sequential stop behavior. The second
+/// half caps a multi-tenant trace mid-stream: arrivals past the cap must
+/// never be routed, so the per-tenant `routed` counts match too — under
+/// both stateless policies (which route ahead) and in both replay modes.
 #[test]
 fn sharded_deadline_identical() {
     let mut cfg = base_config();
@@ -465,11 +468,36 @@ fn sharded_deadline_identical() {
         "deadline scenario must actually truncate"
     );
     cfg.shards = 2;
-    let sharded = ClusterSimulator::new(cfg, trace, source, 5).run();
+    let sharded = ClusterSimulator::new(cfg, trace, source.clone(), 5).run();
     assert_eq!(
         sequential, sharded,
         "deadline: sharded run must be bit-exact"
     );
+
+    let trace = multi_tenant_bursty_trace(200, 19);
+    let last = trace.requests.iter().map(|r| r.arrival).max().unwrap();
+    for policy in [GlobalPolicyKind::RoundRobin, GlobalPolicyKind::Random] {
+        for mode in [QuantileMode::Exact, QuantileMode::Mergeable] {
+            let mut cfg = base_config();
+            cfg.num_replicas = 4;
+            cfg.global_policy = policy;
+            cfg.quantile_mode = mode;
+            cfg.max_sim_time = Some(SimTime::from_secs_f64(last.as_secs_f64() / 2.0));
+            let sequential =
+                ClusterSimulator::new(cfg.clone(), trace.clone(), source.clone(), 5).run();
+            let routed: u64 = sequential.per_tenant.iter().map(|t| t.routed).sum();
+            assert!(
+                routed < trace.len() as u64,
+                "{policy:?}/{mode:?}: the cap must cut arrivals off"
+            );
+            cfg.shards = 2;
+            let sharded = ClusterSimulator::new(cfg, trace.clone(), source.clone(), 5).run();
+            assert_eq!(
+                sequential, sharded,
+                "{policy:?}/{mode:?}: capped sharded run must be bit-exact"
+            );
+        }
+    }
 }
 
 /// Multi-tenant trace on multi-replica round-robin: per-tenant metrics and
@@ -633,8 +661,8 @@ fn rng_v2_jitter_fingerprint_pinned() {
 /// Under `rng_version: 2` each replica owns a forked jitter stream whose
 /// draw order depends only on that replica's schedule sequence — which is
 /// identical for any shard count — so jittered oracle runs join the sharded
-/// fast path: byte-identical on both the streaming (round-robin) and the
-/// arrival-barrier (least-outstanding) paths.
+/// fast path: byte-identical whether the runner routes ahead
+/// (round-robin) or one arrival instant per round (least-outstanding).
 #[test]
 fn sharded_jittered_v2_identical() {
     for policy in [
@@ -725,31 +753,6 @@ fn mergeable_reports_invariant_across_shard_counts() {
             "mergeable report must be byte-identical at {shards} shards"
         );
     }
-}
-
-/// In mergeable mode the shards commit request/batch/KV effects locally and
-/// stream only tier-relevant effects to the serial merger — at least 5×
-/// fewer than the full replay the exact mode's commit loop needs.
-#[test]
-fn mergeable_streams_5x_fewer_effects() {
-    let mut cfg = base_config();
-    cfg.num_replicas = 4;
-    cfg.shards = 4;
-    let trace = fixed_trace(200, 8.0, 51);
-    let source = estimator_source();
-    let (_, replay) =
-        ClusterSimulator::new(cfg.clone(), trace.clone(), source.clone(), 5).run_with_stats();
-    cfg.quantile_mode = QuantileMode::Mergeable;
-    let (_, fold) = ClusterSimulator::new(cfg, trace, source, 5).run_with_stats();
-    assert_eq!(replay.shards, 4, "replay run must engage the sharded path");
-    assert_eq!(fold.shards, 4, "fold run must engage the sharded path");
-    assert!(fold.streamed_effects > 0, "tier effects still stream");
-    assert!(
-        replay.streamed_effects >= 5 * fold.streamed_effects,
-        "mergeable must stream >=5x fewer effects: replay {} vs fold {}",
-        replay.streamed_effects,
-        fold.streamed_effects
-    );
 }
 
 /// Mergeable metrics are a summary trade, not a behavior change: the

@@ -231,14 +231,14 @@ proptest! {
     }
 }
 
-/// A two-tenant, two-priority trace for the barrier-sharding differential:
+/// A two-tenant, two-priority trace for the sharding differential:
 /// enough load structure that every stateful policy has real decisions to
 /// make, with completions interleaving between most arrivals.
-fn spec_trace(n: usize, qps: f64, seed: u64) -> Trace {
+fn sharding_trace(n: usize, qps: f64, seed: u64) -> Trace {
     let mut rng = SimRng::new(seed);
     let times = ArrivalProcess::Poisson { qps }.generate(n, &mut rng);
     Trace {
-        workload_name: "spec-prop".to_string(),
+        workload_name: "shard-prop".to_string(),
         tenants: vec!["alpha".to_string(), "beta".to_string()],
         prefixes: Vec::new(),
         requests: times
@@ -258,8 +258,10 @@ fn spec_trace(n: usize, qps: f64, seed: u64) -> Trace {
     }
 }
 
-fn stateful_policy() -> impl Strategy<Value = GlobalPolicyKind> {
+fn sharded_policy() -> impl Strategy<Value = GlobalPolicyKind> {
     prop_oneof![
+        Just(GlobalPolicyKind::RoundRobin),
+        Just(GlobalPolicyKind::Random),
         Just(GlobalPolicyKind::LeastOutstanding),
         (4usize..64).prop_map(|m| GlobalPolicyKind::PriorityAware { max_outstanding: m }),
         (4usize..64).prop_map(|m| GlobalPolicyKind::FairShare { max_outstanding: m }),
@@ -271,15 +273,19 @@ fn stateful_policy() -> impl Strategy<Value = GlobalPolicyKind> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The arrival-barrier sharded engine's whole contract, fuzzed: any
-    /// admitted stateful policy and any shard count — including
-    /// deferral-prone caps that force the mid-run abort — must reproduce
-    /// the sequential report byte for byte.
+    /// The sharded engine's whole contract, fuzzed: any admitted policy —
+    /// stateless ones routing ahead, stateful ones routing one arrival
+    /// instant per round, deferral-prone caps forcing the mid-run abort —
+    /// and any shard count must reproduce the sequential report byte for
+    /// byte.
     #[test]
-    fn speculative_sharding_differential(
-        policy in stateful_policy(),
+    fn sharding_differential(
+        policy in sharded_policy(),
         shards in prop_oneof![Just(1usize), Just(2), Just(3), Just(7)],
         qps in 4.0f64..24.0,
+        // Past the stateless route-ahead batch, so those runs take more
+        // than one round.
+        requests in 140usize..700,
         seed in 0u64..1000,
     ) {
         let mut config = ClusterConfig::new(
@@ -291,7 +297,7 @@ proptest! {
         );
         config.global_policy = policy;
         config.tenant_weights = vec![2.0, 1.0];
-        let trace = spec_trace(140, qps, seed);
+        let trace = sharding_trace(requests, qps, seed);
         let est = onboard(
             &config.model,
             &config.parallelism,
@@ -305,7 +311,7 @@ proptest! {
         let (sharded, stats) = ClusterSimulator::new(
             config, trace, source, seed).run_with_stats();
         prop_assert_eq!(&sequential, &sharded,
-            "{:?} shards={}: barrier run must be bit-exact (stats: {:?})",
+            "{:?} shards={}: sharded run must be bit-exact (stats: {:?})",
             policy, shards, stats);
         // A deferral-prone cap may abort to the sequential engine; that is
         // a legal outcome, but it must say so.
