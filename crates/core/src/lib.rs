@@ -21,13 +21,14 @@
 //! * [`shard`] — shard-local event queues ([`shard::ShardQueue`]) whose pop
 //!   streams can be merged back into the exact sequential global order
 //!   ([`shard::ShardStamper`]), the foundation of the parallel simulator.
-//! * [`metrics`] — streaming metric primitives: an exact quantile digest,
-//!   time-weighted utilization series, and fixed-width histograms.
-//! * [`mergeable`] — mergeable summary sketches: a deterministic t-digest
-//!   ([`mergeable::TDigest`]) whose sealed state is invariant under merge
-//!   order, and a HyperLogLog distinct-count sketch
+//! * [`metrics`] — metric primitives: an exact quantile digest, the
+//!   time-weighted utilization series, and the [`QuantileMode`] switch
+//!   between exact and bounded-memory metrics.
+//! * [`mergeable`] — bounded-memory summary sketches: a deterministic
+//!   t-digest ([`mergeable::TDigest`]) whose sealed state is invariant
+//!   under merge order, and a HyperLogLog distinct-count sketch
 //!   ([`mergeable::HyperLogLog`]). These are the building blocks of the
-//!   simulator's fold-in-the-shards metrics mode.
+//!   simulator's mergeable metrics mode.
 //!
 //! # Example
 //!
@@ -55,9 +56,7 @@ pub mod time;
 
 pub use event::{BaselineQueue, EventPush, EventQueue, KeyedPairingHeap, Simulation};
 pub use mergeable::{HyperLogLog, TDigest};
-pub use metrics::{
-    Histogram, P2Quantile, QuantileDigest, QuantileMode, StreamingSummary, TimeWeightedSeries,
-};
+pub use metrics::{QuantileDigest, QuantileMode, TimeWeightedSeries};
 pub use rng::SimRng;
 pub use shard::{ShardKey, ShardQueue, ShardStamper};
 pub use time::{SimDuration, SimTime};

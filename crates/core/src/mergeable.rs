@@ -1,10 +1,9 @@
 //! Mergeable summary sketches: a deterministic t-digest and a HyperLogLog.
 //!
-//! The serial-replay metrics path ([`crate::metrics::QuantileDigest`] /
-//! [`crate::metrics::P2Quantile`]) either stores every sample or sketches
-//! them in an order-dependent way — neither state can be *merged* across
-//! threads without replaying the raw stream. This module provides the two
-//! mergeable summaries behind the collector's mergeable mode:
+//! The exact metrics path ([`crate::metrics::QuantileDigest`]) stores every
+//! sample. This module provides the two bounded-memory summaries behind the
+//! collector's mergeable mode, whose state does not depend on the order
+//! per-replica partial states are combined in:
 //!
 //! - [`TDigest`]: bounded-memory quantile sketch (Dunning's t-digest with
 //!   the k1 arcsine scale function). The twist relative to textbook
@@ -14,9 +13,8 @@
 //!   state is therefore a pure function of the *multiset* of centroids —
 //!   merging per-shard digests in any permutation yields bit-identical
 //!   sealed state and bit-identical quantile reads.
-//! - [`HyperLogLog`]: distinct-count sketch whose merge (element-wise
-//!   register max) is commutative, associative, and idempotent by
-//!   construction.
+//! - [`HyperLogLog`]: distinct-count sketch whose registers (element-wise
+//!   maxima) are independent of insertion order by construction.
 //!
 //! Neither sketch keeps a running `f64` sum: float addition is
 //! non-associative, so an internal sum would break merge-order invariance.
@@ -299,9 +297,9 @@ const HLL_PRECISION: u32 = 10;
 ///
 /// 1024 one-byte registers (~3.25% standard error). Keys are mixed through
 /// SplitMix64, so dense small integers (tenant ids, prefix hashes) spread
-/// uniformly. `merge` takes the element-wise register max, which is
-/// commutative, associative, and idempotent — merging per-shard sketches
-/// in any order yields bit-identical registers.
+/// uniformly. Each register keeps the maximum rank seen, so the registers
+/// depend only on the *set* of inserted keys — any insertion order yields
+/// bit-identical registers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HyperLogLog {
     registers: Vec<u8>,
@@ -330,13 +328,6 @@ impl HyperLogLog {
         let rank = (rest.leading_zeros() + 1).min(64 - HLL_PRECISION + 1) as u8;
         if rank > self.registers[idx] {
             self.registers[idx] = rank;
-        }
-    }
-
-    /// Fold another sketch into this one (element-wise register max).
-    pub fn merge(&mut self, other: &HyperLogLog) {
-        for (r, o) in self.registers.iter_mut().zip(&other.registers) {
-            *r = (*r).max(*o);
         }
     }
 
@@ -639,33 +630,5 @@ mod tests {
         }
         let est = h.estimate();
         assert!((0.5..=1.5).contains(&est), "single key estimates {est}");
-    }
-
-    proptest! {
-        /// Merge is a union: merging disjoint sketches equals inserting
-        /// the union, and the operation is commutative and idempotent.
-        #[test]
-        fn hll_merge_is_union(a_n in 1u64..5_000, b_n in 1u64..5_000) {
-            let mut a = HyperLogLog::new();
-            let mut b = HyperLogLog::new();
-            let mut union = HyperLogLog::new();
-            for k in 0..a_n {
-                a.insert(k);
-                union.insert(k);
-            }
-            for k in 1_000_000..1_000_000 + b_n {
-                b.insert(k);
-                union.insert(k);
-            }
-            let mut ab = a.clone();
-            ab.merge(&b);
-            let mut ba = b.clone();
-            ba.merge(&a);
-            prop_assert_eq!(&ab, &ba);
-            prop_assert_eq!(&ab, &union);
-            let mut twice = ab.clone();
-            twice.merge(&ab);
-            prop_assert_eq!(&twice, &ab);
-        }
     }
 }

@@ -70,23 +70,6 @@ impl<T> IdSlab<T> {
         self.slots.iter().flatten()
     }
 
-    /// Iterates `(id, value)` pairs in ascending id order.
-    pub fn entries(&self) -> impl Iterator<Item = (RequestId, &T)> {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, v)| v.as_ref().map(|v| (i as RequestId, v)))
-    }
-
-    /// Drains the slab, yielding `(id, value)` pairs in ascending id order.
-    pub fn drain_entries(&mut self) -> impl Iterator<Item = (RequestId, T)> + '_ {
-        self.len = 0;
-        self.slots
-            .iter_mut()
-            .enumerate()
-            .filter_map(|(i, v)| v.take().map(|v| (i as RequestId, v)))
-    }
-
     /// Number of occupied slots.
     pub fn len(&self) -> usize {
         self.len
@@ -125,20 +108,6 @@ mod tests {
         assert_eq!(s.remove(&5), None);
         assert_eq!(s.len(), 1);
         assert_eq!(s.get(&99), None);
-    }
-
-    #[test]
-    fn entries_and_drain_in_id_order() {
-        let mut s: IdSlab<&str> = IdSlab::new();
-        s.insert(4, "d");
-        s.insert(1, "a");
-        s.insert(2, "b");
-        let pairs: Vec<_> = s.entries().collect();
-        assert_eq!(pairs, vec![(1, &"a"), (2, &"b"), (4, &"d")]);
-        let drained: Vec<_> = s.drain_entries().collect();
-        assert_eq!(drained, vec![(1, "a"), (2, "b"), (4, "d")]);
-        assert!(s.is_empty());
-        assert_eq!(s.get(&1), None);
     }
 
     #[test]

@@ -59,14 +59,13 @@ pub struct ClusterConfig {
     pub plan_cache: bool,
     /// How the metrics collector aggregates latency distributions:
     /// [`QuantileMode::Exact`] (the default) stores every sample so report
-    /// quantiles are exact and bit-reproducible; [`QuantileMode::Sketch`]
-    /// streams samples through P² marker sketches and retires per-request
-    /// records as they complete, bounding metrics memory on very long runs
-    /// (per-token TBT streams) at the cost of approximate mid-quantiles;
-    /// [`QuantileMode::Mergeable`] folds latencies into per-replica t-digest
-    /// slots whose partial collectors merge into one report — reports are
-    /// invariant under merge order (and so identical bytes for any shard
-    /// count) but not bit-comparable with the other two modes.
+    /// quantiles are exact and bit-reproducible; [`QuantileMode::Mergeable`]
+    /// folds latencies into per-replica t-digest slots and retires
+    /// per-request records as they complete, bounding metrics memory on
+    /// very long runs (per-token TBT streams) at the cost of approximate
+    /// mid-quantiles — reports are invariant under the slots' merge order
+    /// (and so identical bytes for any shard count) but not bit-comparable
+    /// with exact mode.
     pub quantile_mode: QuantileMode,
     /// Latency SLO judged per completed request for the per-tenant
     /// attainment column of the report. Only consulted on multi-tenant
@@ -111,7 +110,7 @@ pub struct ClusterConfig {
     /// Windowed time-series output: when set, the report's `timeseries`
     /// field carries one row per wall-clock window (throughput, TTFT p99,
     /// mean KV occupancy). Only populated in [`QuantileMode::Mergeable`];
-    /// the other modes ignore it.
+    /// exact mode ignores it.
     pub timeseries: Option<TimeseriesConfig>,
     /// Fault-injection plan: replica crashes (work requeues through the
     /// routing tier), straggler episodes, and recoveries with warm-up. The

@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 use vidur_core::mergeable::{HyperLogLog, TDigest};
-use vidur_core::metrics::{QuantileDigest, QuantileMode, StreamingSummary, TimeWeightedSeries};
+use vidur_core::metrics::{QuantileDigest, QuantileMode, TimeWeightedSeries};
 use vidur_core::time::SimTime;
 use vidur_model::batch::BatchComposition;
 use vidur_model::operators::Operator;
@@ -47,53 +47,6 @@ impl DigestSummary {
             max: d.max().unwrap_or(0.0),
         }
     }
-
-    /// Summarizes a bounded-memory streaming sketch (zeros if empty).
-    pub fn from_streaming(s: &StreamingSummary) -> Self {
-        if s.is_empty() {
-            return DigestSummary::default();
-        }
-        DigestSummary {
-            mean: s.mean().unwrap_or(0.0),
-            p50: s.quantile(0.5).unwrap_or(0.0),
-            p90: s.quantile(0.9).unwrap_or(0.0),
-            p95: s.quantile(0.95).unwrap_or(0.0),
-            p99: s.quantile(0.99).unwrap_or(0.0),
-            max: s.max().unwrap_or(0.0),
-        }
-    }
-}
-
-/// The shared contract every latency-distribution sink satisfies: fold
-/// samples in, read one summary out. Whether a sink needs an internal
-/// sort-before-read step ([`QuantileDigest::seal`], [`TDigest::seal`]) is
-/// its own business — `summarize` hides it, so sinks that don't have a
-/// seal seam (the P² sketch) don't inherit one.
-trait DistributionSink {
-    /// Folds one sample into the sink.
-    fn record_sample(&mut self, value: f64);
-    /// Summarizes everything recorded so far (zeros if empty).
-    fn summarize(&mut self) -> DigestSummary;
-}
-
-impl DistributionSink for QuantileDigest {
-    fn record_sample(&mut self, value: f64) {
-        self.record(value);
-    }
-
-    fn summarize(&mut self) -> DigestSummary {
-        DigestSummary::from_digest(self)
-    }
-}
-
-impl DistributionSink for StreamingSummary {
-    fn record_sample(&mut self, value: f64) {
-        self.record(value);
-    }
-
-    fn summarize(&mut self) -> DigestSummary {
-        DigestSummary::from_streaming(self)
-    }
 }
 
 /// The mergeable latency sink: a deterministic t-digest for quantiles plus
@@ -122,14 +75,15 @@ impl MergeSink {
         self.digest.merge(&other.digest);
         self.sum += other.sum;
     }
-}
 
-impl DistributionSink for MergeSink {
-    fn record_sample(&mut self, value: f64) {
+    /// Folds one sample into the sink.
+    fn record(&mut self, value: f64) {
         self.digest.record(value);
         self.sum += value;
     }
 
+    /// Summarizes everything recorded so far (zeros if empty), sealing the
+    /// digest for quantile reads.
     fn summarize(&mut self) -> DigestSummary {
         if self.digest.is_empty() {
             return DigestSummary::default();
@@ -142,50 +96,6 @@ impl DistributionSink for MergeSink {
             p95: self.digest.quantile(0.95).unwrap_or(0.0),
             p99: self.digest.quantile(0.99).unwrap_or(0.0),
             max: self.digest.max().unwrap_or(0.0),
-        }
-    }
-}
-
-/// A latency-distribution sink that is either exact or bounded-memory,
-/// per [`QuantileMode`].
-#[derive(Debug, Clone)]
-enum StatSink {
-    Exact(QuantileDigest),
-    // Boxed: the sketch variant carries 16 P² markers inline (~576 bytes)
-    // while the exact variant is a Vec header.
-    Sketch(Box<StreamingSummary>),
-    /// Inert placeholder: in mergeable mode every latency folds into a
-    /// per-replica [`MergeSink`] slot (see [`MergeableState`]), never into
-    /// a collector-global sink — recording here is a logic error.
-    Mergeable,
-}
-
-impl StatSink {
-    fn new(mode: QuantileMode) -> Self {
-        match mode {
-            QuantileMode::Exact => StatSink::Exact(QuantileDigest::new()),
-            QuantileMode::Sketch => StatSink::Sketch(Box::new(StreamingSummary::new())),
-            QuantileMode::Mergeable => StatSink::Mergeable,
-        }
-    }
-
-    fn record(&mut self, value: f64) {
-        match self {
-            StatSink::Exact(d) => d.record_sample(value),
-            StatSink::Sketch(s) => s.record_sample(value),
-            StatSink::Mergeable => {
-                unreachable!("mergeable-mode latencies fold into per-replica slots")
-            }
-        }
-    }
-
-    fn summary(&mut self) -> DigestSummary {
-        match self {
-            StatSink::Exact(d) => d.summarize(),
-            StatSink::Sketch(s) => s.summarize(),
-            StatSink::Mergeable => {
-                unreachable!("mergeable-mode summaries fold from per-replica slots")
-            }
         }
     }
 }
@@ -305,49 +215,28 @@ pub struct TenantRoutingStats {
     pub fair_share_attainment: Option<f64>,
 }
 
-/// Per-tenant accumulation state (latencies honor the collector's
-/// [`QuantileMode`], so sketch-mode runs stay bounded-memory per tenant).
+/// Per-tenant accumulation state. The latency digests fill in exact mode
+/// only; mergeable mode folds tenant latencies into per-replica slots
+/// ([`TenantFold`]) and leaves them empty (unallocated).
 #[derive(Debug, Clone)]
 struct TenantStat {
     name: String,
     arrived: usize,
     completed: usize,
     slo_met: usize,
-    ttft: StatSink,
-    e2e: StatSink,
+    ttft: QuantileDigest,
+    e2e: QuantileDigest,
 }
 
 impl TenantStat {
-    fn new(name: String, mode: QuantileMode) -> Self {
+    fn new(name: String) -> Self {
         TenantStat {
             name,
             arrived: 0,
             completed: 0,
             slo_met: 0,
-            ttft: StatSink::new(mode),
-            e2e: StatSink::new(mode),
-        }
-    }
-}
-
-/// Per-request latency sinks maintained incrementally in sketch mode.
-#[derive(Debug, Clone)]
-struct RequestSinks {
-    sched_delay: StreamingSummary,
-    ttft: StreamingSummary,
-    norm_e2e: StreamingSummary,
-    norm_exec: StreamingSummary,
-    e2e: StreamingSummary,
-}
-
-impl RequestSinks {
-    fn new() -> Self {
-        RequestSinks {
-            sched_delay: StreamingSummary::new(),
-            ttft: StreamingSummary::new(),
-            norm_e2e: StreamingSummary::new(),
-            norm_exec: StreamingSummary::new(),
-            e2e: StreamingSummary::new(),
+            ttft: QuantileDigest::new(),
+            e2e: QuantileDigest::new(),
         }
     }
 }
@@ -483,8 +372,8 @@ impl ReplicaFold {
 }
 
 /// The collector-wide mergeable state: per-replica single-writer slots plus
-/// the (commutatively) mergeable distinct-tenant sketch. `Some` iff the
-/// collector runs in [`QuantileMode::Mergeable`].
+/// the distinct-tenant sketch (insertion-order-invariant by construction).
+/// `Some` iff the collector runs in [`QuantileMode::Mergeable`].
 #[derive(Debug, Clone)]
 struct MergeableState {
     replicas: Vec<ReplicaFold>,
@@ -520,13 +409,13 @@ impl MergeableState {
         let Some(l) = lat else {
             return;
         };
-        r.sched_delay.record_sample(l.sched_delay);
+        r.sched_delay.record(l.sched_delay);
         if let Some(t) = l.ttft {
-            r.ttft.record_sample(t);
+            r.ttft.record(t);
         }
-        r.e2e.record_sample(l.e2e);
-        r.norm_e2e.record_sample(l.norm_e2e);
-        r.norm_exec.record_sample(l.norm_exec);
+        r.e2e.record(l.e2e);
+        r.norm_e2e.record(l.norm_e2e);
+        r.norm_exec.record(l.norm_exec);
     }
 }
 
@@ -628,7 +517,7 @@ struct RequestRecord {
 
 /// One finished request's derived latencies. Computed in exactly one place
 /// ([`RequestRecord::latencies`]) and consumed by every sink — the exact
-/// end-of-run pass, the sketch-mode streaming sinks, and the per-tenant
+/// end-of-run pass, the mergeable-mode fold, and the per-tenant
 /// breakdowns — so the defining formulas cannot drift apart.
 #[derive(Debug, Clone, Copy)]
 struct RequestLatencies {
@@ -671,16 +560,14 @@ impl RequestRecord {
 pub struct MetricsCollector {
     /// Per-request records, id-indexed: simulators feed dense trace
     /// indices, so the slab beats a map on the per-slice hot paths. In
-    /// sketch mode records retire into [`RequestSinks`] as requests
-    /// complete instead of accumulating until the final report.
+    /// mergeable mode records retire into the fold as requests complete
+    /// instead of accumulating until the final report.
     records: IdSlab<RequestRecord>,
-    tbt: StatSink,
-    /// `Some` iff the collector runs in [`QuantileMode::Sketch`].
-    request_sinks: Option<RequestSinks>,
+    /// Exact mode's TBT samples; stays empty in mergeable mode.
+    tbt: QuantileDigest,
     /// `Some` iff the collector runs in [`QuantileMode::Mergeable`]: the
     /// per-replica fold slots everything mergeable accumulates into.
     fold: Option<MergeableState>,
-    mode: QuantileMode,
     /// Per-tenant accumulation, armed by [`MetricsCollector::set_tenants`];
     /// stays empty (and costs nothing) on single-tenant runs.
     tenants: Vec<TenantStat>,
@@ -721,13 +608,8 @@ impl MetricsCollector {
     pub fn with_mode(num_replicas: usize, mode: QuantileMode) -> Self {
         MetricsCollector {
             records: IdSlab::new(),
-            tbt: StatSink::new(mode),
-            request_sinks: match mode {
-                QuantileMode::Exact | QuantileMode::Mergeable => None,
-                QuantileMode::Sketch => Some(RequestSinks::new()),
-            },
+            tbt: QuantileDigest::new(),
             fold: (mode == QuantileMode::Mergeable).then(|| MergeableState::new(num_replicas)),
-            mode,
             tenants: Vec::new(),
             track_tenants: false,
             tenant_slo: None,
@@ -764,8 +646,8 @@ impl MetricsCollector {
     }
 
     /// Arms windowed time-series reporting ([`TimeseriesConfig`]). Only
-    /// effective in [`QuantileMode::Mergeable`] — the other modes' reports
-    /// are pinned bit-exactly and carry no rows; arming them is a no-op.
+    /// effective in [`QuantileMode::Mergeable`] — exact mode's reports are
+    /// pinned bit-exactly and carry no rows; arming it is a no-op.
     pub fn set_timeseries(&mut self, config: TimeseriesConfig) {
         assert!(
             config.window_secs > 0.0,
@@ -776,11 +658,6 @@ impl MetricsCollector {
         }
     }
 
-    /// The collector's quantile mode.
-    pub fn mode(&self) -> QuantileMode {
-        self.mode
-    }
-
     /// Arms per-tenant breakdown reporting: `names` maps tenant ids to
     /// display names (requests referencing an index beyond the list get a
     /// synthesized `tenant-<id>` entry), `slo` enables attainment
@@ -789,10 +666,7 @@ impl MetricsCollector {
     pub fn set_tenants(&mut self, names: &[String], slo: Option<TenantSlo>) {
         self.track_tenants = true;
         self.tenant_slo = slo;
-        self.tenants = names
-            .iter()
-            .map(|n| TenantStat::new(n.clone(), self.mode))
-            .collect();
+        self.tenants = names.iter().map(|n| TenantStat::new(n.clone())).collect();
     }
 
     /// Publishes per-tenant routing statistics (index = tenant id) for the
@@ -825,15 +699,15 @@ impl MetricsCollector {
         let idx = tenant as usize;
         while self.tenants.len() <= idx {
             let name = format!("tenant-{}", self.tenants.len());
-            self.tenants.push(TenantStat::new(name, self.mode));
+            self.tenants.push(TenantStat::new(name));
         }
         &mut self.tenants[idx]
     }
 
     /// Accounts GPU-busy seconds for a scheduled batch (stage time x GPUs
     /// in the stage's TP group, summed over stages). `replica` keys the
-    /// mergeable fold's single-writer slot; exact/sketch modes keep one
-    /// global accumulator (bit-compatible with the pre-replica behavior).
+    /// mergeable fold's single-writer slot; exact mode keeps one global
+    /// accumulator (bit-compatible with the pre-replica behavior).
     pub fn on_gpu_busy(&mut self, replica: usize, gpu_secs: f64) {
         match self.fold.as_mut() {
             Some(fold) => fold.replicas[replica].busy_gpu_secs += gpu_secs,
@@ -964,10 +838,9 @@ impl MetricsCollector {
         }
     }
 
-    /// Applies completion events from a finished batch. In sketch and
-    /// mergeable modes, finished requests stream their request-level
-    /// latencies into the bounded sinks immediately and their records are
-    /// dropped.
+    /// Applies completion events from a finished batch. In mergeable mode,
+    /// finished requests fold their request-level latencies into the
+    /// replica's slots immediately and their records are dropped.
     pub fn on_batch_complete(&mut self, replica: usize, now: SimTime, events: &[CompletionEvent]) {
         for ev in events {
             let Some(rec) = self.records.get_mut(&ev.id) else {
@@ -980,7 +853,7 @@ impl MetricsCollector {
                 if let Some(prev) = rec.last_token {
                     let tbt = now.duration_since(prev).as_secs_f64();
                     match self.fold.as_mut() {
-                        Some(fold) => fold.replicas[replica].tbt.record_sample(tbt),
+                        Some(fold) => fold.replicas[replica].tbt.record(tbt),
                         None => self.tbt.record(tbt),
                     }
                 }
@@ -997,19 +870,14 @@ impl MetricsCollector {
                 if let Some(fold) = self.fold.as_mut() {
                     fold.on_completion(replica, now, &done);
                     self.records.remove(&ev.id);
-                } else if self.request_sinks.is_some() {
-                    if let Some(sinks) = self.request_sinks.as_mut() {
-                        record_request_latencies(sinks, &done);
-                    }
-                    self.records.remove(&ev.id);
                 }
             }
         }
     }
 
     /// Streams one finished request's latencies into its tenant's sinks and
-    /// judges the SLO (all quantile modes share this incremental path —
-    /// per-tenant quantiles are completion-ordered in every mode; mergeable
+    /// judges the SLO (both quantile modes share this incremental path —
+    /// per-tenant quantiles are completion-ordered in either mode; mergeable
     /// mode routes the latencies to the replica's single-writer slots).
     fn note_tenant_completion(&mut self, replica: usize, rec: &RequestRecord) {
         let Some(l) = rec.latencies() else {
@@ -1034,9 +902,9 @@ impl MetricsCollector {
         }
         let fold = self.fold.as_mut().expect("fold mode checked above");
         let tf = fold.replicas[replica].tenant_entry(rec.tenant as usize);
-        tf.e2e.record_sample(l.e2e);
+        tf.e2e.record(l.e2e);
         if let Some(t) = l.ttft {
-            tf.ttft.record_sample(t);
+            tf.ttft.record(t);
         }
     }
 
@@ -1052,93 +920,6 @@ impl MetricsCollector {
     /// Completed request count so far.
     pub fn completed(&self) -> usize {
         self.completed
-    }
-
-    /// Folds another collector into this one (mergeable mode only), e.g.
-    /// partial collectors that each observed a disjoint set of replicas.
-    /// Under the single-writer discipline — a replica's
-    /// effects go to exactly one collector — the merged state is
-    /// bit-identical to a single collector observing every replica, and
-    /// the merge is order-invariant.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless both collectors run [`QuantileMode::Mergeable`] with
-    /// the same replica count.
-    pub fn merge(&mut self, mut other: MetricsCollector) {
-        assert!(
-            self.fold.is_some() && other.fold.is_some(),
-            "MetricsCollector::merge requires QuantileMode::Mergeable on both sides"
-        );
-        for (id, rec) in other.records.drain_entries() {
-            let prev = self.records.insert(id, rec);
-            debug_assert!(prev.is_none(), "request {id} tracked by both collectors");
-        }
-        self.completed += other.completed;
-        self.last_completion = self.last_completion.max(other.last_completion);
-        self.total_batches += other.total_batches;
-        self.total_tokens += other.total_tokens;
-        self.total_batch_requests += other.total_batch_requests;
-        self.late_count += other.late_count;
-        self.track_tenants |= other.track_tenants;
-        if self.tenant_slo.is_none() {
-            self.tenant_slo = other.tenant_slo;
-        }
-        for (idx, t) in other.tenants.iter_mut().enumerate() {
-            if self.tenants.len() <= idx {
-                self.tenants
-                    .push(TenantStat::new(std::mem::take(&mut t.name), self.mode));
-            }
-            let mine = &mut self.tenants[idx];
-            mine.arrived += t.arrived;
-            mine.completed += t.completed;
-            mine.slo_met += t.slo_met;
-        }
-        assert_eq!(
-            self.kv_series.len(),
-            other.kv_series.len(),
-            "collectors cover different replica counts"
-        );
-        for (mine, theirs) in self.kv_series.iter_mut().zip(other.kv_series.drain(..)) {
-            if !theirs.is_empty() {
-                assert!(
-                    mine.is_empty(),
-                    "replica KV series written by both collectors"
-                );
-                *mine = theirs;
-            }
-        }
-        let fold = self.fold.as_mut().expect("checked above");
-        let of = other.fold.take().expect("checked above");
-        assert_eq!(
-            fold.replicas.len(),
-            of.replicas.len(),
-            "collectors cover different replica counts"
-        );
-        for (mine, theirs) in fold.replicas.iter_mut().zip(&of.replicas) {
-            mine.merge(theirs);
-        }
-        fold.distinct_tenants.merge(&of.distinct_tenants);
-        if fold.window_secs.is_none() {
-            fold.window_secs = of.window_secs;
-        }
-        if let Some(op) = other.prefix.take() {
-            let mine = self.prefix.get_or_insert_with(PrefixStats::default);
-            mine.hit_requests += op.hit_requests;
-            mine.tokens_saved += op.tokens_saved;
-            for (idx, &h) in op.tenant_hits.iter().enumerate() {
-                if idx >= mine.tenant_hits.len() {
-                    mine.tenant_hits.resize(idx + 1, 0);
-                }
-                mine.tenant_hits[idx] += h;
-            }
-            for (idx, &s) in op.tenant_saved.iter().enumerate() {
-                if idx >= mine.tenant_saved.len() {
-                    mine.tenant_saved.resize(idx + 1, 0);
-                }
-                mine.tenant_saved[idx] += s;
-            }
-        }
     }
 
     /// Builds the final report.
@@ -1169,49 +950,37 @@ impl MetricsCollector {
         }
         let tbt_summary = match &fold_out {
             Some(f) => f.tbt,
-            None => self.tbt.summary(),
+            None => DigestSummary::from_digest(&mut self.tbt),
         };
-        // Request-level summaries: folded in mergeable mode, streamed
-        // incrementally in sketch mode, one exact pass over the retained
-        // records otherwise.
+        // Request-level summaries: folded in mergeable mode, one exact pass
+        // over the retained records otherwise.
         let (sched_delay, ttft, norm_e2e, norm_exec, e2e) = if let Some(f) = &fold_out {
             (f.sched_delay, f.ttft, f.norm_e2e, f.norm_exec, f.e2e)
         } else {
-            match self.request_sinks.take() {
-                Some(sinks) => (
-                    DigestSummary::from_streaming(&sinks.sched_delay),
-                    DigestSummary::from_streaming(&sinks.ttft),
-                    DigestSummary::from_streaming(&sinks.norm_e2e),
-                    DigestSummary::from_streaming(&sinks.norm_exec),
-                    DigestSummary::from_streaming(&sinks.e2e),
-                ),
-                None => {
-                    let mut sched_delay = QuantileDigest::new();
-                    let mut ttft = QuantileDigest::new();
-                    let mut norm_e2e = QuantileDigest::new();
-                    let mut norm_exec = QuantileDigest::new();
-                    let mut e2e = QuantileDigest::new();
-                    for rec in self.records.values() {
-                        let Some(l) = rec.latencies() else {
-                            continue;
-                        };
-                        sched_delay.record(l.sched_delay);
-                        if let Some(t) = l.ttft {
-                            ttft.record(t);
-                        }
-                        e2e.record(l.e2e);
-                        norm_e2e.record(l.norm_e2e);
-                        norm_exec.record(l.norm_exec);
-                    }
-                    (
-                        DigestSummary::from_digest(&mut sched_delay),
-                        DigestSummary::from_digest(&mut ttft),
-                        DigestSummary::from_digest(&mut norm_e2e),
-                        DigestSummary::from_digest(&mut norm_exec),
-                        DigestSummary::from_digest(&mut e2e),
-                    )
+            let mut sched_delay = QuantileDigest::new();
+            let mut ttft = QuantileDigest::new();
+            let mut norm_e2e = QuantileDigest::new();
+            let mut norm_exec = QuantileDigest::new();
+            let mut e2e = QuantileDigest::new();
+            for rec in self.records.values() {
+                let Some(l) = rec.latencies() else {
+                    continue;
+                };
+                sched_delay.record(l.sched_delay);
+                if let Some(t) = l.ttft {
+                    ttft.record(t);
                 }
+                e2e.record(l.e2e);
+                norm_e2e.record(l.norm_e2e);
+                norm_exec.record(l.norm_exec);
             }
+            (
+                DigestSummary::from_digest(&mut sched_delay),
+                DigestSummary::from_digest(&mut ttft),
+                DigestSummary::from_digest(&mut norm_e2e),
+                DigestSummary::from_digest(&mut norm_exec),
+                DigestSummary::from_digest(&mut e2e),
+            )
         };
         let makespan = self.last_completion.as_secs_f64();
         let kv_utilization = {
@@ -1253,7 +1022,10 @@ impl MetricsCollector {
                 let routing = tenant_routing.get(idx).copied().unwrap_or_default();
                 let (ttft_summary, e2e_summary) = match fold_tenants {
                     Some(ts) => ts.get(idx).copied().unwrap_or_default(),
-                    None => (t.ttft.summary(), t.e2e.summary()),
+                    None => (
+                        DigestSummary::from_digest(&mut t.ttft),
+                        DigestSummary::from_digest(&mut t.e2e),
+                    ),
                 };
                 TenantReport {
                     tenant: std::mem::take(&mut t.name),
@@ -1407,22 +1179,6 @@ fn fold_report(
     }
 }
 
-/// Streams one completed request's latency metrics into the bounded sinks
-/// (sketch mode's incremental replacement for the exact end-of-run pass —
-/// both consume the same [`RequestRecord::latencies`] derivation).
-fn record_request_latencies(sinks: &mut RequestSinks, rec: &RequestRecord) {
-    let Some(l) = rec.latencies() else {
-        return;
-    };
-    sinks.sched_delay.record(l.sched_delay);
-    if let Some(t) = l.ttft {
-        sinks.ttft.record(t);
-    }
-    sinks.e2e.record(l.e2e);
-    sinks.norm_e2e.record(l.norm_e2e);
-    sinks.norm_exec.record(l.norm_exec);
-}
-
 /// Cluster power characteristics for energy accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PowerSpec {
@@ -1574,30 +1330,6 @@ mod tests {
     }
 
     #[test]
-    fn sketch_mode_retires_records_incrementally() {
-        use vidur_core::metrics::QuantileMode;
-        let mut m = MetricsCollector::with_mode(1, QuantileMode::Sketch);
-        m.on_arrival(1, t(0.0), 1, 0);
-        let b = BatchComposition::new(vec![RequestSlice::prefill(1, 10, 0)]);
-        m.on_batch_scheduled(0, t(1.0), &b, 0.0, 0.0);
-        m.on_batch_complete(
-            0,
-            t(2.0),
-            &[CompletionEvent {
-                id: 1,
-                prefill_completed: true,
-                produced_token: true,
-                finished: true,
-            }],
-        );
-        let r = m.into_report(1, 1e15, 1e13, 0, test_power());
-        assert_eq!(r.completed, 1);
-        assert!((r.scheduling_delay.p50 - 1.0).abs() < 1e-9);
-        assert!((r.ttft.p50 - 2.0).abs() < 1e-9);
-        assert!((r.e2e.mean - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn kv_utilization_averages_replicas() {
         let mut m = MetricsCollector::new(2);
         m.on_kv_sample(0, t(0.0), 0.2);
@@ -1651,11 +1383,7 @@ mod tests {
 
     #[test]
     fn per_tenant_breakdown_and_slo() {
-        for mode in [
-            QuantileMode::Exact,
-            QuantileMode::Sketch,
-            QuantileMode::Mergeable,
-        ] {
+        for mode in [QuantileMode::Exact, QuantileMode::Mergeable] {
             let mut m = MetricsCollector::with_mode(1, mode);
             m.set_tenants(
                 &["gold".to_string(), "bulk".to_string()],
@@ -1736,49 +1464,6 @@ mod tests {
         m.on_kv_sample(replica, t(base + 3.0), 0.5);
     }
 
-    /// The headline mergeable contract at the collector level: driving N
-    /// replicas through one collector is byte-identical to driving each
-    /// replica through its own collector and merging — in any merge order.
-    #[test]
-    fn merged_collectors_match_single_collector_bit_for_bit() {
-        let replicas = 3usize;
-        let drive_all = |m: &mut MetricsCollector, only: Option<usize>| {
-            for id in 0..30u64 {
-                let r = (id % replicas as u64) as usize;
-                if only.is_none_or(|o| o == r) {
-                    drive_replica_request(m, id, r, id as f64 * 0.25);
-                }
-            }
-        };
-        let mut single = MetricsCollector::with_mode(replicas, QuantileMode::Mergeable);
-        single.set_timeseries(TimeseriesConfig { window_secs: 2.0 });
-        drive_all(&mut single, None);
-        let expect = single.into_report(30, 1e15, 1e13, 0, test_power());
-        assert!(!expect.timeseries.is_empty());
-        assert!(expect.distinct_tenants_est.is_some());
-
-        for order in [[0usize, 1, 2], [2, 0, 1], [1, 2, 0]] {
-            let mut parts: Vec<MetricsCollector> = (0..replicas)
-                .map(|r| {
-                    let mut m = MetricsCollector::with_mode(replicas, QuantileMode::Mergeable);
-                    m.set_timeseries(TimeseriesConfig { window_secs: 2.0 });
-                    drive_all(&mut m, Some(r));
-                    m
-                })
-                .collect();
-            let mut merged = MetricsCollector::with_mode(replicas, QuantileMode::Mergeable);
-            merged.set_timeseries(TimeseriesConfig { window_secs: 2.0 });
-            for r in order {
-                merged.merge(std::mem::replace(
-                    &mut parts[r],
-                    MetricsCollector::with_mode(replicas, QuantileMode::Mergeable),
-                ));
-            }
-            let got = merged.into_report(30, 1e15, 1e13, 0, test_power());
-            assert_eq!(got, expect, "merge order {order:?}");
-        }
-    }
-
     #[test]
     fn mergeable_mode_retires_records_and_reports_timeseries() {
         let mut m = MetricsCollector::with_mode(2, QuantileMode::Mergeable);
@@ -1797,13 +1482,5 @@ mod tests {
         assert!((r.ttft.mean - 2.0).abs() < 1e-9);
         assert!((r.e2e.mean - 3.0).abs() < 1e-9);
         assert!((r.scheduling_delay.mean - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires QuantileMode::Mergeable")]
-    fn merging_exact_collectors_panics() {
-        let mut a = MetricsCollector::new(1);
-        let b = MetricsCollector::new(1);
-        a.merge(b);
     }
 }

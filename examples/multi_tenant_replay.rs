@@ -7,7 +7,7 @@
 //!    `from_file`) — the same path a real production trace would enter by.
 //! 3. Amplify the seed by derived-stat resampling to the target request
 //!    count, exactly how a 1k-line log becomes a million-request what-if.
-//! 4. Replay on a cluster under the bounded-memory sketch quantile mode —
+//! 4. Replay on a cluster under the bounded-memory mergeable quantile mode —
 //!    routed through the global tier's weighted fair-share policy with a
 //!    per-tenant KV quota on the bursty batch tenant — and report
 //!    per-tenant latency/SLO/routing breakdowns.
@@ -20,7 +20,7 @@
 //!    fallback reason.
 //! 6. With `VIDUR_MERGEABLE=1`, rerun the sharded replay in the mergeable
 //!    metrics mode — the merger replays every effect in sequential order,
-//!    exactly as in the other modes — assert the report is invariant across
+//!    as it does in exact mode — assert the report is invariant across
 //!    shard counts, and print the per-minute time-series table.
 //! 7. With `VIDUR_FAULTS=1`, replay once more under an elastic fleet: a
 //!    fault plan crashes and recovers one replica mid-run, degrades another
@@ -122,7 +122,7 @@ fn main() {
         6,
         SchedulerConfig::new(BatchPolicyKind::Vllm, 256),
     );
-    config.quantile_mode = QuantileMode::Sketch;
+    config.quantile_mode = QuantileMode::Mergeable;
     config.tenant_slo = Some(TenantSlo {
         ttft_secs: 2.0,
         e2e_per_token_secs: 0.5,

@@ -88,6 +88,19 @@ fn get<T: std::str::FromStr>(
     }
 }
 
+/// [`get`] for counts and degrees, which must be at least 1.
+fn get_nonzero<T: std::str::FromStr + PartialEq + Default>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: T,
+) -> Result<T, String> {
+    let value = get(flags, key, default)?;
+    if value == T::default() {
+        return Err(format!("--{key} must be at least 1"));
+    }
+    Ok(value)
+}
+
 fn cmd_models() -> ExitCode {
     println!(
         "{:<14} {:>8} {:>7} {:>9} {:>9} {:>6} {:>12}",
@@ -124,10 +137,10 @@ fn build_config(flags: &HashMap<String, String>) -> Result<ClusterConfig, String
     let model = ModelSpec::by_name(&model_name).ok_or(format!("unknown model '{model_name}'"))?;
     let sku_name: String = get(flags, "sku", "a100".to_string())?;
     let sku = GpuSku::by_name(&sku_name).ok_or(format!("unknown SKU '{sku_name}'"))?;
-    let tp: u32 = get(flags, "tp", 1)?;
-    let pp: u32 = get(flags, "pp", 1)?;
-    let replicas: usize = get(flags, "replicas", 1)?;
-    let chunk: u64 = get(flags, "chunk", 512)?;
+    let tp: u32 = get_nonzero(flags, "tp", 1)?;
+    let pp: u32 = get_nonzero(flags, "pp", 1)?;
+    let replicas: usize = get_nonzero(flags, "replicas", 1)?;
+    let chunk: u64 = get_nonzero(flags, "chunk", 512)?;
     let scheduler_name: String = get(flags, "scheduler", "sarathi".to_string())?;
     let policy = match scheduler_name.as_str() {
         "vllm" => BatchPolicyKind::Vllm,
@@ -137,7 +150,7 @@ fn build_config(flags: &HashMap<String, String>) -> Result<ClusterConfig, String
         "lightllm" => BatchPolicyKind::LightLlm,
         other => return Err(format!("unknown scheduler '{other}'")),
     };
-    let batch_size: usize = get(flags, "batch-size", 64)?;
+    let batch_size: usize = get_nonzero(flags, "batch-size", 64)?;
     let par = ParallelismConfig::new(tp, pp);
     par.validate_for(&model).map_err(|e| e.to_string())?;
     let config = ClusterConfig::new(
@@ -157,6 +170,11 @@ fn build_trace(flags: &HashMap<String, String>) -> Result<Trace, String> {
         .ok_or(format!("unknown workload '{workload_name}'"))?;
     let requests: usize = get(flags, "requests", 200)?;
     let qps: f64 = get(flags, "qps", 1.0)?;
+    if !(qps.is_finite() && qps >= 0.0) {
+        return Err(format!(
+            "--qps must be a finite rate >= 0 (0 = offline), got {qps}"
+        ));
+    }
     let seed: u64 = get(flags, "seed", 42)?;
     let arrivals = if qps > 0.0 {
         ArrivalProcess::Poisson { qps }

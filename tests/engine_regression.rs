@@ -327,54 +327,6 @@ fn deadline_latch_consistent_across_backends() {
     assert!(disagg.completed > 0 && disagg.completed < 1000);
 }
 
-/// Sketch-mode metrics are a memory/accuracy trade, not a behavior change:
-/// the simulation itself is untouched (same batches, makespan, counters,
-/// exact means and maxima — bit-equal), only mid-quantiles become
-/// approximate.
-#[test]
-fn sketch_metrics_change_only_quantiles() {
-    let trace = fixed_trace(80, 2.5, 42);
-    let exact = ClusterSimulator::new(base_config(), trace.clone(), oracle(), 42).run();
-    let mut cfg = base_config();
-    cfg.quantile_mode = QuantileMode::Sketch;
-    let sketch = ClusterSimulator::new(cfg, trace, oracle(), 42).run();
-    // Simulation-side outcomes: identical bits.
-    assert_eq!(sketch.completed, exact.completed);
-    assert_eq!(
-        sketch.makespan_secs.to_bits(),
-        exact.makespan_secs.to_bits()
-    );
-    assert_eq!(sketch.total_batches, exact.total_batches);
-    assert_eq!(sketch.total_tokens, exact.total_tokens);
-    assert_eq!(sketch.mfu.to_bits(), exact.mfu.to_bits());
-    assert_eq!(sketch.energy_kwh.to_bits(), exact.energy_kwh.to_bits());
-    // TBT moments survive sketching bit-for-bit: both modes stream token
-    // samples in the same order. Request-level means accumulate in
-    // completion order rather than id order, so they agree only to float
-    // rounding; maxima are order-independent and stay bit-equal.
-    assert_eq!(sketch.tbt.mean.to_bits(), exact.tbt.mean.to_bits());
-    assert_eq!(sketch.tbt.max.to_bits(), exact.tbt.max.to_bits());
-    assert_eq!(sketch.e2e.max.to_bits(), exact.e2e.max.to_bits());
-    assert!((sketch.e2e.mean - exact.e2e.mean).abs() <= 1e-9 * exact.e2e.mean.abs());
-    // Mid-quantiles are approximate but must stay close.
-    for (s, e, name) in [
-        (sketch.tbt.p50, exact.tbt.p50, "tbt.p50"),
-        (sketch.e2e.p50, exact.e2e.p50, "e2e.p50"),
-        (sketch.ttft.p90, exact.ttft.p90, "ttft.p90"),
-        (
-            sketch.normalized_e2e.p50,
-            exact.normalized_e2e.p50,
-            "ne2e.p50",
-        ),
-    ] {
-        let tol = 0.25 * e.abs().max(1e-9);
-        assert!(
-            (s - e).abs() <= tol,
-            "{name}: sketch {s} vs exact {e} beyond 25%"
-        );
-    }
-}
-
 /// Estimator source for multi-replica sharded differentials (jitter-free,
 /// so the sharded fast path engages).
 fn estimator_source() -> RuntimeSource {
@@ -438,16 +390,6 @@ fn sharded_without_plan_cache_identical() {
     cfg.num_replicas = 2;
     cfg.plan_cache = false;
     assert_sharded_identical("rr_nocache_2x2", cfg, fixed_trace(150, 6.0, 37), 2);
-}
-
-/// Sketch-mode quantiles stream samples in commit order, which the merge
-/// reproduces exactly — the sketches must end bit-identical too.
-#[test]
-fn sharded_sketch_metrics_identical() {
-    let mut cfg = base_config();
-    cfg.num_replicas = 4;
-    cfg.quantile_mode = QuantileMode::Sketch;
-    assert_sharded_identical("rr_sketch_4x4", cfg, fixed_trace(200, 8.0, 39), 4);
 }
 
 /// A deadline-capped overload: shards truncate independently at the cap and
