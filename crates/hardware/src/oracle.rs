@@ -273,6 +273,11 @@ mod tests {
         );
     }
 
+    /// Predicted critical-path seconds of the plan's first stage.
+    fn stage0_secs(o: &KernelOracle, plan: &ExecutionPlan) -> f64 {
+        vidur_model::PlanTiming::compute(plan, o, false).stage_secs()[0]
+    }
+
     #[test]
     fn full_decode_iteration_time_plausible() {
         // One decode iteration of LLaMA2-7B at batch 32 on A100 should land
@@ -285,7 +290,7 @@ mod tests {
             &ParallelismConfig::serial(),
             &BatchComposition::new(slices),
         );
-        let t = o.stage_time(&plan, 0);
+        let t = stage0_secs(&o, &plan);
         assert!(t > 3e-3 && t < 40e-3, "iteration time {t}");
     }
 
@@ -301,7 +306,7 @@ mod tests {
             &ParallelismConfig::serial(),
             &BatchComposition::new(vec![RequestSlice::prefill(0, 2048, 0)]),
         );
-        let t = o.stage_time(&plan, 0);
+        let t = stage0_secs(&o, &plan);
         assert!(t > 20e-3 && t < 300e-3, "prefill time {t}");
     }
 
@@ -314,11 +319,11 @@ mod tests {
             // Hypothetical single-device run (doesn't fit in memory, but the
             // oracle doesn't care): no comm ops.
             let plan = ExecutionPlan::build(&model, &ParallelismConfig::serial(), &batch);
-            o.stage_time(&plan, 0)
+            stage0_secs(&o, &plan)
         };
         let tp4 = {
             let plan = ExecutionPlan::build(&model, &ParallelismConfig::new(4, 1), &batch);
-            o.stage_time(&plan, 0)
+            stage0_secs(&o, &plan)
         };
         assert!(
             tp4 < serial_model_time,

@@ -16,9 +16,12 @@ pub const QUIRK_AMPLITUDE: f64 = 0.04;
 /// Log-normal sigma of run-to-run measurement noise.
 pub const MEASUREMENT_SIGMA: f64 = 0.015;
 
-/// FNV-1a hash of a byte string, used to derive stable quirk factors.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Continues an FNV-1a hash `h` over `bytes`. Feeding a byte string in
+/// pieces gives the same hash as feeding it whole.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -39,10 +42,9 @@ pub fn quirk_factor(op_id: &str, size: f64) -> f64 {
     } else {
         (size.log2() * 4.0).floor() as i64
     };
-    let mut key = Vec::with_capacity(op_id.len() + 8);
-    key.extend_from_slice(op_id.as_bytes());
-    key.extend_from_slice(&bucket.to_le_bytes());
-    let h = fnv1a(&key);
+    // The hash of the op id followed by the bucket, without building the
+    // concatenated key: this runs on every oracle operator prediction.
+    let h = fnv1a(fnv1a(FNV_OFFSET, op_id.as_bytes()), &bucket.to_le_bytes());
     // Map hash to [-1, 1).
     let unit = (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
     1.0 + QUIRK_AMPLITUDE * unit
@@ -103,6 +105,45 @@ mod tests {
             .filter(|id| quirk_factor(id, 512.0) == quirk_factor("reference", 512.0))
             .count();
         assert!(same <= 1);
+    }
+
+    /// `quirk_factor` as it was when it hashed a concatenated key vector in
+    /// one pass; the streamed hash must reproduce it exactly.
+    fn quirk_factor_concatenated(op_id: &str, size: f64) -> f64 {
+        fn fnv1a_whole(bytes: &[u8]) -> u64 {
+            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            h
+        }
+        let bucket = if size <= 1.0 {
+            0i64
+        } else {
+            (size.log2() * 4.0).floor() as i64
+        };
+        let mut key = Vec::with_capacity(op_id.len() + 8);
+        key.extend_from_slice(op_id.as_bytes());
+        key.extend_from_slice(&bucket.to_le_bytes());
+        let h = fnv1a_whole(&key);
+        let unit = (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0;
+        1.0 + QUIRK_AMPLITUDE * unit
+    }
+
+    #[test]
+    fn streamed_hash_matches_concatenated_key() {
+        let sizes =
+            std::iter::successors(Some(0.5f64), |s| Some(s * 1.37)).take_while(|&s| s < 1e13);
+        for size in sizes.chain([0.0, 1.0, 2.0]) {
+            for op in vidur_model::Operator::ALL {
+                assert_eq!(
+                    quirk_factor(op.id(), size).to_bits(),
+                    quirk_factor_concatenated(op.id(), size).to_bits(),
+                    "{op:?} at {size}"
+                );
+            }
+        }
     }
 
     #[test]

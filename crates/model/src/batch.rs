@@ -170,6 +170,37 @@ pub struct ExecutionPlan {
     model_flops: f64,
 }
 
+/// The decode-attention invocation of a shape's per-layer plan, or `None`
+/// when the batch has no decode slices.
+///
+/// This is the only operator that reads
+/// [`BatchShapeKey::decode_kv_read_tokens`]; every other invocation of the
+/// plan depends on the shape's [`KvInvariantKey`](crate::shape::KvInvariantKey)
+/// alone. The plan builder and [`KvInvariantTiming::with_decode`](crate::shape::KvInvariantTiming::with_decode)
+/// both call this one function, so the two cannot disagree about the
+/// operand.
+pub(crate) fn decode_attention(
+    model: &ModelSpec,
+    par: &ParallelismConfig,
+    shape: &BatchShapeKey,
+) -> Option<OpInvocation> {
+    (shape.num_decode() > 0).then(|| {
+        // Bytes fetched per layer on this device: K and V planes.
+        let kv_bytes = shape.decode_kv_read_tokens()
+            * 2
+            * par.kv_dim_per_device(model)
+            * model.dtype_bytes as u64;
+        OpInvocation::new(
+            Operator::AttnDecode,
+            OpInput::AttentionDecode {
+                kv_bytes,
+                tokens: shape.num_decode(),
+            },
+            par.layers_per_stage(model),
+        )
+    })
+}
+
 /// Builds the per-layer invocations shared by every pipeline stage of a
 /// shape's plan. Split out of [`ExecutionPlan::for_shape`] so plan assembly
 /// is reusable without duplicating the operator enumeration.
@@ -205,18 +236,8 @@ fn layer_invocations(
             layers,
         ));
     }
-    let decode_kv_tokens = shape.decode_kv_read_tokens();
-    if decode_kv_tokens > 0 {
-        // Bytes fetched per layer on this device: K and V planes.
-        let kv_bytes = decode_kv_tokens * 2 * kv_dim * dtype;
-        layer_ops.push(OpInvocation::new(
-            Operator::AttnDecode,
-            OpInput::AttentionDecode {
-                kv_bytes,
-                tokens: shape.num_decode(),
-            },
-            layers,
-        ));
+    if let Some(decode) = decode_attention(model, par, shape) {
+        layer_ops.push(decode);
     }
     layer_ops.push(pw(Operator::KvCacheSave, 2 * kv_dim));
     layer_ops.push(mm(Operator::AttnOutProj, q_dim, d));

@@ -6,7 +6,6 @@
 //! seed — isolates runtime-prediction error, which is exactly the fidelity
 //! quantity the paper's Figures 3, 4, 7 and 8 report.
 
-use crate::batch::ExecutionPlan;
 use crate::operators::OpInvocation;
 
 /// Predicts operator execution times in seconds.
@@ -18,21 +17,6 @@ pub trait RuntimePredictor {
     /// Total time for an invocation including its repetition count.
     fn invocation_time(&self, inv: &OpInvocation) -> f64 {
         self.op_time(inv) * inv.count as f64
-    }
-
-    /// Total time for one pipeline stage of an execution plan.
-    fn stage_time(&self, plan: &ExecutionPlan, stage: usize) -> f64 {
-        plan.stage(stage)
-            .iter()
-            .map(|inv| self.invocation_time(inv))
-            .sum()
-    }
-
-    /// Per-stage times for the whole plan.
-    fn plan_stage_times(&self, plan: &ExecutionPlan) -> Vec<f64> {
-        (0..plan.num_stages())
-            .map(|s| self.stage_time(plan, s))
-            .collect()
     }
 }
 
@@ -51,10 +35,7 @@ impl<T: RuntimePredictor + ?Sized> RuntimePredictor for Box<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{BatchComposition, RequestSlice};
     use crate::operators::{OpInput, Operator};
-    use crate::parallelism::ParallelismConfig;
-    use crate::spec::ModelSpec;
 
     /// A predictor charging 1 µs per operator execution.
     struct Flat;
@@ -68,17 +49,6 @@ mod tests {
     fn invocation_time_multiplies_count() {
         let inv = OpInvocation::new(Operator::QkvProj, OpInput::Matmul { m: 1, k: 1, n: 1 }, 32);
         assert!((Flat.invocation_time(&inv) - 32e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stage_times_cover_all_stages() {
-        let model = ModelSpec::llama2_7b();
-        let par = ParallelismConfig::new(1, 2);
-        let batch = BatchComposition::new(vec![RequestSlice::decode(1, 10)]);
-        let plan = ExecutionPlan::build(&model, &par, &batch);
-        let times = Flat.plan_stage_times(&plan);
-        assert_eq!(times.len(), 2);
-        assert!(times.iter().all(|&t| t > 0.0));
     }
 
     #[test]

@@ -4,11 +4,12 @@
 //! Stage times depend only on what work a batch performs, never on which
 //! requests perform it — and "what work" compresses further than the slice
 //! list suggests. Every quantity [`ExecutionPlan::build`] reads from a
-//! [`BatchComposition`] is one of five aggregates:
+//! [`BatchComposition`] is one of six aggregates:
 //!
 //! * total query tokens (all token-level and communication operators),
 //! * the prefill attention work `Σ pᵢ(pᵢ + 2hᵢ)` (paper §4.3's equivalent
 //!   prefill length is its rounded square root),
+//! * the prompt tokens prefilled (model FLOPs),
 //! * total decode KV tokens read (decode attention bytes),
 //! * the decode slice count (decode attention's token operand),
 //! * the request count (final-norm/LM-head rows).
@@ -19,13 +20,19 @@
 //! when their per-request splits differ. This makes the key both cheap (one
 //! integer pass, no sorting) and far more reusable than a slice multiset.
 //!
+//! Only decode attention reads the decode KV length, and it is the aggregate
+//! that changes every iteration of a decode-heavy batch. [`KvInvariantKey`]
+//! is the shape without it; two batches with the same kv-invariant key run
+//! the same plan except for the decode-attention operand.
+//!
 //! [`PlanTiming`] is the other half of the seam: the per-stage /
-//! per-operator prediction sweep the simulation engine used to inline per
-//! scheduled batch, hoisted here so a cache (see
-//! `vidur_simulator::timing::StageTimer`) can compute it once per shape and
-//! replay it bit-exactly.
+//! per-operator prediction sweep of one plan. [`KvInvariantTiming`] is that
+//! sweep without decode attention, so a cache (see
+//! `vidur_simulator::timing::StageTimer`) can compute it once per
+//! kv-invariant key and complete it per batch with one decode-attention
+//! prediction, bit-exactly.
 
-use crate::batch::{BatchComposition, ExecutionPlan};
+use crate::batch::{decode_attention, BatchComposition, ExecutionPlan};
 use crate::operators::Operator;
 use crate::parallelism::ParallelismConfig;
 use crate::runtime::RuntimePredictor;
@@ -56,6 +63,19 @@ use crate::spec::ModelSpec;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BatchShapeKey {
+    kv_invariant: KvInvariantKey,
+    decode_kv_read_tokens: u64,
+}
+
+/// A [`BatchShapeKey`] without its decode KV length: the aggregates every
+/// operator of the plan reads except decode attention.
+///
+/// Decode-heavy batches grow their KV reads by one token per request per
+/// iteration, so almost every batch has a new full key while its
+/// kv-invariant key repeats. Whether the plan has a decode-attention step at
+/// all is decided by the decode count, which this key keeps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct KvInvariantKey {
     total_query_tokens: u64,
     num_requests: u64,
     num_decode: u64,
@@ -63,7 +83,6 @@ pub struct BatchShapeKey {
     /// prefill length (exact, pre-rounding).
     prefill_work: u64,
     prefill_query_tokens: u64,
-    decode_kv_read_tokens: u64,
 }
 
 /// Per-lane accumulator for the unrolled [`BatchShapeKey::from_batch`]
@@ -131,11 +150,13 @@ impl BatchShapeKey {
         }
         let folded = lanes[0].merge(lanes[1]).merge(lanes[2].merge(lanes[3]));
         BatchShapeKey {
-            total_query_tokens: folded.total_query_tokens,
-            num_requests: batch.num_requests() as u64,
-            num_decode: folded.num_decode,
-            prefill_work: folded.prefill_work,
-            prefill_query_tokens: folded.prefill_query_tokens,
+            kv_invariant: KvInvariantKey {
+                total_query_tokens: folded.total_query_tokens,
+                num_requests: batch.num_requests() as u64,
+                num_decode: folded.num_decode,
+                prefill_work: folded.prefill_work,
+                prefill_query_tokens: folded.prefill_query_tokens,
+            },
             decode_kv_read_tokens: folded.decode_kv_read_tokens,
         }
     }
@@ -145,50 +166,58 @@ impl BatchShapeKey {
     /// proptest).
     #[doc(hidden)]
     pub fn from_batch_scalar(batch: &BatchComposition) -> Self {
-        let mut key = BatchShapeKey {
+        let mut inv = KvInvariantKey {
             total_query_tokens: 0,
             num_requests: batch.num_requests() as u64,
             num_decode: 0,
             prefill_work: 0,
             prefill_query_tokens: 0,
-            decode_kv_read_tokens: 0,
         };
+        let mut decode_kv_read_tokens = 0;
         for s in batch.slices() {
-            key.total_query_tokens += s.query_tokens;
+            inv.total_query_tokens += s.query_tokens;
             if s.is_prefill {
-                key.prefill_work += s.query_tokens * (s.query_tokens + 2 * s.cached_tokens);
-                key.prefill_query_tokens += s.query_tokens;
+                inv.prefill_work += s.query_tokens * (s.query_tokens + 2 * s.cached_tokens);
+                inv.prefill_query_tokens += s.query_tokens;
             } else {
-                key.num_decode += 1;
-                key.decode_kv_read_tokens += s.kv_read_tokens();
+                inv.num_decode += 1;
+                decode_kv_read_tokens += s.kv_read_tokens();
             }
         }
-        key
+        BatchShapeKey {
+            kv_invariant: inv,
+            decode_kv_read_tokens,
+        }
+    }
+
+    /// This shape without its decode KV length.
+    pub fn kv_invariant(&self) -> KvInvariantKey {
+        self.kv_invariant
     }
 
     /// Total tokens processed by a batch of this shape.
     pub fn total_query_tokens(&self) -> u64 {
-        self.total_query_tokens
+        self.kv_invariant.total_query_tokens
     }
 
     /// Requests (slices) in the batch.
     pub fn num_requests(&self) -> u64 {
-        self.num_requests
+        self.kv_invariant.num_requests
     }
 
     /// Decode slices in the batch.
     pub fn num_decode(&self) -> u64 {
-        self.num_decode
+        self.kv_invariant.num_decode
     }
 
     /// `Σ pᵢ(pᵢ + 2hᵢ)` over prefill slices.
     pub fn prefill_work(&self) -> u64 {
-        self.prefill_work
+        self.kv_invariant.prefill_work
     }
 
     /// Prompt tokens processed this iteration (prefill slices only).
     pub fn prefill_query_tokens(&self) -> u64 {
-        self.prefill_query_tokens
+        self.kv_invariant.prefill_query_tokens
     }
 
     /// Total KV tokens read by decode attention.
@@ -199,7 +228,7 @@ impl BatchShapeKey {
     /// Equivalent single-prefill length (paper §4.3): `√(Σ pᵢ(pᵢ + 2hᵢ))`,
     /// rounded. Matches [`BatchComposition::prefill_equivalent_length`].
     pub fn prefill_equivalent_length(&self) -> u64 {
-        (self.prefill_work as f64).sqrt().round() as u64
+        (self.kv_invariant.prefill_work as f64).sqrt().round() as u64
     }
 }
 
@@ -207,9 +236,10 @@ impl BatchShapeKey {
 /// seconds, the per-operator attribution totals, and plan-wide accounting.
 ///
 /// This is the engine's former inline build-plan/predict/accumulate loop as
-/// a value: computing it is the expensive step a shape cache memoizes, and
-/// replaying `op_secs` reproduces the metrics attribution of an uncached
-/// run exactly (and in O(#operators) rather than O(#invocations)).
+/// a value: a shape cache memoizes all of it but decode attention (see
+/// [`KvInvariantTiming`]), and replaying `op_secs` reproduces the metrics
+/// attribution of an uncached run exactly (and in O(#operators) rather
+/// than O(#invocations)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanTiming {
     stage_secs: Vec<f64>,
@@ -262,23 +292,6 @@ impl PlanTiming {
         PlanTiming::compute(&plan, predictor, async_pipeline_comm)
     }
 
-    /// Builds the plan for `batch` and computes its timing in one step.
-    pub fn for_batch(
-        model: &ModelSpec,
-        par: &ParallelismConfig,
-        batch: &BatchComposition,
-        predictor: &dyn RuntimePredictor,
-        async_pipeline_comm: bool,
-    ) -> Self {
-        PlanTiming::for_shape(
-            model,
-            par,
-            &BatchShapeKey::from_batch(batch),
-            predictor,
-            async_pipeline_comm,
-        )
-    }
-
     /// Per-stage critical-path seconds (before CPU overhead).
     pub fn stage_secs(&self) -> &[f64] {
         &self.stage_secs
@@ -298,6 +311,120 @@ impl PlanTiming {
     /// Tokens processed this iteration.
     pub fn total_tokens(&self) -> u64 {
         self.total_tokens
+    }
+}
+
+/// One pipeline stage of a [`KvInvariantTiming`].
+#[derive(Debug)]
+struct StagePartial {
+    /// Critical-path sum of the invocations before decode attention (the
+    /// whole stage when the plan has none).
+    prefix: f64,
+    /// Times of the critical-path invocations after decode attention, in
+    /// plan order.
+    rest: Box<[f64]>,
+}
+
+/// The part of a [`PlanTiming`] that does not depend on decode KV length:
+/// everything [`PlanTiming::compute`] would produce except the
+/// decode-attention term, with the stage sums split around it.
+///
+/// A cache keyed by [`KvInvariantKey`] stores this; each batch then
+/// predicts its decode attention once and [`KvInvariantTiming::with_decode`]
+/// completes the timing. The completion re-adds the stored terms one by one
+/// in plan order, so every `f64` sum is bit-identical to the full sweep.
+#[derive(Debug)]
+pub struct KvInvariantTiming {
+    stages: Box<[StagePartial]>,
+    /// Per-operator totals with the decode-attention slot left at zero.
+    op_secs: [f64; Operator::COUNT],
+    total_tokens: u64,
+}
+
+impl KvInvariantTiming {
+    /// Builds the plan for `shape` and sweeps it like
+    /// [`PlanTiming::compute`], skipping every [`Operator::AttnDecode`]
+    /// invocation. Any shape with the same [`KvInvariantKey`] gives the same
+    /// value.
+    pub fn for_shape(
+        model: &ModelSpec,
+        par: &ParallelismConfig,
+        shape: &BatchShapeKey,
+        predictor: &dyn RuntimePredictor,
+        async_pipeline_comm: bool,
+    ) -> Self {
+        let plan = ExecutionPlan::for_shape(model, par, shape);
+        let mut op_secs = [0.0; Operator::COUNT];
+        let stages = (0..plan.num_stages())
+            .map(|stage| {
+                let mut prefix = 0.0;
+                let mut rest = Vec::new();
+                let mut after_decode = false;
+                for inv in plan.stage(stage) {
+                    if inv.op == Operator::AttnDecode {
+                        after_decode = true;
+                        continue;
+                    }
+                    let t = predictor.invocation_time(inv);
+                    op_secs[inv.op.index()] += t;
+                    if async_pipeline_comm && inv.op == Operator::SendRecv {
+                        continue;
+                    }
+                    if after_decode {
+                        rest.push(t);
+                    } else {
+                        prefix += t;
+                    }
+                }
+                StagePartial {
+                    prefix,
+                    rest: rest.into_boxed_slice(),
+                }
+            })
+            .collect();
+        KvInvariantTiming {
+            stages,
+            op_secs,
+            total_tokens: plan.total_tokens(),
+        }
+    }
+
+    /// Completes the timing for `shape`, which must share the kv-invariant
+    /// key this value was computed for: predicts its decode attention once
+    /// and adds it into every stage. Bit-identical to
+    /// [`PlanTiming::for_shape`].
+    pub fn with_decode(
+        &self,
+        model: &ModelSpec,
+        par: &ParallelismConfig,
+        shape: &BatchShapeKey,
+        predictor: &dyn RuntimePredictor,
+    ) -> PlanTiming {
+        debug_assert_eq!(self.total_tokens, shape.total_query_tokens());
+        let decode = decode_attention(model, par, shape).map(|inv| predictor.invocation_time(&inv));
+        let decode_slot = Operator::AttnDecode.index();
+        let mut op_secs = self.op_secs;
+        let stage_secs = self
+            .stages
+            .iter()
+            .map(|stage| {
+                let mut secs = stage.prefix;
+                if let Some(t) = decode {
+                    secs += t;
+                    op_secs[decode_slot] += t;
+                }
+                for &t in stage.rest.iter() {
+                    secs += t;
+                }
+                secs
+            })
+            .collect();
+        PlanTiming {
+            stage_secs,
+            op_secs,
+            model_flops: crate::flops::shape_flops(model, shape),
+            total_tokens: self.total_tokens,
+        }
     }
 }
 
@@ -355,9 +482,14 @@ mod tests {
     fn different_work_different_key() {
         let a = BatchComposition::new(vec![RequestSlice::decode(1, 100)]);
         let b = BatchComposition::new(vec![RequestSlice::decode(1, 101)]);
-        assert_ne!(BatchShapeKey::from_batch(&a), BatchShapeKey::from_batch(&b));
+        let (ka, kb) = (BatchShapeKey::from_batch(&a), BatchShapeKey::from_batch(&b));
+        assert_ne!(ka, kb);
+        // Only the decode KV length differs.
+        assert_eq!(ka.kv_invariant(), kb.kv_invariant());
         let c = BatchComposition::new(vec![RequestSlice::prefill(1, 1, 100)]);
-        assert_ne!(BatchShapeKey::from_batch(&a), BatchShapeKey::from_batch(&c));
+        let kc = BatchShapeKey::from_batch(&c);
+        assert_ne!(ka, kc);
+        assert_ne!(ka.kv_invariant(), kc.kv_invariant());
     }
 
     #[test]

@@ -100,8 +100,9 @@ pub fn find_capacity(
 
 /// [`find_capacity`] with a caller-supplied [`StageTimer`]: the offline
 /// bounding run and every bisection probe clone the timer, so they all share
-/// one batch-shape cache — decode-heavy shapes priced by the offline run are
-/// replayed for free across the ~`bisect_iters` probes.
+/// one kv-invariant shape cache — batch mixes priced by the offline run
+/// need only their decode attention predicted across the ~`bisect_iters`
+/// probes.
 pub fn find_capacity_with_timer(
     config: &ClusterConfig,
     base: &Trace,

@@ -14,7 +14,8 @@ use vidur_simulator::{ClusterConfig, SimulationReport};
 pub const CPU_MACHINE_PRICE_PER_HOUR: f64 = 9.93;
 
 /// Accumulates projected-actual vs simulated search costs, plus the
-/// stage-time shape-cache hit/miss counters of the runs it priced.
+/// stage-time cache hit/miss counters of the runs it priced (one count per
+/// priced batch; a hit means the batch's kv-invariant timing was cached).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CostLedger {
     runs: u64,
@@ -51,18 +52,20 @@ impl CostLedger {
         self.cache_misses += stats.misses;
     }
 
-    /// Batch-shape cache hits across recorded runs.
+    /// Priced batches whose kv-invariant timing was cached, across
+    /// recorded runs.
     pub fn cache_hits(&self) -> u64 {
         self.cache_hits
     }
 
-    /// Batch-shape cache misses across recorded runs.
+    /// Priced batches whose kv-invariant timing had to be computed, across
+    /// recorded runs.
     pub fn cache_misses(&self) -> u64 {
         self.cache_misses
     }
 
-    /// Fraction of stage-time lookups served from the shape cache (0 when
-    /// no lookups were recorded).
+    /// Fraction of priced batches whose kv-invariant timing came from the
+    /// cache (0 when no lookups were recorded).
     pub fn cache_hit_rate(&self) -> f64 {
         let total = self.cache_hits + self.cache_misses;
         if total == 0 {

@@ -51,8 +51,9 @@ pub struct ClusterConfig {
     /// handful of blown deadlines instead of simulating the full queue
     /// explosion.
     pub late_abort: Option<LateAbort>,
-    /// Memoize per-stage predicted times by batch shape (see
-    /// `vidur_simulator::timing::StageTimer`). Reports are byte-identical
+    /// Memoize the decode-KV-invariant part of per-stage predicted times by
+    /// batch shape (see `vidur_simulator::timing::StageTimer`). Reports are
+    /// byte-identical
     /// either way — the cache only trades memory for speed — so this
     /// defaults on; disable it to bound memory on extremely long
     /// high-entropy runs or to benchmark the uncached path.

@@ -454,11 +454,12 @@ impl EngineCore {
             let Some(batch) = replica.scheduler.next_batch() else {
                 return;
             };
-            // The memoized prediction pipeline: shape key → cached plan
-            // timing → jitter. Per-operator attribution (paper §5.2's
-            // operator-level metrics) is replayed from the cached totals,
-            // and the stochastic CPU overhead draws after the lookup, so
-            // reports are byte-identical with the cache on or off.
+            // The memoized prediction pipeline: shape key → cached
+            // kv-invariant timing + this batch's decode attention → jitter.
+            // Per-operator attribution (paper §5.2's operator-level
+            // metrics) is replayed from the returned totals, and the
+            // stochastic CPU overhead draws after pricing, so reports are
+            // byte-identical with the cache on or off.
             let timing = self.timer.time_batch(&batch);
             sink.on_batch_timed(metrics_idx, &timing);
             let overhead = self.cpu_overhead(metrics_idx);

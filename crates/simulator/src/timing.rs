@@ -1,16 +1,27 @@
 //! The memoized stage-time pipeline: runtime source → execution plan →
-//! per-stage prediction, with a batch-shape cache in the middle.
+//! per-stage prediction, with a factored batch-shape cache in the middle.
 //!
-//! Batch compositions recur massively in serving simulations — decode-heavy
-//! iterations differ only in request ids, and a capacity bisection replays
-//! the same trace at many load levels — so [`StageTimer`] memoizes the
-//! expensive middle of the prediction path (plan construction plus
-//! per-operator predictor invocation) under a canonical
-//! [`BatchShapeKey`]. The stochastic CPU-overhead jitter of the oracle
-//! source is applied by the engine *after* cache lookup, and per-operator
-//! metrics attribution is replayed from the cached [`PlanTiming`] stream,
-//! so a simulation's [`SimulationReport`](crate::metrics::SimulationReport)
-//! is byte-identical with the cache on or off.
+//! Of all the aggregates in a [`BatchShapeKey`], only decode attention reads
+//! the decode KV length — and in decode-heavy serving that is the one that
+//! changes every iteration, as each running request's history grows by a
+//! token. So [`StageTimer`] splits the prediction in two:
+//!
+//! * **Per [`KvInvariantKey`]** (the shape without its decode KV length),
+//!   cached: plan construction and the predictor sweep over every
+//!   invocation except decode attention, stored as a [`KvInvariantTiming`]
+//!   — per-operator totals, each stage's critical-path sum up to decode
+//!   attention, and the invocation times after it.
+//! * **Per batch**: one prediction of the batch's own decode attention,
+//!   added into each stage before the stored remaining times are re-added
+//!   in plan order, plus the batch's model FLOPs.
+//!
+//! The per-batch step keeps the `f64` addition order of the full sweep, so
+//! a timing is bit-identical with the cache on or off. The stochastic
+//! CPU-overhead jitter of the oracle source is applied by the engine
+//! *after* pricing, and per-operator metrics attribution is replayed from
+//! the returned [`PlanTiming`], so a simulation's
+//! [`SimulationReport`](crate::metrics::SimulationReport) is byte-identical
+//! with the cache on or off.
 //!
 //! Cloning a `StageTimer` shares its cache: the capacity search clones one
 //! timer into every bisection probe of a configuration so later probes
@@ -26,12 +37,12 @@ use vidur_estimator::RuntimeEstimator;
 use vidur_hardware::KernelOracle;
 use vidur_model::batch::BatchComposition;
 use vidur_model::runtime::RuntimePredictor;
-use vidur_model::shape::{BatchShapeKey, PlanTiming};
+use vidur_model::shape::{BatchShapeKey, KvInvariantKey, KvInvariantTiming, PlanTiming};
 use vidur_model::{ModelSpec, ParallelismConfig};
 
-/// Cap on memoized shapes. Long simulations of high-entropy workloads could
-/// otherwise grow the table without bound; once full, new shapes are priced
-/// directly (still correct, just uncached).
+/// Cap on memoized kv-invariant shapes. Long simulations of high-entropy
+/// workloads could otherwise grow the table without bound; once full, new
+/// shapes are priced directly (still correct, just uncached).
 pub const MAX_CACHED_SHAPES: usize = 1 << 20;
 
 /// Where batch runtimes come from.
@@ -63,12 +74,15 @@ impl RuntimeSource {
     }
 }
 
-/// Hit/miss counters of a shape cache.
+/// Hit/miss counters of a shape cache. Every priced batch counts once:
+/// a hit when its [`KvInvariantKey`] was already cached (only its decode
+/// attention was predicted), a miss when the kv-invariant part had to be
+/// priced too.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache.
+    /// Batches whose kv-invariant timing came from the cache.
     pub hits: u64,
-    /// Lookups that had to price the shape.
+    /// Batches whose kv-invariant timing had to be priced.
     pub misses: u64,
 }
 
@@ -84,10 +98,11 @@ impl CacheStats {
     }
 }
 
-type ShapeMap = HashMap<BatchShapeKey, Arc<PlanTiming>>;
+type ShapeMap = HashMap<KvInvariantKey, Arc<KvInvariantTiming>>;
 
 /// Prices batches for one (model, parallelism, runtime source) context,
-/// memoizing per-stage times by batch shape.
+/// memoizing the kv-invariant part of the stage times by
+/// [`KvInvariantKey`].
 ///
 /// Timings are always computed from the batch's [`BatchShapeKey`] — the
 /// execution plan is a function of the shape alone, so the cached value is
@@ -162,8 +177,9 @@ impl StageTimer {
         )
     }
 
-    /// Prices one batch: cache hit replays the stored timing, miss builds
-    /// the plan from the shape and sweeps the predictor over it.
+    /// Prices one batch: the kv-invariant timing comes from the cache (or
+    /// is priced and stored on a miss), then the batch's own decode
+    /// attention completes it.
     ///
     /// CPU-overhead jitter is *not* included — the engine adds it after the
     /// lookup so the oracle's stochastic overhead stays bit-exact regardless
@@ -171,35 +187,54 @@ impl StageTimer {
     pub fn time_batch(&self, batch: &BatchComposition) -> Arc<PlanTiming> {
         let key = BatchShapeKey::from_batch(batch);
         let Some(cache) = &self.cache else {
-            return Arc::new(self.price(&key));
+            return Arc::new(PlanTiming::for_shape(
+                &self.model,
+                &self.parallelism,
+                &key,
+                self.source.op_source(),
+                self.async_pipeline_comm,
+            ));
         };
-        if let Some(hit) = cache.lock().get(&key).map(Arc::clone) {
+        let invariant = self.kv_invariant_timing(cache, &key);
+        Arc::new(invariant.with_decode(
+            &self.model,
+            &self.parallelism,
+            &key,
+            self.source.op_source(),
+        ))
+    }
+
+    /// The cached kv-invariant timing of `key`'s shape, priced on a miss.
+    fn kv_invariant_timing(
+        &self,
+        cache: &Mutex<ShapeMap>,
+        key: &BatchShapeKey,
+    ) -> Arc<KvInvariantTiming> {
+        let invariant = key.kv_invariant();
+        if let Some(hit) = cache.lock().get(&invariant).map(Arc::clone) {
             self.stats.lock().hits += 1;
             return hit;
         }
         self.stats.lock().misses += 1;
         // Price outside the lock: concurrent misses on the same shape do
         // duplicate (deterministic) work instead of serializing every probe.
-        let timing = Arc::new(self.price(&key));
-        let mut guard = cache.lock();
-        if guard.len() < MAX_CACHED_SHAPES {
-            Arc::clone(guard.entry(key).or_insert_with(|| Arc::clone(&timing)))
-        } else {
-            timing
-        }
-    }
-
-    /// Uncached pricing straight from the shape (plan build + predictor
-    /// sweep). Both cache states run exactly this computation, so a hit
-    /// replays bit-identical values.
-    fn price(&self, key: &BatchShapeKey) -> PlanTiming {
-        PlanTiming::for_shape(
+        let timing = Arc::new(KvInvariantTiming::for_shape(
             &self.model,
             &self.parallelism,
             key,
             self.source.op_source(),
             self.async_pipeline_comm,
-        )
+        ));
+        let mut guard = cache.lock();
+        if guard.len() < MAX_CACHED_SHAPES {
+            Arc::clone(
+                guard
+                    .entry(invariant)
+                    .or_insert_with(|| Arc::clone(&timing)),
+            )
+        } else {
+            timing
+        }
     }
 
     /// Whether the underlying source adds stochastic CPU-overhead jitter.
@@ -219,7 +254,7 @@ impl StageTimer {
         *self.stats.lock()
     }
 
-    /// Distinct shapes currently memoized.
+    /// Distinct kv-invariant shapes currently memoized.
     pub fn cached_shapes(&self) -> usize {
         self.cache.as_ref().map(|c| c.lock().len()).unwrap_or(0)
     }
@@ -243,16 +278,47 @@ mod tests {
         RuntimeSource::Estimator((*est).clone())
     }
 
-    fn timer_pair(par: ParallelismConfig, source: RuntimeSource) -> (StageTimer, StageTimer) {
-        let model = ModelSpec::llama2_7b();
-        let cached = StageTimer::new(model.clone(), par, false, source.clone(), true);
-        let uncached = StageTimer::new(model, par, false, source, false);
+    fn timer_pair(
+        model: ModelSpec,
+        par: ParallelismConfig,
+        async_pipeline_comm: bool,
+        source: RuntimeSource,
+    ) -> (StageTimer, StageTimer) {
+        let cached = StageTimer::new(
+            model.clone(),
+            par,
+            async_pipeline_comm,
+            source.clone(),
+            true,
+        );
+        let uncached = StageTimer::new(model, par, async_pipeline_comm, source, false);
         (cached, uncached)
+    }
+
+    fn serial_pair() -> (StageTimer, StageTimer) {
+        timer_pair(
+            ModelSpec::llama2_7b(),
+            ParallelismConfig::serial(),
+            false,
+            oracle(),
+        )
+    }
+
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts two timings are equal bit for bit.
+    fn assert_same_bits(a: &PlanTiming, b: &PlanTiming) {
+        assert_eq!(bits(a.stage_secs()), bits(b.stage_secs()), "stage secs");
+        assert_eq!(bits(a.op_secs()), bits(b.op_secs()), "op secs");
+        assert_eq!(a.model_flops().to_bits(), b.model_flops().to_bits());
+        assert_eq!(a.total_tokens(), b.total_tokens());
     }
 
     #[test]
     fn cache_hits_replay_identical_timing() {
-        let (cached, _) = timer_pair(ParallelismConfig::serial(), oracle());
+        let (cached, uncached) = serial_pair();
         let a = BatchComposition::new(vec![
             RequestSlice::prefill(1, 512, 0),
             RequestSlice::decode(2, 300),
@@ -264,14 +330,15 @@ mod tests {
         ]);
         let ta = cached.time_batch(&a);
         let tb = cached.time_batch(&b);
-        assert!(Arc::ptr_eq(&ta, &tb), "same shape must share one timing");
+        assert_same_bits(&ta, &tb);
+        assert_same_bits(&tb, &uncached.time_batch(&b));
         assert_eq!(cached.stats(), CacheStats { hits: 1, misses: 1 });
         assert_eq!(cached.cached_shapes(), 1);
     }
 
     #[test]
     fn uncached_timer_reports_no_stats() {
-        let (_, uncached) = timer_pair(ParallelismConfig::serial(), oracle());
+        let (_, uncached) = serial_pair();
         let b = BatchComposition::new(vec![RequestSlice::decode(1, 64)]);
         uncached.time_batch(&b);
         assert_eq!(uncached.stats(), CacheStats::default());
@@ -280,7 +347,7 @@ mod tests {
 
     #[test]
     fn clones_share_the_cache() {
-        let (cached, _) = timer_pair(ParallelismConfig::serial(), oracle());
+        let (cached, _) = serial_pair();
         let clone = cached.clone();
         let b = BatchComposition::new(vec![RequestSlice::decode(1, 64)]);
         cached.time_batch(&b);
@@ -289,14 +356,21 @@ mod tests {
     }
 
     proptest! {
-        /// Cached and uncached stage times agree to 1e-12 across randomized
-        /// batch compositions, TP/PP configurations, and both runtime
-        /// sources — including the hit path (each batch priced twice).
+        /// Cached and uncached timings agree bit for bit across randomized
+        /// batch compositions, TP/PP configurations, MHA and GQA models,
+        /// synchronous and asynchronous pipeline communication, and both
+        /// runtime sources. Each batch is priced twice (the second time a
+        /// hit), then again with every decode history shifted, which keeps
+        /// the kv-invariant key: that batch must hit and still match the
+        /// uncached timing.
         #[test]
         fn cached_matches_uncached(
             prefills in proptest::collection::vec((1u64..768, 0u64..768), 0..5),
             decodes in proptest::collection::vec(0u64..4096, 0..24),
+            kv_shift in 1u64..512,
             par_idx in 0usize..4,
+            gqa in proptest::bool::ANY,
+            async_pipeline_comm in proptest::bool::ANY,
             use_estimator in proptest::bool::ANY,
         ) {
             prop_assume!(!prefills.is_empty() || !decodes.is_empty());
@@ -306,35 +380,45 @@ mod tests {
                 ParallelismConfig::new(1, 2),
                 ParallelismConfig::new(2, 4),
             ][par_idx];
-            let model = ModelSpec::llama2_7b();
+            let model = if gqa {
+                ModelSpec::llama2_70b()
+            } else {
+                ModelSpec::llama2_7b()
+            };
             let source = if use_estimator {
                 estimator(&model, &par)
             } else {
                 oracle()
             };
-            let (cached, uncached) = timer_pair(par, source);
-            let mut slices = Vec::new();
-            for (i, (p, h)) in prefills.iter().enumerate() {
-                slices.push(RequestSlice::prefill(i as u64, *p, *h));
-            }
-            for (i, h) in decodes.iter().enumerate() {
-                slices.push(RequestSlice::decode(1000 + i as u64, *h));
-            }
-            let batch = BatchComposition::new(slices);
+            let (cached, uncached) = timer_pair(model, par, async_pipeline_comm, source);
+            let batch_with = |shift: u64| {
+                let mut slices = Vec::new();
+                for (i, (p, h)) in prefills.iter().enumerate() {
+                    slices.push(RequestSlice::prefill(i as u64, *p, *h));
+                }
+                for (i, h) in decodes.iter().enumerate() {
+                    slices.push(RequestSlice::decode(1000 + i as u64, h + shift));
+                }
+                BatchComposition::new(slices)
+            };
+            let batch = batch_with(0);
             let direct = uncached.time_batch(&batch);
             for pass in 0..2 {
                 let memo = cached.time_batch(&batch);
-                prop_assert_eq!(memo.stage_secs().len(), direct.stage_secs().len());
-                for (a, b) in memo.stage_secs().iter().zip(direct.stage_secs()) {
-                    prop_assert!((a - b).abs() < 1e-12, "pass {}: {} vs {}", pass, a, b);
-                }
-                prop_assert!((memo.model_flops() - direct.model_flops()).abs()
-                    <= 1e-12 * direct.model_flops());
-                for (a, b) in memo.op_secs().iter().zip(direct.op_secs()) {
-                    prop_assert!((a - b).abs() < 1e-12, "op secs {} vs {}", a, b);
-                }
+                prop_assert_eq!(bits(memo.stage_secs()), bits(direct.stage_secs()), "pass {}", pass);
+                prop_assert_eq!(bits(memo.op_secs()), bits(direct.op_secs()), "pass {}", pass);
+                prop_assert_eq!(memo.model_flops().to_bits(), direct.model_flops().to_bits());
+                prop_assert_eq!(memo.total_tokens(), direct.total_tokens());
             }
             prop_assert_eq!(cached.stats(), CacheStats { hits: 1, misses: 1 });
+            let shifted = batch_with(kv_shift);
+            let memo = cached.time_batch(&shifted);
+            let direct = uncached.time_batch(&shifted);
+            prop_assert_eq!(bits(memo.stage_secs()), bits(direct.stage_secs()));
+            prop_assert_eq!(bits(memo.op_secs()), bits(direct.op_secs()));
+            prop_assert_eq!(memo.model_flops().to_bits(), direct.model_flops().to_bits());
+            prop_assert_eq!(cached.stats(), CacheStats { hits: 2, misses: 1 });
+            prop_assert_eq!(cached.cached_shapes(), 1);
         }
     }
 }

@@ -312,6 +312,42 @@ fn multi_tenant_bursty_report_bits_pinned() {
     }
 }
 
+/// Decode-heavy replay must price almost every batch from the stage-time
+/// cache. Decode KV length grows every iteration, so a cache keyed by the
+/// full batch shape misses on almost every batch (hit rate ≈0.02 here, one
+/// cached shape per ≈1.02 batches); the kv-invariant key must not. Three
+/// bursty multi-tenant replays share one timer, like the capacity search's
+/// bisection probes do. New kv-invariant shapes still come from batches
+/// with a new prefill mix, so the shape count stays near 6% of batches.
+#[test]
+fn stage_time_cache_serves_decode_heavy_replay() {
+    let mut cfg = base_config();
+    cfg.scheduler = SchedulerConfig::new(BatchPolicyKind::Vllm, 256);
+    let timer = StageTimer::for_config(&cfg, oracle());
+    for seed in [17, 18, 19] {
+        let report = ClusterSimulator::with_timer(
+            cfg.clone(),
+            multi_tenant_bursty_trace(260, seed),
+            timer.clone(),
+            seed,
+        )
+        .run();
+        assert_eq!(report.completed, 260);
+    }
+    let stats = timer.stats();
+    let priced = stats.hits + stats.misses;
+    let shapes = timer.cached_shapes() as u64;
+    assert!(
+        stats.hit_rate() >= 0.9,
+        "hit rate {:.3} over {priced} batches",
+        stats.hit_rate()
+    );
+    assert!(
+        shapes * 10 <= priced,
+        "{shapes} cached shapes for {priced} priced batches"
+    );
+}
+
 /// Under an aggressive simulated-time cap, the shared deadline latch stops
 /// both simulators the same way: incomplete but nonzero progress.
 #[test]
