@@ -162,15 +162,13 @@ fn online_mix_trace(n: usize) -> Trace {
 /// Llama-2-7B fed a Poisson chat trace through round-robin routing with the
 /// trained estimator (jitter-free, so the sharded fast path engages).
 fn replay_config() -> ClusterConfig {
-    let mut config = ClusterConfig::new(
+    ClusterConfig::new(
         ModelSpec::llama2_7b(),
         GpuSku::a100_80g(),
         ParallelismConfig::serial(),
         4,
         SchedulerConfig::new(BatchPolicyKind::SarathiServe { chunk_size: 512 }, 64),
-    );
-    config.plan_cache = true;
-    config
+    )
 }
 
 fn replay_trace(smoke: bool) -> Trace {

@@ -331,11 +331,6 @@ impl HyperLogLog {
         }
     }
 
-    /// Whether any key has been inserted.
-    pub fn is_empty(&self) -> bool {
-        self.registers.iter().all(|&r| r == 0)
-    }
-
     /// Estimated number of distinct keys inserted, with the standard
     /// linear-counting correction for small cardinalities. Deterministic:
     /// the registers determine the estimate bit for bit.
@@ -618,7 +613,6 @@ mod tests {
     #[test]
     fn hll_empty_estimates_zero() {
         let h = HyperLogLog::new();
-        assert!(h.is_empty());
         assert_eq!(h.estimate(), 0.0);
     }
 

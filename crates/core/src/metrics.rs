@@ -115,11 +115,6 @@ impl QuantileDigest {
         }
     }
 
-    /// Whether the digest is sealed (reads allowed).
-    pub fn is_sealed(&self) -> bool {
-        self.sorted
-    }
-
     /// Returns the `q`-quantile (0 ≤ q ≤ 1) with linear interpolation, or
     /// `None` if the digest is empty.
     ///
@@ -148,11 +143,6 @@ impl QuantileDigest {
         Some(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
     }
 
-    /// Median (50th percentile).
-    pub fn median(&self) -> Option<f64> {
-        self.quantile(0.5)
-    }
-
     /// Smallest sample.
     pub fn min(&self) -> Option<f64> {
         self.samples
@@ -168,11 +158,6 @@ impl QuantileDigest {
             .copied()
             .max_by(|a, b| a.partial_cmp(b).expect("no NaN"))
     }
-
-    /// Immutable view of the raw samples (sorted iff sealed).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
 }
 
 impl FromIterator<f64> for QuantileDigest {
@@ -183,14 +168,6 @@ impl FromIterator<f64> for QuantileDigest {
         }
         d.seal();
         d
-    }
-}
-
-impl Extend<f64> for QuantileDigest {
-    fn extend<I: IntoIterator<Item = f64>>(&mut self, iter: I) {
-        for x in iter {
-            self.record(x);
-        }
     }
 }
 
@@ -261,11 +238,6 @@ impl TimeWeightedSeries {
         self.points.is_empty()
     }
 
-    /// Latest recorded value.
-    pub fn current(&self) -> Option<f64> {
-        self.points.last().map(|&(_, v)| v)
-    }
-
     /// Time-weighted mean of the value from the first change-point to `end`.
     /// Returns `None` if the series is empty or `end` precedes the first
     /// change-point.
@@ -322,19 +294,6 @@ impl TimeWeightedSeries {
         }
         Some(acc / total)
     }
-
-    /// Maximum recorded value.
-    pub fn max_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|&(_, v)| v)
-            .max_by(|a, b| a.partial_cmp(b).expect("no NaN"))
-    }
-
-    /// Immutable view of the change-points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
 }
 
 #[cfg(test)]
@@ -347,7 +306,7 @@ mod tests {
         let d: QuantileDigest = (1..=5).map(|x| x as f64).collect();
         assert_eq!(d.quantile(0.0), Some(1.0));
         assert_eq!(d.quantile(1.0), Some(5.0));
-        assert_eq!(d.median(), Some(3.0));
+        assert_eq!(d.quantile(0.5), Some(3.0));
         assert_eq!(d.quantile(0.25), Some(2.0));
     }
 
@@ -379,8 +338,7 @@ mod tests {
     fn digest_seal_then_query() {
         let mut d: QuantileDigest = vec![3.0, 1.0, 2.0].into_iter().collect();
         d.seal();
-        assert_eq!(d.median(), Some(2.0));
-        assert_eq!(d.samples(), &[1.0, 2.0, 3.0]);
+        assert_eq!(d.quantile(0.5), Some(2.0));
     }
 
     #[test]
@@ -395,8 +353,9 @@ mod tests {
         for x in [1.0, 2.0, 2.0, 5.0] {
             d.record(x);
         }
-        assert!(d.is_sealed(), "non-decreasing stream needs no sort");
-        assert_eq!(d.median(), Some(2.0));
+        // Reading an unsealed digest panics, so this read proves the
+        // non-decreasing stream needed no sort.
+        assert_eq!(d.quantile(0.5), Some(2.0));
     }
 
     #[test]
@@ -473,16 +432,6 @@ mod tests {
         let mut s = TimeWeightedSeries::new();
         s.record(SimTime::from_secs_f64(1.0), 0.0);
         s.record(SimTime::ZERO, 0.0);
-    }
-
-    #[test]
-    fn series_current_and_max() {
-        let mut s = TimeWeightedSeries::new();
-        s.record(SimTime::ZERO, 1.0);
-        s.record(SimTime::from_secs_f64(1.0), 5.0);
-        s.record(SimTime::from_secs_f64(2.0), 3.0);
-        assert_eq!(s.current(), Some(3.0));
-        assert_eq!(s.max_value(), Some(5.0));
     }
 
     proptest! {

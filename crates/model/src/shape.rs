@@ -238,8 +238,8 @@ impl BatchShapeKey {
 /// This is the engine's former inline build-plan/predict/accumulate loop as
 /// a value: a shape cache memoizes all of it but decode attention (see
 /// [`KvInvariantTiming`]), and replaying `op_secs` reproduces the metrics
-/// attribution of an uncached run exactly (and in O(#operators) rather
-/// than O(#invocations)).
+/// attribution of a per-invocation replay exactly (and in O(#operators)
+/// rather than O(#invocations)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanTiming {
     stage_secs: Vec<f64>,

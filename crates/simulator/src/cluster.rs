@@ -192,8 +192,7 @@ pub struct RunStats {
     /// sharded runs *and* on runs that never asked for sharding
     /// (`ClusterConfig::shards` <= 1). A sharding request that fell back —
     /// whether rejected up front (armed elastic fleet, armed prefix cache,
-    /// jittered runtimes under rng_version 1, late-abort, `Deferred`
-    /// policy) or aborted mid-run (a stateful policy actually deferred a
+    /// oracle-jittered runtimes, late-abort, `Deferred` policy) or aborted mid-run (a stateful policy actually deferred a
     /// request) — names the first blocking reason here.
     pub fallback_reason: Option<&'static str>,
 }

@@ -51,13 +51,6 @@ pub struct ClusterConfig {
     /// handful of blown deadlines instead of simulating the full queue
     /// explosion.
     pub late_abort: Option<LateAbort>,
-    /// Memoize the decode-KV-invariant part of per-stage predicted times by
-    /// batch shape (see `vidur_simulator::timing::StageTimer`). Reports are
-    /// byte-identical
-    /// either way — the cache only trades memory for speed — so this
-    /// defaults on; disable it to bound memory on extremely long
-    /// high-entropy runs or to benchmark the uncached path.
-    pub plan_cache: bool,
     /// How the metrics collector aggregates latency distributions:
     /// [`QuantileMode::Exact`] (the default) stores every sample so report
     /// quantiles are exact and bit-reproducible; [`QuantileMode::Mergeable`]
@@ -87,27 +80,18 @@ pub struct ClusterConfig {
     /// `num_replicas`). `1` (the default) uses the sequential engine. Values
     /// above 1 opt into the sharded engine for configurations on its fast
     /// path — no late-abort, no elastic fleet, no armed prefix cache,
-    /// jitter-free runtimes (unless [`Self::rng_version`] is 2), and any
-    /// non-`Deferred` routing policy. Every such run uses one loop: shards
-    /// simulate up to the next unrouted arrival, the merger replays their
-    /// effects in sequential order and routes on the live tier — one
-    /// arrival instant per round for stateful policies (least-outstanding,
-    /// priority-aware, fair-share, affinity, KV-aware), a batch of arrivals
-    /// ahead for stateless ones (round-robin, random), which never read the
-    /// live view. Anything else falls back to the sequential engine with
+    /// jitter-free runtimes (the oracle's CPU-overhead jitter comes from one
+    /// engine-wide stream in launch order), and any non-`Deferred` routing
+    /// policy. Every such run uses one loop: shards simulate up to the next
+    /// unrouted arrival, the merger replays their effects in sequential
+    /// order and routes on the live tier — one arrival instant per round for
+    /// stateful policies (least-outstanding, priority-aware, fair-share,
+    /// affinity, KV-aware), a batch of arrivals ahead for stateless ones
+    /// (round-robin, random), which never read the live view. Anything else falls back to the sequential engine with
     /// the reason reported in `RunStats::fallback_reason`. Reports are
     /// bit-identical either way, in every quantile mode (see
     /// `vidur_simulator::sharded`).
     pub shards: usize,
-    /// Determinism-contract version for the engine's stochastic draws.
-    /// Version `1` (the default) draws CPU-overhead jitter from one
-    /// engine-wide RNG in launch order — the historical stream every pinned
-    /// fingerprint was captured under — which forces jittered runs onto the
-    /// sequential engine. Version `2` forks one jitter stream per replica
-    /// (keyed by global replica index) so jittered runs become shard-order
-    /// independent and eligible for the sharded fast path; v2 sequential
-    /// and sharded runs are bit-identical to each other but not to v1.
-    pub rng_version: u32,
     /// Windowed time-series output: when set, the report's `timeseries`
     /// field carries one row per wall-clock window (throughput, TTFT p99,
     /// mean KV occupancy). Only populated in [`QuantileMode::Mergeable`];
@@ -178,13 +162,11 @@ impl ClusterConfig {
             max_sim_time: None,
             async_pipeline_comm: false,
             late_abort: None,
-            plan_cache: true,
             quantile_mode: QuantileMode::Exact,
             tenant_slo: None,
             tenant_weights: Vec::new(),
             tenant_kv_quota: Vec::new(),
             shards: 1,
-            rng_version: 1,
             timeseries: None,
             faults: FaultPlan::none(),
             autoscaler: None,

@@ -225,18 +225,6 @@ impl EngineSink for MetricsCollector {
 pub struct EngineCore {
     timer: StageTimer,
     rng: SimRng,
-    /// Base seed, kept so v2 per-replica jitter RNGs can be forked lazily.
-    seed: u64,
-    /// [`ClusterConfig::rng_version`]: 1 draws CPU-overhead jitter from the
-    /// single engine-wide `rng` in launch order (the historical stream); 2
-    /// draws from per-replica forked streams, which makes jittered runs
-    /// shard-order independent.
-    rng_version: u32,
-    /// Per-replica jitter streams (v2 only), forked from `seed` by *global*
-    /// replica index and grown lazily — a shard core only materializes the
-    /// streams of the replicas it owns, and the streams are identical no
-    /// matter how replicas are dealt to shards.
-    replica_rngs: Vec<Option<SimRng>>,
     tp_gpus: f64,
     cpu_overhead: f64,
     inflight: InflightSlots,
@@ -298,9 +286,6 @@ impl EngineCore {
         EngineCore {
             timer,
             rng: SimRng::new(seed),
-            seed,
-            rng_version: config.rng_version,
-            replica_rngs: Vec::new(),
             tp_gpus: config.parallelism.tensor_parallel as f64,
             cpu_overhead: config.cpu_overhead,
             inflight: InflightSlots::default(),
@@ -381,32 +366,17 @@ impl EngineCore {
     ///
     /// The oracle source adds a log-normal wiggle plus rare multi-millisecond
     /// hiccups — the part of the real system a simulator cannot predict; the
-    /// estimator source uses the constant nominal overhead. Under
-    /// `rng_version` 1 the jitter draws come from one engine-wide RNG in
-    /// launch order, which makes jittered runs inherently sequential; under
-    /// version 2 each replica draws from its own stream forked from the base
-    /// seed by *global* replica index, so the draws a replica sees do not
-    /// depend on what other replicas launched — the property that admits
-    /// jittered runs to the sharded fast path. The two versions produce
-    /// different (both valid) jitter sequences, so v1 stays the default to
-    /// preserve historical fingerprints.
-    fn cpu_overhead(&mut self, replica: usize) -> f64 {
+    /// estimator source uses the constant nominal overhead. The jitter
+    /// draws come from one engine-wide RNG in launch order, which makes
+    /// jittered runs inherently sequential.
+    fn cpu_overhead(&mut self) -> f64 {
         let base = self.cpu_overhead;
         if !self.timer.jitters() {
             return base;
         }
-        let rng = if self.rng_version >= 2 {
-            if replica >= self.replica_rngs.len() {
-                self.replica_rngs.resize(replica + 1, None);
-            }
-            let seed = self.seed;
-            self.replica_rngs[replica].get_or_insert_with(|| SimRng::new(seed).fork(replica as u64))
-        } else {
-            &mut self.rng
-        };
-        let mut t = base * rng.log_normal(0.0, 0.25);
-        if rng.bernoulli(0.02) {
-            t += rng.exponential(1.0 / 2.0e-3);
+        let mut t = base * self.rng.log_normal(0.0, 0.25);
+        if self.rng.bernoulli(0.02) {
+            t += self.rng.exponential(1.0 / 2.0e-3);
         }
         t
     }
@@ -458,11 +428,11 @@ impl EngineCore {
             // kv-invariant timing + this batch's decode attention → jitter.
             // Per-operator attribution (paper §5.2's operator-level
             // metrics) is replayed from the returned totals, and the
-            // stochastic CPU overhead draws after pricing, so reports are
-            // byte-identical with the cache on or off.
+            // stochastic CPU overhead draws after pricing, so the cache
+            // never touches the jitter stream.
             let timing = self.timer.time_batch(&batch);
             sink.on_batch_timed(metrics_idx, &timing);
-            let overhead = self.cpu_overhead(metrics_idx);
+            let overhead = self.cpu_overhead();
             self.scratch_secs.clear();
             self.scratch_secs.extend_from_slice(timing.stage_secs());
             let mult = self
@@ -529,9 +499,9 @@ impl EngineCore {
 impl BatchEngine {
     /// Builds the engine for `config` with `metrics_replicas` KV-utilization
     /// series (aggregated clusters use one per replica; disaggregated ones,
-    /// one per pool member). The stage timer (and its shape cache, per
-    /// [`ClusterConfig::plan_cache`]) is private to this engine; use
-    /// [`BatchEngine::with_timer`] to share a warm cache across runs.
+    /// one per pool member). The stage timer and its shape cache are private
+    /// to this engine; use [`BatchEngine::with_timer`] to share a warm cache
+    /// across runs.
     pub fn new(
         config: &ClusterConfig,
         source: RuntimeSource,

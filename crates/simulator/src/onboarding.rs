@@ -108,13 +108,8 @@ pub fn clear_cache() {
 /// in scheduler policy, batch size, or replica count therefore *share* one
 /// shape cache, which is where Vidur-Search's grids recoup most of their
 /// stage-time work (cached values are pure functions of the shape, so
-/// sharing never changes a report). Timers with `config.plan_cache` off are
-/// stateless and returned fresh.
+/// sharing never changes a report).
 pub fn onboard_timer(config: &crate::config::ClusterConfig, kind: EstimatorKind) -> StageTimer {
-    if !config.plan_cache {
-        let est = onboard(&config.model, &config.parallelism, &config.sku, kind);
-        return StageTimer::for_config(config, RuntimeSource::Estimator((*est).clone()));
-    }
     let key: TimerKey = (
         config.model.name.clone(),
         config.parallelism.tensor_parallel,

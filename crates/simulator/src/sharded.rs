@@ -94,15 +94,14 @@
 //! # Fast path and fallback
 //!
 //! `shards > 1` opts in; the sharded engine runs when the configuration is
-//! on its fast path — see [`block_reason`]: jittered runtimes need
-//! [`ClusterConfig::rng_version`] 2 (v1 draws CPU-overhead noise from one
-//! engine-wide RNG in launch order, which is inherently serial; v2 forks a
-//! stream per replica), late-abort must be off (its stop condition depends
-//! on the merged metrics mid-run), the fleet must be fixed (elastic events
-//! are globally ordered), the prefix cache must be off (hit publication is
-//! cross-replica), and the policy must not be the deferred one. Every other
-//! policy runs the one round loop above; only the number of arrivals routed
-//! per round differs. Everything else uses the sequential engine, which
+//! on its fast path — see [`block_reason`]: runtimes must be jitter-free
+//! (the oracle draws CPU-overhead noise from one engine-wide RNG in launch
+//! order, which is inherently serial), late-abort must be off (its stop
+//! condition depends on the merged metrics mid-run), the fleet must be
+//! fixed (elastic events are globally ordered), the prefix cache must be off
+//! (hit publication is cross-replica), and the policy must not be the
+//! deferred one. Every other policy runs the one round loop above; only the
+//! number of arrivals routed per round differs. Everything else uses the sequential engine, which
 //! stays the differential oracle: `tests/engine_regression.rs` pins that
 //! every scenario reports identically with shards on and off, and that
 //! mergeable-mode reports are invariant across shard counts.
@@ -257,10 +256,8 @@ impl EngineSink for EffectLog {
 /// reason surfaces verbatim in
 /// [`RunStats::fallback_reason`](crate::cluster::RunStats).
 pub(crate) fn block_reason(config: &ClusterConfig, jitters: bool) -> Option<&'static str> {
-    if jitters && config.rng_version < 2 {
-        // v1 draws CPU-overhead noise from one engine-wide RNG in launch
-        // order; v2 forks a stream per replica and is shard-invariant.
-        return Some("jittered runtimes need per-replica rng streams (rng_version 2)");
+    if jitters {
+        return Some("jittered runtimes draw from one engine-wide rng stream");
     }
     if config.late_abort.is_some() {
         return Some("late-abort guardrail is armed");

@@ -16,12 +16,10 @@
 //!   in plan order, plus the batch's model FLOPs.
 //!
 //! The per-batch step keeps the `f64` addition order of the full sweep, so
-//! a timing is bit-identical with the cache on or off. The stochastic
-//! CPU-overhead jitter of the oracle source is applied by the engine
-//! *after* pricing, and per-operator metrics attribution is replayed from
-//! the returned [`PlanTiming`], so a simulation's
-//! [`SimulationReport`](crate::metrics::SimulationReport) is byte-identical
-//! with the cache on or off.
+//! a timing is bit-identical with the full sweep [`PlanTiming::for_shape`]
+//! of the same shape. The stochastic CPU-overhead jitter of the oracle
+//! source is applied by the engine *after* pricing, so the cache never
+//! touches the jitter stream.
 //!
 //! Cloning a `StageTimer` shares its cache: the capacity search clones one
 //! timer into every bisection probe of a configuration so later probes
@@ -40,9 +38,10 @@ use vidur_model::runtime::RuntimePredictor;
 use vidur_model::shape::{BatchShapeKey, KvInvariantKey, KvInvariantTiming, PlanTiming};
 use vidur_model::{ModelSpec, ParallelismConfig};
 
-/// Cap on memoized kv-invariant shapes. Long simulations of high-entropy
-/// workloads could otherwise grow the table without bound; once full, new
-/// shapes are priced directly (still correct, just uncached).
+/// Cap on memoized kv-invariant shapes: the cache's memory bound. Long
+/// simulations of high-entropy workloads could otherwise grow the table
+/// without bound; once full, new shapes are priced directly (still
+/// correct, just uncached).
 pub const MAX_CACHED_SHAPES: usize = 1 << 20;
 
 /// Where batch runtimes come from.
@@ -106,16 +105,15 @@ type ShapeMap = HashMap<KvInvariantKey, Arc<KvInvariantTiming>>;
 ///
 /// Timings are always computed from the batch's [`BatchShapeKey`] — the
 /// execution plan is a function of the shape alone, so the cached value is
-/// independent of request ids and slice ordering, and cache-on and
-/// cache-off runs are bit-identical.
+/// independent of request ids and slice ordering, and every timing is
+/// bit-identical with the full sweep [`PlanTiming::for_shape`].
 #[derive(Clone)]
 pub struct StageTimer {
     model: ModelSpec,
     parallelism: ParallelismConfig,
     async_pipeline_comm: bool,
     source: RuntimeSource,
-    /// `None` disables memoization (every batch priced directly).
-    cache: Option<Arc<Mutex<ShapeMap>>>,
+    cache: Arc<Mutex<ShapeMap>>,
     /// Hit/miss counters, shared by plain clones but *detachable* from the
     /// shape map via [`StageTimer::with_fresh_stats`], so a caller holding
     /// a globally shared map still gets exact counters for its own runs.
@@ -127,7 +125,6 @@ impl fmt::Debug for StageTimer {
         let stats = self.stats();
         f.debug_struct("StageTimer")
             .field("model", &self.model.name)
-            .field("cached", &self.cache.is_some())
             .field("hits", &stats.hits)
             .field("misses", &stats.misses)
             .finish()
@@ -135,20 +132,19 @@ impl fmt::Debug for StageTimer {
 }
 
 impl StageTimer {
-    /// Builds a timer; `cached` toggles shape memoization.
+    /// Builds a timer with an empty shape cache.
     pub fn new(
         model: ModelSpec,
         parallelism: ParallelismConfig,
         async_pipeline_comm: bool,
         source: RuntimeSource,
-        cached: bool,
     ) -> Self {
         StageTimer {
             model,
             parallelism,
             async_pipeline_comm,
             source,
-            cache: cached.then(|| Arc::new(Mutex::new(ShapeMap::default()))),
+            cache: Arc::new(Mutex::new(ShapeMap::default())),
             stats: Arc::new(Mutex::new(CacheStats::default())),
         }
     }
@@ -165,15 +161,13 @@ impl StageTimer {
         }
     }
 
-    /// Builds the timer for a cluster configuration (the usual entry point;
-    /// respects [`ClusterConfig::plan_cache`]).
+    /// Builds the timer for a cluster configuration (the usual entry point).
     pub fn for_config(config: &ClusterConfig, source: RuntimeSource) -> Self {
         StageTimer::new(
             config.model.clone(),
             config.parallelism,
             config.async_pipeline_comm,
             source,
-            config.plan_cache,
         )
     }
 
@@ -182,20 +176,11 @@ impl StageTimer {
     /// attention completes it.
     ///
     /// CPU-overhead jitter is *not* included — the engine adds it after the
-    /// lookup so the oracle's stochastic overhead stays bit-exact regardless
-    /// of cache state.
+    /// lookup so the oracle's stochastic overhead never depends on cache
+    /// state.
     pub fn time_batch(&self, batch: &BatchComposition) -> Arc<PlanTiming> {
         let key = BatchShapeKey::from_batch(batch);
-        let Some(cache) = &self.cache else {
-            return Arc::new(PlanTiming::for_shape(
-                &self.model,
-                &self.parallelism,
-                &key,
-                self.source.op_source(),
-                self.async_pipeline_comm,
-            ));
-        };
-        let invariant = self.kv_invariant_timing(cache, &key);
+        let invariant = self.kv_invariant_timing(&key);
         Arc::new(invariant.with_decode(
             &self.model,
             &self.parallelism,
@@ -205,13 +190,9 @@ impl StageTimer {
     }
 
     /// The cached kv-invariant timing of `key`'s shape, priced on a miss.
-    fn kv_invariant_timing(
-        &self,
-        cache: &Mutex<ShapeMap>,
-        key: &BatchShapeKey,
-    ) -> Arc<KvInvariantTiming> {
+    fn kv_invariant_timing(&self, key: &BatchShapeKey) -> Arc<KvInvariantTiming> {
         let invariant = key.kv_invariant();
-        if let Some(hit) = cache.lock().get(&invariant).map(Arc::clone) {
+        if let Some(hit) = self.cache.lock().get(&invariant).map(Arc::clone) {
             self.stats.lock().hits += 1;
             return hit;
         }
@@ -225,7 +206,7 @@ impl StageTimer {
             self.source.op_source(),
             self.async_pipeline_comm,
         ));
-        let mut guard = cache.lock();
+        let mut guard = self.cache.lock();
         if guard.len() < MAX_CACHED_SHAPES {
             Arc::clone(
                 guard
@@ -247,16 +228,15 @@ impl StageTimer {
         &self.source
     }
 
-    /// This handle-family's hit/miss counters (zeros when memoization is
-    /// disabled; see [`StageTimer::with_fresh_stats`] for the sharing
-    /// granularity).
+    /// This handle-family's hit/miss counters (see
+    /// [`StageTimer::with_fresh_stats`] for the sharing granularity).
     pub fn stats(&self) -> CacheStats {
         *self.stats.lock()
     }
 
     /// Distinct kv-invariant shapes currently memoized.
     pub fn cached_shapes(&self) -> usize {
-        self.cache.as_ref().map(|c| c.lock().len()).unwrap_or(0)
+        self.cache.lock().len()
     }
 }
 
@@ -278,25 +258,8 @@ mod tests {
         RuntimeSource::Estimator((*est).clone())
     }
 
-    fn timer_pair(
-        model: ModelSpec,
-        par: ParallelismConfig,
-        async_pipeline_comm: bool,
-        source: RuntimeSource,
-    ) -> (StageTimer, StageTimer) {
-        let cached = StageTimer::new(
-            model.clone(),
-            par,
-            async_pipeline_comm,
-            source.clone(),
-            true,
-        );
-        let uncached = StageTimer::new(model, par, async_pipeline_comm, source, false);
-        (cached, uncached)
-    }
-
-    fn serial_pair() -> (StageTimer, StageTimer) {
-        timer_pair(
+    fn serial_timer() -> StageTimer {
+        StageTimer::new(
             ModelSpec::llama2_7b(),
             ParallelismConfig::serial(),
             false,
@@ -304,21 +267,33 @@ mod tests {
         )
     }
 
-    fn bits(xs: &[f64]) -> Vec<u64> {
-        xs.iter().map(|x| x.to_bits()).collect()
+    /// The unmemoized full sweep of `batch`'s shape in `timer`'s context:
+    /// the reference every [`StageTimer::time_batch`] result must match.
+    fn full_sweep(timer: &StageTimer, batch: &BatchComposition) -> PlanTiming {
+        PlanTiming::for_shape(
+            &timer.model,
+            &timer.parallelism,
+            &BatchShapeKey::from_batch(batch),
+            timer.source.op_source(),
+            timer.async_pipeline_comm,
+        )
     }
 
-    /// Asserts two timings are equal bit for bit.
-    fn assert_same_bits(a: &PlanTiming, b: &PlanTiming) {
-        assert_eq!(bits(a.stage_secs()), bits(b.stage_secs()), "stage secs");
-        assert_eq!(bits(a.op_secs()), bits(b.op_secs()), "op secs");
-        assert_eq!(a.model_flops().to_bits(), b.model_flops().to_bits());
-        assert_eq!(a.total_tokens(), b.total_tokens());
+    /// A timing's observable values as bits: stage secs, op secs, model
+    /// FLOPs and total tokens.
+    fn bits(t: &PlanTiming) -> (Vec<u64>, Vec<u64>, u64, u64) {
+        let v = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        (
+            v(t.stage_secs()),
+            v(t.op_secs()),
+            t.model_flops().to_bits(),
+            t.total_tokens(),
+        )
     }
 
     #[test]
     fn cache_hits_replay_identical_timing() {
-        let (cached, uncached) = serial_pair();
+        let timer = serial_timer();
         let a = BatchComposition::new(vec![
             RequestSlice::prefill(1, 512, 0),
             RequestSlice::decode(2, 300),
@@ -328,41 +303,32 @@ mod tests {
             RequestSlice::decode(7, 300),
             RequestSlice::prefill(8, 512, 0),
         ]);
-        let ta = cached.time_batch(&a);
-        let tb = cached.time_batch(&b);
-        assert_same_bits(&ta, &tb);
-        assert_same_bits(&tb, &uncached.time_batch(&b));
-        assert_eq!(cached.stats(), CacheStats { hits: 1, misses: 1 });
-        assert_eq!(cached.cached_shapes(), 1);
-    }
-
-    #[test]
-    fn uncached_timer_reports_no_stats() {
-        let (_, uncached) = serial_pair();
-        let b = BatchComposition::new(vec![RequestSlice::decode(1, 64)]);
-        uncached.time_batch(&b);
-        assert_eq!(uncached.stats(), CacheStats::default());
-        assert_eq!(uncached.cached_shapes(), 0);
+        let ta = timer.time_batch(&a);
+        let tb = timer.time_batch(&b);
+        assert_eq!(bits(&ta), bits(&tb));
+        assert_eq!(bits(&tb), bits(&full_sweep(&timer, &b)));
+        assert_eq!(timer.stats(), CacheStats { hits: 1, misses: 1 });
+        assert_eq!(timer.cached_shapes(), 1);
     }
 
     #[test]
     fn clones_share_the_cache() {
-        let (cached, _) = serial_pair();
-        let clone = cached.clone();
+        let timer = serial_timer();
+        let clone = timer.clone();
         let b = BatchComposition::new(vec![RequestSlice::decode(1, 64)]);
-        cached.time_batch(&b);
+        timer.time_batch(&b);
         clone.time_batch(&b);
         assert_eq!(clone.stats(), CacheStats { hits: 1, misses: 1 });
     }
 
     proptest! {
-        /// Cached and uncached timings agree bit for bit across randomized
-        /// batch compositions, TP/PP configurations, MHA and GQA models,
-        /// synchronous and asynchronous pipeline communication, and both
-        /// runtime sources. Each batch is priced twice (the second time a
-        /// hit), then again with every decode history shifted, which keeps
-        /// the kv-invariant key: that batch must hit and still match the
-        /// uncached timing.
+        /// Memoized timings match the full sweep on the same key bit for
+        /// bit across randomized batch compositions, TP/PP configurations,
+        /// MHA and GQA models, synchronous and asynchronous pipeline
+        /// communication, and both runtime sources. Each batch is priced
+        /// twice (the second time a hit), then again with every decode
+        /// history shifted, which keeps the kv-invariant key: that batch
+        /// must hit and still match its own full sweep.
         #[test]
         fn cached_matches_uncached(
             prefills in proptest::collection::vec((1u64..768, 0u64..768), 0..5),
@@ -390,7 +356,7 @@ mod tests {
             } else {
                 oracle()
             };
-            let (cached, uncached) = timer_pair(model, par, async_pipeline_comm, source);
+            let timer = StageTimer::new(model, par, async_pipeline_comm, source);
             let batch_with = |shift: u64| {
                 let mut slices = Vec::new();
                 for (i, (p, h)) in prefills.iter().enumerate() {
@@ -402,23 +368,18 @@ mod tests {
                 BatchComposition::new(slices)
             };
             let batch = batch_with(0);
-            let direct = uncached.time_batch(&batch);
+            let direct = bits(&full_sweep(&timer, &batch));
             for pass in 0..2 {
-                let memo = cached.time_batch(&batch);
-                prop_assert_eq!(bits(memo.stage_secs()), bits(direct.stage_secs()), "pass {}", pass);
-                prop_assert_eq!(bits(memo.op_secs()), bits(direct.op_secs()), "pass {}", pass);
-                prop_assert_eq!(memo.model_flops().to_bits(), direct.model_flops().to_bits());
-                prop_assert_eq!(memo.total_tokens(), direct.total_tokens());
+                prop_assert_eq!(bits(&timer.time_batch(&batch)), direct.clone(), "pass {}", pass);
             }
-            prop_assert_eq!(cached.stats(), CacheStats { hits: 1, misses: 1 });
+            prop_assert_eq!(timer.stats(), CacheStats { hits: 1, misses: 1 });
             let shifted = batch_with(kv_shift);
-            let memo = cached.time_batch(&shifted);
-            let direct = uncached.time_batch(&shifted);
-            prop_assert_eq!(bits(memo.stage_secs()), bits(direct.stage_secs()));
-            prop_assert_eq!(bits(memo.op_secs()), bits(direct.op_secs()));
-            prop_assert_eq!(memo.model_flops().to_bits(), direct.model_flops().to_bits());
-            prop_assert_eq!(cached.stats(), CacheStats { hits: 2, misses: 1 });
-            prop_assert_eq!(cached.cached_shapes(), 1);
+            prop_assert_eq!(
+                bits(&timer.time_batch(&shifted)),
+                bits(&full_sweep(&timer, &shifted))
+            );
+            prop_assert_eq!(timer.stats(), CacheStats { hits: 2, misses: 1 });
+            prop_assert_eq!(timer.cached_shapes(), 1);
         }
     }
 }

@@ -7,7 +7,8 @@
 //! vidur search   [options]              find the best deployment
 //! ```
 //!
-//! Run `vidur <command> --help` for options.
+//! Run `vidur --help` for every subcommand's options; a subcommand rejects
+//! any flag outside its own list.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -56,13 +57,38 @@ fn print_usage() {
     );
 }
 
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// The flags `vidur simulate` accepts (see [`print_usage`]).
+const SIMULATE_FLAGS: &[&str] = &[
+    "model",
+    "sku",
+    "tp",
+    "pp",
+    "replicas",
+    "scheduler",
+    "chunk",
+    "batch-size",
+    "workload",
+    "requests",
+    "qps",
+    "seed",
+    "json",
+];
+
+/// The flags `vidur search` accepts (see [`print_usage`]).
+const SEARCH_FLAGS: &[&str] = &["model", "workload", "requests", "seed", "max-gpus", "full"];
+
+/// Parses `--flag value` pairs (and the valueless `--json`/`--full`),
+/// rejecting any flag outside `known`.
+fn parse_flags(args: &[String], known: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut out = HashMap::new();
     let mut i = 0;
     while i < args.len() {
         let key = args[i]
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got '{}'", args[i]))?;
+        if !known.contains(&key) {
+            return Err(format!("unknown flag --{key}"));
+        }
         if key == "json" || key == "full" {
             out.insert(key.to_string(), "true".to_string());
             i += 1;
@@ -187,7 +213,7 @@ fn build_trace(flags: &HashMap<String, String>) -> Result<Trace, String> {
 
 fn cmd_simulate(args: &[String]) -> ExitCode {
     let run = || -> Result<(), String> {
-        let flags = parse_flags(args)?;
+        let flags = parse_flags(args, SIMULATE_FLAGS)?;
         let config = build_config(&flags)?;
         let trace = build_trace(&flags)?;
         let seed: u64 = get(&flags, "seed", 42)?;
@@ -259,7 +285,7 @@ fn cmd_simulate(args: &[String]) -> ExitCode {
 
 fn cmd_search(args: &[String]) -> ExitCode {
     let run = || -> Result<(), String> {
-        let flags = parse_flags(args)?;
+        let flags = parse_flags(args, SEARCH_FLAGS)?;
         let model_name: String = get(&flags, "model", "llama2-7b".to_string())?;
         let model =
             ModelSpec::by_name(&model_name).ok_or(format!("unknown model '{model_name}'"))?;

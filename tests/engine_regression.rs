@@ -173,52 +173,6 @@ fn cluster_and_disagg_reports_are_reproducible() {
     assert_eq!(disagg(), disagg());
 }
 
-/// The batch-shape cache is a pure speed/memory trade: with the cache on
-/// (the default) the report must be **byte-identical** to a cache-off run —
-/// per-op attribution is replayed from the cached timing stream and the
-/// oracle's stochastic CPU-overhead jitter draws after the cache lookup.
-#[test]
-fn plan_cache_report_identical_oracle() {
-    let trace = fixed_trace(70, 2.5, 21);
-    let on = ClusterSimulator::new(base_config(), trace.clone(), oracle(), 21).run();
-    let mut cfg = base_config();
-    cfg.plan_cache = false;
-    let off = ClusterSimulator::new(cfg, trace, oracle(), 21).run();
-    assert_eq!(on, off, "cache must not change oracle-sourced reports");
-}
-
-/// Same pin for the estimator source (the Vidur-Search hot path).
-#[test]
-fn plan_cache_report_identical_estimator() {
-    let cfg = base_config();
-    let est = vidur::simulator::onboard(
-        &cfg.model,
-        &cfg.parallelism,
-        &cfg.sku,
-        EstimatorKind::default(),
-    );
-    let source = RuntimeSource::Estimator((*est).clone());
-    let trace = fixed_trace(70, 2.5, 22);
-    let on = ClusterSimulator::new(cfg.clone(), trace.clone(), source.clone(), 22).run();
-    let mut off_cfg = cfg;
-    off_cfg.plan_cache = false;
-    let off = ClusterSimulator::new(off_cfg, trace, source, 22).run();
-    assert_eq!(on, off, "cache must not change estimator-sourced reports");
-}
-
-/// The disaggregated policy layer rides the same engine path; the cache
-/// must be invisible there too.
-#[test]
-fn plan_cache_report_identical_disagg() {
-    let trace = fixed_trace(50, 2.5, 23);
-    let on_cfg = DisaggConfig::new(base_config(), 1, 1);
-    let on = DisaggSimulator::new(on_cfg, trace.clone(), oracle(), 23).run();
-    let mut base = base_config();
-    base.plan_cache = false;
-    let off = DisaggSimulator::new(DisaggConfig::new(base, 1, 1), trace, oracle(), 23).run();
-    assert_eq!(on, off, "cache must not change disaggregated reports");
-}
-
 /// A multi-tenant bursty replay: three tenants (diurnal chat at priority 0,
 /// Poisson translation at priority 1, MMPP-bursty summarization at
 /// priority 2) on vLLM with a large batch cap, so KV overcommit forces
@@ -418,16 +372,6 @@ fn sharded_random_routing_identical() {
     assert_sharded_identical("random_4x4", cfg, fixed_trace(200, 8.0, 35), 4);
 }
 
-/// Shape-cache off: the sharded engine re-times every batch per shard; the
-/// merge must still replay identically.
-#[test]
-fn sharded_without_plan_cache_identical() {
-    let mut cfg = base_config();
-    cfg.num_replicas = 2;
-    cfg.plan_cache = false;
-    assert_sharded_identical("rr_nocache_2x2", cfg, fixed_trace(150, 6.0, 37), 2);
-}
-
 /// A deadline-capped overload: shards truncate independently at the cap and
 /// the merge must still agree with the sequential stop behavior. The second
 /// half caps a multi-tenant trace mid-stream: arrivals past the cap must
@@ -612,65 +556,6 @@ fn sharded_barrier_coalesces_offline_burst() {
     );
 }
 
-/// Pin the `rng_version: 2` jitter stream: per-replica forked RNGs draw a
-/// different (but equally deterministic) CPU-overhead sequence than the v1
-/// engine-wide stream, so v2 gets its own fingerprint. The v1 pin is
-/// `cluster_oracle_report_bits_pinned` — both versions stay pinned so
-/// neither stream can drift.
-#[test]
-fn rng_v2_jitter_fingerprint_pinned() {
-    let mut cfg = base_config();
-    cfg.rng_version = 2;
-    let report = ClusterSimulator::new(cfg, fixed_trace(80, 2.5, 42), oracle(), 42).run();
-    assert_fingerprint(
-        "cluster_oracle_seed42_rngv2",
-        &report,
-        0x4044b9d0c2c8088f,
-        0x3fd101fbecde2ccb,
-        0x3f87c4c00df78f6e,
-        0x4005e69d86a1e5da,
-        0x3fb31ceaf8fb5ca1,
-        3423,
-        71716,
-        0,
-    );
-}
-
-/// Under `rng_version: 2` each replica owns a forked jitter stream whose
-/// draw order depends only on that replica's schedule sequence — which is
-/// identical for any shard count — so jittered oracle runs join the sharded
-/// fast path: byte-identical whether the runner routes ahead
-/// (round-robin) or one arrival instant per round (least-outstanding).
-#[test]
-fn sharded_jittered_v2_identical() {
-    for policy in [
-        GlobalPolicyKind::RoundRobin,
-        GlobalPolicyKind::LeastOutstanding,
-    ] {
-        let mut cfg = base_config();
-        cfg.num_replicas = 4;
-        cfg.rng_version = 2;
-        cfg.global_policy = policy;
-        let trace = fixed_trace(200, 8.0, 65);
-        let sequential = ClusterSimulator::new(cfg.clone(), trace.clone(), oracle(), 42).run();
-        for shards in [2, 3] {
-            let mut sharded_cfg = cfg.clone();
-            sharded_cfg.shards = shards;
-            let (sharded, stats) =
-                ClusterSimulator::new(sharded_cfg, trace.clone(), oracle(), 42).run_with_stats();
-            assert_eq!(
-                stats.fallback_reason, None,
-                "{policy:?}: v2 jitter must be fast-path eligible"
-            );
-            assert_eq!(stats.shards, shards);
-            assert_eq!(
-                sequential, sharded,
-                "{policy:?}@{shards}: jittered v2 sharded run must be bit-exact"
-            );
-        }
-    }
-}
-
 /// When a deferral-capable policy actually defers, the bind happens on a
 /// later event — possibly on another shard — so the sharded attempt aborts
 /// mid-run, rebuilds, and re-runs sequentially: byte-exact, with the abort
@@ -779,16 +664,21 @@ fn mergeable_metrics_change_only_quantiles() {
     }
 }
 
-/// Off-fast-path configurations silently fall back to the sequential engine,
-/// so `shards > 1` never changes a report anywhere: the oracle source
-/// (jittered), a stateful routing policy, and the single-replica pins all
-/// stay bit-identical with shards requested.
+/// Off-fast-path configurations fall back to the sequential engine, naming
+/// the reason in `RunStats`, so `shards > 1` never changes a report
+/// anywhere: the oracle source (jittered, on one replica and on two), a
+/// stateful routing policy, and the single-replica pins all stay
+/// bit-identical with shards requested.
 #[test]
 fn sharded_fallback_keeps_pinned_reports() {
     // Oracle jitter → fallback; this is the cluster_oracle_seed42 pin.
+    let jitter_reason = Some("jittered runtimes draw from one engine-wide rng stream");
     let mut cfg = base_config();
     cfg.shards = 4;
-    let report = ClusterSimulator::new(cfg, fixed_trace(80, 2.5, 42), oracle(), 42).run();
+    let (report, stats) =
+        ClusterSimulator::new(cfg, fixed_trace(80, 2.5, 42), oracle(), 42).run_with_stats();
+    assert_eq!(stats.shards, 1, "jitter must force the sequential path");
+    assert_eq!(stats.fallback_reason, jitter_reason);
     assert_fingerprint(
         "cluster_oracle_seed42_sharded",
         &report,
@@ -801,6 +691,19 @@ fn sharded_fallback_keeps_pinned_reports() {
         71716,
         0,
     );
+
+    // The same fallback with two replicas, where sharding is otherwise
+    // possible: jitter alone is the reason, and the report is the
+    // sequential engine's.
+    let mut cfg = base_config();
+    cfg.num_replicas = 2;
+    let trace = fixed_trace(120, 5.0, 42);
+    let sequential = ClusterSimulator::new(cfg.clone(), trace.clone(), oracle(), 42).run();
+    cfg.shards = 4;
+    let (sharded, stats) = ClusterSimulator::new(cfg, trace, oracle(), 42).run_with_stats();
+    assert_eq!(stats.shards, 1, "jitter must force the sequential path");
+    assert_eq!(stats.fallback_reason, jitter_reason);
+    assert_eq!(sequential, sharded, "jittered fallback must be bit-exact");
 
     // Stateful deferred routing → fallback even with the estimator.
     let mut cfg = base_config();
