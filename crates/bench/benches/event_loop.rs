@@ -43,12 +43,13 @@
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use vidur_core::event::{BaselineQueue, EventQueue};
+use vidur_core::event::EventQueue;
 use vidur_core::rng::SimRng;
 use vidur_core::time::{SimDuration, SimTime};
 use vidur_estimator::EstimatorKind;
 use vidur_hardware::GpuSku;
 use vidur_model::{ModelSpec, ParallelismConfig};
+use vidur_oracle::BaselineQueue;
 use vidur_scheduler::{BatchPolicyKind, GlobalPolicyKind, SchedulerConfig};
 use vidur_simulator::cluster::RuntimeSource;
 use vidur_simulator::{

@@ -22,7 +22,7 @@
 //!   hardware-independent).
 //!
 //! Every scenario runs both the optimized `ReplicaScheduler` and the seed's
-//! `ReferenceScheduler` (see `vidur_scheduler::reference`) in the same
+//! `ReferenceScheduler` (from the dev-only `vidur-oracle` crate) in the same
 //! process, so the reported speedup is hardware-independent and the two
 //! implementations are differentially smoke-checked (same batch and
 //! preemption counts) on every run.
@@ -42,9 +42,10 @@ use vidur_core::time::SimTime;
 use vidur_estimator::EstimatorKind;
 use vidur_hardware::GpuSku;
 use vidur_model::{ModelSpec, ParallelismConfig};
+use vidur_oracle::ReferenceScheduler;
 use vidur_scheduler::{
-    BatchPolicyKind, GlobalPolicyKind, ReferenceScheduler, ReplicaScheduler, Request, RouteRequest,
-    RoutingTier, SchedulerConfig,
+    BatchPolicyKind, GlobalPolicyKind, ReplicaScheduler, Request, RouteRequest, RoutingTier,
+    SchedulerConfig,
 };
 use vidur_simulator::cluster::RuntimeSource;
 use vidur_simulator::{onboard, ClusterConfig, ClusterSimulator, PrefixCacheConfig};

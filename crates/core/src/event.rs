@@ -15,13 +15,11 @@
 //! heap links them in `O(1)` and defers all comparison work to `pop`.
 //! Nodes live in a slab `Vec` with an intrusive free list, so steady-state
 //! event churn allocates nothing once the peak queue depth has been
-//! reached. The previous binary-heap implementation is retained as
-//! [`BaselineQueue`] — it is the differential oracle for the pairing heap's
-//! ordering and the reference side of the event-loop microbench.
+//! reached. The previous binary-heap implementation lives on in the
+//! dev-only `vidur-oracle` crate — the differential oracle for the pairing
+//! heap's ordering and the reference side of the event-loop microbench.
 
 use crate::time::SimTime;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 const NIL: u32 = u32::MAX;
@@ -223,7 +221,6 @@ pub trait EventPush<E> {
 pub struct EventQueue<E> {
     heap: KeyedPairingHeap<(SimTime, u64), E>,
     seq: u64,
-    popped: u64,
 }
 
 impl<E> fmt::Debug for EventQueue<E> {
@@ -231,7 +228,6 @@ impl<E> fmt::Debug for EventQueue<E> {
         f.debug_struct("EventQueue")
             .field("len", &self.heap.len())
             .field("scheduled", &self.seq)
-            .field("processed", &self.popped)
             .finish()
     }
 }
@@ -248,7 +244,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: KeyedPairingHeap::new(),
             seq: 0,
-            popped: 0,
         }
     }
 
@@ -261,7 +256,6 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event, FIFO among ties.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let ((time, _), payload) = self.heap.pop()?;
-        self.popped += 1;
         Some((time, payload))
     }
 
@@ -280,16 +274,6 @@ impl<E> EventQueue<E> {
         self.heap.is_empty()
     }
 
-    /// Total number of events ever scheduled.
-    pub fn scheduled_count(&self) -> u64 {
-        self.seq
-    }
-
-    /// Total number of events processed (popped).
-    pub fn processed_count(&self) -> u64 {
-        self.popped
-    }
-
     /// Drops all pending events.
     pub fn clear(&mut self) {
         self.heap.clear();
@@ -299,99 +283,6 @@ impl<E> EventQueue<E> {
 impl<E> EventPush<E> for EventQueue<E> {
     fn push(&mut self, time: SimTime, payload: E) {
         EventQueue::push(self, time, payload)
-    }
-}
-
-/// An entry in the baseline binary heap. Ordered so the *earliest* time pops
-/// first and ties break in insertion order.
-struct Entry<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so smallest (time, seq) pops first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The original `BinaryHeap`-backed event queue, kept as the differential
-/// oracle for [`EventQueue`]'s pairing heap and as the reference side of the
-/// event-loop microbench. Same `(time, seq)` ordering contract.
-pub struct BaselineQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
-    seq: u64,
-}
-
-impl<E> Default for BaselineQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> fmt::Debug for BaselineQueue<E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("BaselineQueue")
-            .field("len", &self.heap.len())
-            .finish()
-    }
-}
-
-impl<E> BaselineQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        BaselineQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
-    }
-
-    /// Schedules `payload` to fire at `time`.
-    pub fn push(&mut self, time: SimTime, payload: E) {
-        let entry = Entry {
-            time,
-            seq: self.seq,
-            payload,
-        };
-        self.seq += 1;
-        self.heap.push(entry);
-    }
-
-    /// Removes and returns the earliest event, FIFO among ties.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let entry = self.heap.pop()?;
-        Some((entry.time, entry.payload))
-    }
-
-    /// Returns the timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -520,10 +411,8 @@ mod tests {
         let mut q = EventQueue::new();
         q.push(SimTime::ZERO, ());
         q.push(SimTime::ZERO, ());
-        assert_eq!(q.scheduled_count(), 2);
         assert_eq!(q.len(), 2);
         q.pop();
-        assert_eq!(q.processed_count(), 1);
         assert_eq!(q.len(), 1);
         q.clear();
         assert!(q.is_empty());
@@ -655,32 +544,6 @@ mod tests {
             let mut n = 0;
             while q.pop().is_some() { n += 1; }
             prop_assert_eq!(n, times.len());
-        }
-
-        /// Differential oracle: interleaved push/pop programs produce the
-        /// exact same event stream from the pairing heap as from the
-        /// baseline binary heap. Times are drawn from a tiny range so
-        /// equal-timestamp ties are dense.
-        #[test]
-        fn matches_baseline_queue(
-            ops in proptest::collection::vec((0u64..16, proptest::bool::ANY), 1..300)
-        ) {
-            let mut fast = EventQueue::new();
-            let mut base = BaselineQueue::new();
-            let mut tag = 0u64;
-            for &(t, is_pop) in &ops {
-                if is_pop {
-                    prop_assert_eq!(fast.pop(), base.pop());
-                } else {
-                    fast.push(SimTime::from_nanos(t), tag);
-                    base.push(SimTime::from_nanos(t), tag);
-                    tag += 1;
-                }
-            }
-            while let Some(got) = fast.pop() {
-                prop_assert_eq!(Some(got), base.pop());
-            }
-            prop_assert!(base.pop().is_none());
         }
     }
 }

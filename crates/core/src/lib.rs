@@ -9,15 +9,15 @@
 //!   discrete-event keys.
 //! * [`rng`] — deterministic, seedable random number generation
 //!   ([`rng::SimRng`]) with the distribution helpers the workload generators
-//!   and the hardware noise model need (exponential, log-normal, gamma,
-//!   Poisson). Simulations are reproducible: the same seed always yields the
-//!   same trace and the same measurements.
+//!   and the hardware noise model need (exponential, log-normal, gamma).
+//!   Simulations are reproducible: the same seed always yields the same
+//!   trace and the same measurements.
 //! * [`event`] — a generic discrete-event queue ([`event::EventQueue`]) with
 //!   stable FIFO tie-breaking at equal timestamps, and a small driver loop
 //!   ([`event::Simulation`], [`event::run`]). The queue is a slab-backed
 //!   pairing heap ([`event::KeyedPairingHeap`]); the previous binary-heap
-//!   implementation survives as [`event::BaselineQueue`], the differential
-//!   oracle.
+//!   implementation, its differential oracle, lives in the dev-only
+//!   `vidur-oracle` crate.
 //! * [`shard`] — shard-local event queues ([`shard::ShardQueue`]) whose pop
 //!   streams can be merged back into the exact sequential global order
 //!   ([`shard::ShardStamper`]), the foundation of the parallel simulator.
@@ -54,7 +54,7 @@ pub mod rng;
 pub mod shard;
 pub mod time;
 
-pub use event::{BaselineQueue, EventPush, EventQueue, KeyedPairingHeap, Simulation};
+pub use event::{EventPush, EventQueue, KeyedPairingHeap, Simulation};
 pub use mergeable::{HyperLogLog, TDigest};
 pub use metrics::{QuantileDigest, QuantileMode, TimeWeightedSeries};
 pub use rng::SimRng;

@@ -9,8 +9,7 @@
 //!
 //! The distribution helpers implemented here are exactly the ones the rest of
 //! the framework needs: uniform, normal (Box–Muller), log-normal, exponential
-//! (inverse CDF), gamma (Marsaglia–Tsang), and Poisson (Knuth / normal
-//! approximation for large means).
+//! (inverse CDF), gamma (Marsaglia–Tsang), and weighted discrete choice.
 
 use serde::{Deserialize, Serialize};
 
@@ -172,35 +171,6 @@ impl SimRng {
         }
     }
 
-    /// Poisson draw with the given mean.
-    ///
-    /// Uses Knuth's method for small means and a rounded normal
-    /// approximation for large ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean` is negative or non-finite.
-    pub fn poisson(&mut self, mean: f64) -> u64 {
-        assert!(mean.is_finite() && mean >= 0.0);
-        if mean == 0.0 {
-            return 0;
-        }
-        if mean > 64.0 {
-            let x = self.normal_with(mean, mean.sqrt());
-            return x.max(0.0).round() as u64;
-        }
-        let l = (-mean).exp();
-        let mut k = 0u64;
-        let mut p = 1.0;
-        loop {
-            p *= self.next_f64();
-            if p <= l {
-                return k;
-            }
-            k += 1;
-        }
-    }
-
     /// Samples an index from a discrete distribution given by `weights`.
     ///
     /// # Panics
@@ -220,14 +190,6 @@ impl SimRng {
             }
         }
         weights.len() - 1
-    }
-
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.next_below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
     }
 }
 
@@ -325,18 +287,6 @@ mod tests {
     }
 
     #[test]
-    fn poisson_small_and_large_mean() {
-        let mut rng = SimRng::new(29);
-        let small: Vec<f64> = (0..50_000).map(|_| rng.poisson(3.0) as f64).collect();
-        let (mean, _) = sample_mean_std(&small);
-        assert!((mean - 3.0).abs() < 0.05, "small mean {mean}");
-        let large: Vec<f64> = (0..50_000).map(|_| rng.poisson(200.0) as f64).collect();
-        let (mean, std) = sample_mean_std(&large);
-        assert!((mean - 200.0).abs() < 0.5, "large mean {mean}");
-        assert!((std - 200.0_f64.sqrt()).abs() < 0.5, "large std {std}");
-    }
-
-    #[test]
     fn log_normal_median() {
         let mut rng = SimRng::new(31);
         let mut samples: Vec<f64> = (0..50_001).map(|_| rng.log_normal(1.0, 0.8)).collect();
@@ -356,16 +306,6 @@ mod tests {
         assert_eq!(counts[1], 0);
         let ratio = counts[2] as f64 / counts[0] as f64;
         assert!((ratio - 3.0).abs() < 0.2, "ratio {ratio}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(41);
-        let mut v: Vec<u32> = (0..100).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
     }
 
     proptest! {

@@ -110,11 +110,6 @@ impl RegressionTree {
         }
     }
 
-    /// Number of nodes in the tree.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Number of leaves.
     pub fn leaf_count(&self) -> usize {
         self.nodes

@@ -43,17 +43,6 @@ impl CollectiveModel {
         }
     }
 
-    /// Builds a model with an explicit fast-link span (for what-if topology
-    /// studies).
-    pub fn with_span(sku: &GpuSku, nvlink_span: u32) -> Self {
-        assert!(nvlink_span >= 1);
-        CollectiveModel {
-            nvlink_bandwidth: sku.nvlink_bandwidth,
-            pcie_bandwidth: sku.pcie_bandwidth,
-            nvlink_span,
-        }
-    }
-
     fn link_bandwidth(&self, world: u32) -> f64 {
         if world <= self.nvlink_span {
             self.nvlink_bandwidth * LINK_EFFICIENCY

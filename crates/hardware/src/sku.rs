@@ -93,24 +93,11 @@ impl GpuSku {
             .into_iter()
             .find(|s| s.name == lower || s.name.starts_with(&lower))
     }
-
-    /// Machine balance point (FLOPs per byte at which compute and memory
-    /// cost equalize); inputs with lower arithmetic intensity are
-    /// memory-bound.
-    pub fn ridge_point(&self) -> f64 {
-        self.peak_fp16_flops / self.mem_bandwidth
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn a100_ridge_point_plausible() {
-        let r = GpuSku::a100_80g().ridge_point();
-        assert!(r > 100.0 && r < 250.0, "{r}");
-    }
 
     #[test]
     fn h100_outclasses_a100() {

@@ -146,15 +146,6 @@ impl BatchComposition {
             .map(|s| s.kv_read_tokens())
             .sum()
     }
-
-    /// Total KV-cache tokens resident for the batch's requests after the
-    /// iteration completes (used by the memory manager / metrics).
-    pub fn kv_tokens_after(&self) -> u64 {
-        self.slices
-            .iter()
-            .map(|s| s.cached_tokens + s.query_tokens)
-            .sum()
-    }
 }
 
 /// The operator invocations one pipeline stage executes for a batch, plus
@@ -418,7 +409,6 @@ mod tests {
         assert_eq!(b.num_prefill(), 2);
         assert_eq!(b.num_decode(), 2);
         assert_eq!(b.decode_kv_read_tokens(), 1001 + 51);
-        assert_eq!(b.kv_tokens_after(), 256 + 640 + 1001 + 51);
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl MemoryPlan {
         self.num_kv_blocks * self.block_size as u64
     }
 
-    /// Blocks needed to hold `tokens` cached tokens.
-    pub fn blocks_for_tokens(&self, tokens: u64) -> u64 {
-        tokens.div_ceil(self.block_size as u64)
-    }
-
     /// Fraction of KV capacity consumed by `tokens` cached tokens.
     pub fn utilization(&self, tokens: u64) -> f64 {
         if self.max_tokens() == 0 {
@@ -160,21 +155,6 @@ mod tests {
             qwen.max_tokens(),
             llama.max_tokens()
         );
-    }
-
-    #[test]
-    fn blocks_for_tokens_rounds_up() {
-        let plan = MemoryPlan::compute(
-            &ModelSpec::llama2_7b(),
-            &ParallelismConfig::serial(),
-            80.0 * GB,
-            16,
-        )
-        .unwrap();
-        assert_eq!(plan.blocks_for_tokens(0), 0);
-        assert_eq!(plan.blocks_for_tokens(1), 1);
-        assert_eq!(plan.blocks_for_tokens(16), 1);
-        assert_eq!(plan.blocks_for_tokens(17), 2);
     }
 
     #[test]

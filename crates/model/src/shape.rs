@@ -85,87 +85,9 @@ pub struct KvInvariantKey {
     prefill_query_tokens: u64,
 }
 
-/// Per-lane accumulator for the unrolled [`BatchShapeKey::from_batch`]
-/// reduction. All five aggregates are sums of per-slice terms, so each term
-/// can be computed branch-free (the prefill/decode split becomes a 0/1 mask
-/// multiply) and the lanes summed in any order without changing the result —
-/// u64 addition is associative, unlike the floating-point accumulations
-/// elsewhere in the engine.
-#[derive(Clone, Copy, Default)]
-struct ShapeLane {
-    total_query_tokens: u64,
-    num_decode: u64,
-    prefill_work: u64,
-    prefill_query_tokens: u64,
-    decode_kv_read_tokens: u64,
-}
-
-impl ShapeLane {
-    #[inline(always)]
-    fn accumulate(&mut self, s: &crate::batch::RequestSlice) {
-        let q = s.query_tokens;
-        let c = s.cached_tokens;
-        let m = s.is_prefill as u64; // 1 for prefill, 0 for decode
-        self.total_query_tokens += q;
-        self.prefill_work += m * q * (q + 2 * c);
-        self.prefill_query_tokens += m * q;
-        self.num_decode += 1 - m;
-        // kv_read_tokens() == c + q for any slice; masked out for prefill.
-        self.decode_kv_read_tokens += (1 - m) * (c + q);
-    }
-
-    #[inline(always)]
-    fn merge(self, other: ShapeLane) -> ShapeLane {
-        ShapeLane {
-            total_query_tokens: self.total_query_tokens + other.total_query_tokens,
-            num_decode: self.num_decode + other.num_decode,
-            prefill_work: self.prefill_work + other.prefill_work,
-            prefill_query_tokens: self.prefill_query_tokens + other.prefill_query_tokens,
-            decode_kv_read_tokens: self.decode_kv_read_tokens + other.decode_kv_read_tokens,
-        }
-    }
-}
-
 impl BatchShapeKey {
     /// Derives the shape of `batch` in one pass over its slices.
-    ///
-    /// The reduction runs four independent accumulator lanes over 4-slice
-    /// chunks with the prefill/decode branch turned into a mask multiply, so
-    /// the loop body is straight-line integer math with no carried
-    /// dependency between neighbouring slices — the shape the
-    /// auto-vectorizer (and the out-of-order core) wants. Bit-identical to
-    /// the scalar single-lane reduction by associativity of `u64` addition.
     pub fn from_batch(batch: &BatchComposition) -> Self {
-        let slices = batch.slices();
-        let mut lanes = [ShapeLane::default(); 4];
-        let mut chunks = slices.chunks_exact(4);
-        for chunk in &mut chunks {
-            lanes[0].accumulate(&chunk[0]);
-            lanes[1].accumulate(&chunk[1]);
-            lanes[2].accumulate(&chunk[2]);
-            lanes[3].accumulate(&chunk[3]);
-        }
-        for s in chunks.remainder() {
-            lanes[0].accumulate(s);
-        }
-        let folded = lanes[0].merge(lanes[1]).merge(lanes[2].merge(lanes[3]));
-        BatchShapeKey {
-            kv_invariant: KvInvariantKey {
-                total_query_tokens: folded.total_query_tokens,
-                num_requests: batch.num_requests() as u64,
-                num_decode: folded.num_decode,
-                prefill_work: folded.prefill_work,
-                prefill_query_tokens: folded.prefill_query_tokens,
-            },
-            decode_kv_read_tokens: folded.decode_kv_read_tokens,
-        }
-    }
-
-    /// The original scalar reduction, kept as the differential reference
-    /// for the unrolled fast path (see the `unrolled_key_matches_scalar`
-    /// proptest).
-    #[doc(hidden)]
-    pub fn from_batch_scalar(batch: &BatchComposition) -> Self {
         let mut inv = KvInvariantKey {
             total_query_tokens: 0,
             num_requests: batch.num_requests() as u64,
@@ -545,39 +467,6 @@ mod tests {
         assert!((attributed - total_execs as f64 * 1e-6).abs() < 1e-9);
         assert_eq!(timing.model_flops(), plan.model_flops());
         assert_eq!(timing.total_tokens(), plan.total_tokens());
-    }
-
-    mod unrolled_matches_scalar {
-        use super::*;
-        use proptest::prelude::*;
-
-        fn arb_slice() -> impl Strategy<Value = RequestSlice> {
-            (1u64..4096, 0u64..8192, proptest::bool::ANY, 0u64..1_000).prop_map(
-                |(q, cached, is_prefill, id)| {
-                    if is_prefill {
-                        RequestSlice::prefill(id, q, cached)
-                    } else {
-                        RequestSlice::decode(id, cached)
-                    }
-                },
-            )
-        }
-
-        proptest! {
-            /// The unrolled mask-select reduction must produce the exact
-            /// same key as the scalar branchy reference for any slice mix
-            /// and any length (covering all chunk remainders 0..=3).
-            #[test]
-            fn unrolled_key_matches_scalar(
-                slices in proptest::collection::vec(arb_slice(), 1..40)
-            ) {
-                let batch = BatchComposition::new(slices);
-                prop_assert_eq!(
-                    BatchShapeKey::from_batch(&batch),
-                    BatchShapeKey::from_batch_scalar(&batch)
-                );
-            }
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! It exists for two reasons:
 //!
 //! 1. **Differential testing**: `tests/formation_equivalence.rs` drives this
-//!    and the optimized [`ReplicaScheduler`](crate::ReplicaScheduler) with
+//!    and the optimized [`ReplicaScheduler`] with
 //!    identical inputs across all five policies and asserts byte-identical
 //!    slice sequences, preemption counts, and block-manager state.
 //! 2. **Benchmark baseline**: `vidur-bench`'s scheduler suite measures the
@@ -19,14 +19,16 @@
 //!    making the speedup claim hardware-independent and re-checkable in CI.
 //!
 //! Keep this module boring. Do not optimize it.
+//!
+//! [`ReplicaScheduler`]: vidur_scheduler::ReplicaScheduler
 
-use crate::config::{BatchPolicyKind, SchedulerConfig};
-use crate::memory::BlockManager;
-use crate::replica::CompletionEvent;
-use crate::request::{Request, RequestId, RequestPhase, TrackedRequest};
-use crate::slab::IdSlab;
 use std::collections::VecDeque;
 use vidur_model::batch::{BatchComposition, RequestSlice};
+use vidur_scheduler::replica::CompletionEvent;
+use vidur_scheduler::{
+    BatchPolicyKind, BlockManager, IdSlab, Request, RequestId, RequestPhase, SchedulerConfig,
+    TrackedRequest,
+};
 
 /// The seed's replica scheduler: same policies, same decisions, naive data
 /// structures. See the module docs.
@@ -75,7 +77,7 @@ impl ReferenceScheduler {
     }
 
     /// Arms the prefix-cache tier, mirroring
-    /// [`ReplicaScheduler::arm_prefix_cache`](crate::ReplicaScheduler::arm_prefix_cache).
+    /// [`ReplicaScheduler::arm_prefix_cache`](vidur_scheduler::ReplicaScheduler::arm_prefix_cache).
     ///
     /// # Panics
     ///

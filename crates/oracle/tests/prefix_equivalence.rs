@@ -19,9 +19,9 @@
 use proptest::prelude::*;
 use vidur_core::time::SimTime;
 use vidur_model::batch::BatchComposition;
+use vidur_oracle::ReferenceScheduler;
 use vidur_scheduler::{
-    BatchPolicyKind, BlockManager, ReferenceScheduler, ReplicaScheduler, Request, SchedulerConfig,
-    NO_PREFIX,
+    BatchPolicyKind, BlockManager, ReplicaScheduler, Request, SchedulerConfig, NO_PREFIX,
 };
 
 const POLICIES: [BatchPolicyKind; 6] = [

@@ -9,9 +9,8 @@
 use proptest::prelude::*;
 use vidur_core::time::SimTime;
 use vidur_model::batch::BatchComposition;
-use vidur_scheduler::{
-    BatchPolicyKind, ReferenceScheduler, ReplicaScheduler, Request, SchedulerConfig,
-};
+use vidur_oracle::ReferenceScheduler;
+use vidur_scheduler::{BatchPolicyKind, ReplicaScheduler, Request, SchedulerConfig};
 
 const POLICIES: [BatchPolicyKind; 6] = [
     BatchPolicyKind::Vllm,

@@ -11,7 +11,8 @@
 
 use proptest::prelude::*;
 use std::collections::VecDeque;
-use vidur_scheduler::{GlobalPolicy, GlobalPolicyKind, RouteRequest, RoutingTier};
+use vidur_oracle::GlobalPolicy;
+use vidur_scheduler::{GlobalPolicyKind, RouteRequest, RoutingTier};
 
 const LEGACY_POLICIES: [GlobalPolicyKind; 4] = [
     GlobalPolicyKind::RoundRobin,
@@ -218,5 +219,22 @@ fn tier_reports_its_kind() {
     for kind in LEGACY_POLICIES {
         let tier = RoutingTier::new(kind, 2, 0, &[]);
         assert_eq!(tier.kind(), kind);
+    }
+}
+
+/// The random policy draws the exact replica stream the spec router draws
+/// from the same seed.
+#[test]
+fn random_matches_legacy_stream() {
+    let mut legacy = GlobalPolicy::new(GlobalPolicyKind::Random, 4, 9);
+    let mut tier = RoutingTier::new(GlobalPolicyKind::Random, 4, 9, &[]);
+    for i in 0..64 {
+        let req = RouteRequest {
+            key: i,
+            tenant: 0,
+            priority: 0,
+            tokens: 1,
+        };
+        assert_eq!(Some(legacy.route(&[0; 4])), tier.route(req));
     }
 }

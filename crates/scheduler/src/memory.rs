@@ -106,11 +106,6 @@ impl BlockManager {
         self.prefix_armed = true;
     }
 
-    /// Whether the prefix-cache tier is armed.
-    pub fn prefix_cache_armed(&self) -> bool {
-        self.prefix_armed
-    }
-
     /// Sets `id`'s held-block count, keeping the holder count in sync.
     fn set_held(&mut self, id: RequestId, blocks: u64) {
         let idx = id as usize;
@@ -159,13 +154,6 @@ impl BlockManager {
     /// Blocks currently held by `id`.
     pub fn held_by(&self, id: RequestId) -> u64 {
         self.held.get(id as usize).copied().unwrap_or(0)
-    }
-
-    /// Whether an *admission* reserving blocks for `tokens` tokens would
-    /// succeed while respecting the watermark.
-    pub fn can_admit(&self, tokens: u64) -> bool {
-        let need = self.blocks_for(tokens);
-        self.free_blocks() >= need + self.watermark_blocks
     }
 
     /// Reserves blocks so `id` holds capacity for `total_tokens` cached
@@ -470,12 +458,6 @@ mod tests {
         let mut m = BlockManager::new(10, 16, 0.0);
         m.release(42);
         assert_eq!(m.used_blocks(), 0);
-    }
-
-    #[test]
-    fn can_admit_matches_try_reserve() {
-        let mut m = BlockManager::new(10, 16, 0.1);
-        assert_eq!(m.can_admit(100), m.try_reserve(1, 100));
     }
 
     #[test]

@@ -18,12 +18,13 @@
 //! allocation-free and scan-free:
 //!
 //! * The running set is **phase-partitioned** into two intrusive
-//!   doubly-linked lists ([`Self::prefilling`] / [`Self::decoding`]) threaded
+//!   doubly-linked lists (`prefilling` / `decoding`) threaded
 //!   through `TrackedRequest::{prev, next}` and ordered by an admission
 //!   sequence number, which reproduces the seed's single admission-ordered
 //!   `running` vector exactly (the differential proptest in
-//!   `tests/formation_equivalence.rs` pins this). Admit, finish and preempt
-//!   are O(1) unlinks instead of `retain`/`rposition` scans.
+//!   `crates/oracle/tests/formation_equivalence.rs` pins this). Admit,
+//!   finish and preempt are O(1) unlinks instead of `retain`/`rposition`
+//!   scans.
 //! * Per-call id snapshots go through one reusable scratch buffer; batch
 //!   slice vectors are pooled and round-trip through
 //!   [`ReplicaScheduler::recycle_batch`].

@@ -173,11 +173,6 @@ impl TrackedRequest {
         self.spec.prefill_tokens - self.prefilled
     }
 
-    /// Output tokens still to produce.
-    pub fn remaining_decode(&self) -> u64 {
-        self.spec.decode_tokens - self.decoded
-    }
-
     /// Returns `true` once the prompt is fully processed.
     pub fn prefill_complete(&self) -> bool {
         self.prefilled == self.spec.prefill_tokens
@@ -227,7 +222,6 @@ mod tests {
         t.phase = RequestPhase::Decoding;
         assert!(t.prefill_complete());
         assert_eq!(t.cached_tokens(), 101);
-        assert_eq!(t.remaining_decode(), 9);
         t.decoded = 10;
         assert!(t.finished());
     }

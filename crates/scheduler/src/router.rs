@@ -1,9 +1,9 @@
 //! The global routing tier (paper §4.5, first tier) as a real subsystem.
 //!
-//! [`GlobalPolicy`](crate::GlobalPolicy) is the seed's stateless
-//! enum-match router and survives as the executable spec (the differential
-//! test in `tests/routing_equivalence.rs` pins the two against each other).
-//! This module is what the simulators actually run:
+//! The seed's stateless enum-match router survives as the executable spec
+//! `GlobalPolicy` in the dev-only `vidur-oracle` crate, whose
+//! `crates/oracle/tests/routing_equivalence.rs` pins the two against each
+//! other. This module is what the simulators actually run:
 //!
 //! * [`RouterView`] — live replica state (outstanding requests, in-system
 //!   tokens, free KV blocks, per-tenant in-system counts), maintained
@@ -19,8 +19,8 @@
 //!   dispatch through one of these.
 //!
 //! Seven policies ship: the four seed policies (round-robin,
-//! least-outstanding, random, deferred — byte-identical decisions to
-//! [`GlobalPolicy`](crate::GlobalPolicy)), plus the stateful tier policies
+//! least-outstanding, random, deferred — byte-identical decisions to the
+//! seed's `GlobalPolicy`), plus the stateful tier policies
 //! the seed could not express: priority-aware deferred routing, weighted
 //! fair-share (WFQ-style virtual time per tenant), and sticky tenant
 //! affinity with load-aware spill.
@@ -848,16 +848,6 @@ mod tests {
         assert_eq!(tier.route(req(4, 0, 0, 10)), Some(2));
         assert_eq!(tier.view().outstanding(0), 2);
         assert_eq!(tier.view().outstanding(2), 1);
-    }
-
-    #[test]
-    fn random_matches_legacy_stream() {
-        use crate::global::GlobalPolicy;
-        let mut legacy = GlobalPolicy::new(GlobalPolicyKind::Random, 4, 9);
-        let mut tier = RoutingTier::new(GlobalPolicyKind::Random, 4, 9, &[]);
-        for i in 0..64 {
-            assert_eq!(Some(legacy.route(&[0; 4])), tier.route(req(i, 0, 0, 1)));
-        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! With PP degree `k`, a batch flows through `k` stages in order; a stage
 //! can start a batch only after (a) the previous stage of the *same* batch
 //! finished and (b) its own previous batch departed. The tracker computes
-//! entry/exit times under both constraints and exposes pipeline-bubble
-//! statistics (idle time while work exists upstream).
+//! entry/exit times under both constraints; a stage that waits on its
+//! upstream neighbour idles (a pipeline bubble) and the completion times
+//! show it.
 
 use serde::{Deserialize, Serialize};
 use vidur_core::time::{SimDuration, SimTime};
@@ -29,10 +30,6 @@ use vidur_core::time::{SimDuration, SimTime};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PipelineTracker {
     busy_until: Vec<SimTime>,
-    busy_time: Vec<SimDuration>,
-    last_exit: Vec<SimTime>,
-    bubble_time: SimDuration,
-    batches: u64,
 }
 
 impl PipelineTracker {
@@ -45,10 +42,6 @@ impl PipelineTracker {
         assert!(num_stages > 0, "pipeline needs at least one stage");
         PipelineTracker {
             busy_until: vec![SimTime::ZERO; num_stages],
-            busy_time: vec![SimDuration::ZERO; num_stages],
-            last_exit: vec![SimTime::ZERO; num_stages],
-            bubble_time: SimDuration::ZERO,
-            batches: 0,
         }
     }
 
@@ -70,53 +63,16 @@ impl PipelineTracker {
             "stage time vector length mismatch"
         );
         let mut t = start;
-        for (s, &dur) in stage_times.iter().enumerate() {
-            let enter = t.max(self.busy_until[s]);
-            // Bubble: the stage sat idle between its last batch and this one
-            // even though this batch existed upstream (only counted when the
-            // stall came from waiting on upstream, i.e. enter > busy_until).
-            if self.batches > 0 && enter > self.busy_until[s] && self.busy_until[s] > SimTime::ZERO
-            {
-                self.bubble_time += enter.duration_since(self.busy_until[s]);
-            }
-            let exit = enter + dur;
-            self.busy_until[s] = exit;
-            self.busy_time[s] += dur;
-            self.last_exit[s] = exit;
-            t = exit;
+        for (busy_until, &dur) in self.busy_until.iter_mut().zip(stage_times) {
+            t = t.max(*busy_until) + dur;
+            *busy_until = t;
         }
-        self.batches += 1;
         t
     }
 
     /// When stage 0 can next accept a batch.
     pub fn stage0_free_at(&self) -> SimTime {
         self.busy_until[0]
-    }
-
-    /// When the whole pipeline drains.
-    pub fn drained_at(&self) -> SimTime {
-        *self.busy_until.iter().max().expect("non-empty")
-    }
-
-    /// Cumulative busy time of stage `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    pub fn stage_busy_time(&self, s: usize) -> SimDuration {
-        self.busy_time[s]
-    }
-
-    /// Total pipeline bubble (inter-batch stall) time accumulated across
-    /// stages.
-    pub fn bubble_time(&self) -> SimDuration {
-        self.bubble_time
-    }
-
-    /// Batches scheduled so far.
-    pub fn batches(&self) -> u64 {
-        self.batches
     }
 }
 
@@ -152,13 +108,13 @@ mod tests {
     #[test]
     fn imbalanced_stages_create_bubbles() {
         let mut p = PipelineTracker::new(2);
-        // Stage 1 is 3x slower: stage 0 finishes batches faster than stage 1
-        // accepts them — and stage 1 never stalls; stage-0-bound case is the
-        // reverse. Use slow stage 0 so stage 1 stalls waiting for input.
-        p.schedule(SimTime::ZERO, &[ms(30), ms(10)]);
-        p.schedule(SimTime::from_secs_f64(0.030), &[ms(30), ms(10)]);
-        // Stage 1 idle from t=40 to t=60 waiting on stage 0 => 20ms bubble.
-        assert_eq!(p.bubble_time(), ms(20));
+        // Slow stage 0, so stage 1 stalls waiting for input.
+        let d1 = p.schedule(SimTime::ZERO, &[ms(30), ms(10)]);
+        let d2 = p.schedule(SimTime::from_secs_f64(0.030), &[ms(30), ms(10)]);
+        assert_eq!(d1, SimTime::from_secs_f64(0.040));
+        // Stage 1 idles from t=40 to t=60 waiting on stage 0 (a 20ms
+        // bubble), so batch 2 leaves at 70ms, not 50ms.
+        assert_eq!(d2, SimTime::from_secs_f64(0.070));
     }
 
     #[test]
@@ -166,28 +122,13 @@ mod tests {
         let mut p = PipelineTracker::new(4);
         let times = [ms(10), ms(10), ms(10), ms(10)];
         let mut start = SimTime::ZERO;
-        for _ in 0..10 {
-            p.schedule(start, &times);
+        for i in 0..10u64 {
+            let done = p.schedule(start, &times);
+            // No stage ever waits: batch i leaves one stage time after
+            // batch i-1, after the 40ms fill.
+            assert_eq!(done, SimTime::ZERO + ms(40 + 10 * i));
             start = p.stage0_free_at();
         }
-        assert_eq!(p.bubble_time(), SimDuration::ZERO);
-        assert_eq!(p.batches(), 10);
-    }
-
-    #[test]
-    fn busy_time_accumulates() {
-        let mut p = PipelineTracker::new(2);
-        p.schedule(SimTime::ZERO, &[ms(10), ms(20)]);
-        p.schedule(SimTime::ZERO, &[ms(10), ms(20)]);
-        assert_eq!(p.stage_busy_time(0), ms(20));
-        assert_eq!(p.stage_busy_time(1), ms(40));
-    }
-
-    #[test]
-    fn drained_at_is_max_stage() {
-        let mut p = PipelineTracker::new(3);
-        p.schedule(SimTime::ZERO, &[ms(5), ms(50), ms(5)]);
-        assert_eq!(p.drained_at(), SimTime::from_secs_f64(0.060));
     }
 
     proptest! {

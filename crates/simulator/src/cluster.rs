@@ -2,7 +2,7 @@
 //!
 //! Events: request arrivals, replica wake-ups (stage 0 freed), and batch
 //! completions. Batch formation, stage timing, and completion bookkeeping
-//! live in the shared [`engine`](crate::engine); this module contributes the
+//! live in the shared [`engine`]; this module contributes the
 //! aggregated-cluster policy: a [`RoutingTier`] global router (paper §4.5 —
 //! stateless and stateful deferred policies, fair-share, affinity) and
 //! per-batch HBM-traffic pricing for MBU. With PP > 1, several disjoint
@@ -11,9 +11,7 @@
 
 use crate::config::ClusterConfig;
 use crate::engine::{self, BatchEngine, EngineReplica};
-use crate::faults::{
-    Autoscaler, AutoscalerSpec, FleetObservation, ScaleDecision, SloQueueAutoscaler,
-};
+use crate::faults::{FleetObservation, ScaleDecision, SloQueueAutoscaler};
 use crate::metrics::{FleetStats, SimulationReport, TenantRoutingStats};
 use vidur_core::event::{EventQueue, Simulation};
 use vidur_core::time::{SimDuration, SimTime};
@@ -53,10 +51,9 @@ pub(crate) struct ElasticState {
     /// Warm-up delay priced once from the warm-up model and the replica's
     /// total weight bytes.
     warmup_delay: SimDuration,
-    /// Armed autoscaler bounds/thresholds, if any.
-    spec: Option<AutoscalerSpec>,
-    /// The autoscaling policy (defaults to [`SloQueueAutoscaler`]).
-    policy: Option<Box<dyn Autoscaler>>,
+    /// The armed autoscaler (its spec holds the bounds and thresholds), if
+    /// any.
+    autoscaler: Option<SloQueueAutoscaler>,
     /// Dispatches per trace index: a second dispatch is a retry.
     dispatch_count: Vec<u32>,
     retries: u64,
@@ -90,10 +87,7 @@ impl ElasticState {
         ElasticState {
             records: config.faults.schedule.records.clone(),
             warmup_delay: SimDuration::from_secs_f64(warmup_delay_secs),
-            spec: config.autoscaler,
-            policy: config
-                .autoscaler
-                .map(|spec| Box::new(SloQueueAutoscaler::new(spec)) as Box<dyn Autoscaler>),
+            autoscaler: config.autoscaler.map(SloQueueAutoscaler::new),
             dispatch_count: vec![0; trace_len],
             retries: 0,
             requeued: 0,
@@ -280,7 +274,8 @@ impl ClusterSimulator {
         ClusterSimulator::with_timer(config, trace, timer, seed)
     }
 
-    /// Builds a simulator around an existing [`StageTimer`], sharing its
+    /// Builds a simulator around an existing
+    /// [`StageTimer`](crate::timing::StageTimer), sharing its
     /// batch-shape cache with other runs cloned from the same timer (the
     /// capacity search prices every bisection probe of a configuration this
     /// way). The timer must have been built for a configuration with the
@@ -341,17 +336,6 @@ impl ClusterSimulator {
         }
     }
 
-    /// Replaces the default [`SloQueueAutoscaler`] with a custom policy.
-    /// Only meaningful when [`ClusterConfig::autoscaler`] is armed (the
-    /// spec still provides the cadence and fleet bounds); a no-op otherwise.
-    pub fn set_autoscaler_policy(&mut self, policy: Box<dyn Autoscaler>) {
-        if let Some(el) = self.elastic.as_deref_mut() {
-            if el.spec.is_some() {
-                el.policy = Some(policy);
-            }
-        }
-    }
-
     /// Runs the simulation to completion (all requests finished, the
     /// configured time cap reached, or the event budget exhausted) and
     /// returns the report.
@@ -406,14 +390,14 @@ impl ClusterSimulator {
                 for (i, rec) in el.records.iter().enumerate() {
                     arrivals.push((rec.at, SimEvent::Fault(i as u32)));
                 }
-                if let Some(spec) = el.spec {
+                if let Some(autoscaler) = &el.autoscaler {
                     arrivals.push((
-                        SimTime::from_secs_f64(spec.interval_secs),
+                        SimTime::from_secs_f64(autoscaler.spec.interval_secs),
                         SimEvent::AutoscaleTick,
                     ));
                 }
             }
-            let (end, _) = engine::drive(&mut self, arrivals);
+            let (end, _) = engine::drive(&mut self, arrivals, engine::MAX_EVENTS);
             if let Some(el) = self.elastic.take() {
                 self.engine.metrics.set_fleet(el.into_fleet_stats(end));
             }
@@ -716,9 +700,11 @@ impl ClusterSimulator {
         }
         let (spec, decision) = {
             let el = self.elastic.as_deref_mut().expect("elastic armed");
-            let spec = el.spec.expect("tick only fires with an armed autoscaler");
+            let autoscaler = el
+                .autoscaler
+                .as_ref()
+                .expect("tick only fires with an armed autoscaler");
             let obs = FleetObservation {
-                now_secs: now.as_secs_f64(),
                 live,
                 warming,
                 draining,
@@ -729,8 +715,7 @@ impl ClusterSimulator {
             };
             el.window_prefills = 0;
             el.window_slo_ok = 0;
-            let policy = el.policy.as_mut().expect("armed autoscaler has a policy");
-            (spec, policy.decide(&obs))
+            (autoscaler.spec, autoscaler.decide(&obs))
         };
         match decision {
             ScaleDecision::Hold => {}
@@ -817,12 +802,12 @@ impl Simulation for ClusterSimulator {
                         }
                         if let Some(el) = elastic.as_deref_mut() {
                             if ev.prefill_completed {
-                                if let Some(spec) = el.spec {
+                                if let Some(autoscaler) = &el.autoscaler {
                                     let tr = trace.requests[ev.id as usize];
                                     el.window_prefills += 1;
                                     let ttft =
                                         now.saturating_duration_since(tr.arrival).as_secs_f64();
-                                    if ttft <= spec.ttft_slo_secs {
+                                    if ttft <= autoscaler.spec.ttft_slo_secs {
                                         el.window_slo_ok += 1;
                                     }
                                 }

@@ -11,7 +11,7 @@
 //! price of the transfer latency and a static pool split.
 //!
 //! Batch formation and stage timing come from the shared
-//! [`engine`](crate::engine); this module contributes only the disaggregated
+//! [`engine`]; this module contributes only the disaggregated
 //! policy: pool topology, per-pool global routing through the shared
 //! [`RoutingTier`] (defaults reproduce the original round-robin prefill
 //! placement and least-loaded decode admission byte-for-byte), and the KV
@@ -217,7 +217,8 @@ impl DisaggSimulator {
     }
 
     /// Runs to completion and returns the report together with run
-    /// statistics, mirroring [`ClusterSimulator::run_with_stats`]. The
+    /// statistics, mirroring
+    /// [`ClusterSimulator::run_with_stats`](crate::ClusterSimulator::run_with_stats). The
     /// disaggregated simulator always runs sequentially (fault plans and
     /// sharding are aggregated-cluster features), so the stats report one
     /// shard and nothing streamed.
@@ -235,7 +236,7 @@ impl DisaggSimulator {
     /// Runs to completion and returns the report.
     pub fn run(mut self) -> SimulationReport {
         let arrivals = engine::trace_arrivals(&self.trace, DisaggEvent::Arrival);
-        engine::drive(&mut self, arrivals);
+        engine::drive(&mut self, arrivals, engine::MAX_EVENTS);
         // Routing columns merge both tiers: `routed` counts arrivals (the
         // prefill tier — counting the decode tier's KV handoffs too would
         // double-count requests), `deferred` sums holds in either tier,

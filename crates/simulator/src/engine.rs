@@ -219,7 +219,7 @@ impl EngineSink for MetricsCollector {
 /// The sink-agnostic scheduling core: batch formation, timing, pipeline
 /// occupancy, and in-flight tracking, with all measurement routed through an
 /// [`EngineSink`] and all event scheduling through
-/// [`EventPush`](vidur_core::event::EventPush). [`BatchEngine`] wraps one of
+/// [`EventPush`]. [`BatchEngine`] wraps one of
 /// these around the metrics collector for the sequential path; the sharded
 /// runner owns one per shard, sinking into an effect log.
 pub struct EngineCore {
@@ -727,14 +727,32 @@ pub fn trace_arrivals<E>(
 }
 
 /// Seeds an event queue with `arrivals` and runs `sim` to completion through
-/// the shared [`vidur_core::event::run`] driver. Returns the last processed
+/// the shared [`vidur_core::event::run`] driver, handling at most `budget`
+/// events (the simulators pass [`MAX_EVENTS`]). Returns the last processed
 /// timestamp and the number of events processed.
-pub fn drive<S: Simulation>(sim: &mut S, arrivals: Vec<(SimTime, S::Event)>) -> (SimTime, u64) {
+///
+/// # Panics
+///
+/// Panics if the run exhausts `budget` with events still queued and the
+/// simulation not done: its report would be a truncated run that looks
+/// complete.
+pub fn drive<S: Simulation>(
+    sim: &mut S,
+    arrivals: Vec<(SimTime, S::Event)>,
+    budget: u64,
+) -> (SimTime, u64) {
     let mut queue = EventQueue::new();
     for (time, event) in arrivals {
         queue.push(time, event);
     }
-    event::run(sim, &mut queue, MAX_EVENTS)
+    let (end, processed) = event::run(sim, &mut queue, budget);
+    assert!(
+        processed < budget || queue.is_empty() || sim.is_done(),
+        "simulation exhausted its event budget of {budget} events at {end} \
+         with {} still queued: the run would be truncated",
+        queue.len()
+    );
+    (end, processed)
 }
 
 #[cfg(test)]
@@ -787,5 +805,21 @@ mod tests {
             assert_eq!(dedup.len(), live.len(), "live ids must be unique");
         }
         assert!(slots.slots.len() <= 8, "slots recycle instead of growing");
+    }
+
+    /// A simulation that never finishes: every event schedules another.
+    struct Endless;
+
+    impl Simulation for Endless {
+        type Event = ();
+        fn handle(&mut self, now: SimTime, _event: (), queue: &mut EventQueue<()>) {
+            queue.push(now + SimDuration::from_nanos(1), ());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "event budget of 10 events")]
+    fn drive_panics_when_budget_truncates_the_run() {
+        drive(&mut Endless, vec![(SimTime::ZERO, ())], 10);
     }
 }

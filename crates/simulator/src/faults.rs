@@ -1,11 +1,11 @@
 //! Fault injection and elastic-fleet policy: [`FaultPlan`], the recovery
-//! warm-up model, and the [`Autoscaler`] trait.
+//! warm-up model, and the [`SloQueueAutoscaler`].
 //!
 //! A [`FaultPlan`] arms the cluster engine with a deterministic
 //! [`FaultSchedule`] (crashes, recoveries, straggler episodes, graceful
 //! drains — see [`vidur_workload::faults`] for the on-disk format) plus a
 //! [`WarmupModel`] that prices how long a recovering or scaled-up replica
-//! takes before it is routable. The [`Autoscaler`] closes the loop from
+//! takes before it is routable. The [`SloQueueAutoscaler`] closes the loop from
 //! observed SLO attainment and queue depth back to fleet size.
 //!
 //! Arming either feature changes nothing until it fires: an empty plan with
@@ -125,14 +125,12 @@ impl AutoscalerSpec {
     }
 }
 
-/// One observation window handed to [`Autoscaler::decide`]: current fleet
+/// One observation window handed to [`SloQueueAutoscaler::decide`]: current fleet
 /// shape plus what the window saw. TTFT attainment is windowed per prefill
 /// completion — the same signal the report's per-tenant SLO column uses,
 /// sampled live instead of at the end of the run.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetObservation {
-    /// Window end (= decision time) in seconds.
-    pub now_secs: f64,
     /// Routable replicas.
     pub live: usize,
     /// Replicas currently warming up.
@@ -167,21 +165,15 @@ pub enum ScaleDecision {
     Drain(usize),
 }
 
-/// An autoscaling policy: invoked once per interval with the window's
-/// [`FleetObservation`]; the engine applies the decision within the
+/// The autoscaling policy: scale up whenever the window missed the
+/// attainment target, the tier had to defer, or the queue per live replica
+/// ran high; scale down when attainment holds, nothing is deferred or
+/// warming, and the queue would stay low on the smaller fleet. Invoked once
+/// per interval; the engine applies the decision within the
 /// `[min_replicas, max_replicas]` bounds of the armed [`AutoscalerSpec`].
-pub trait Autoscaler: std::fmt::Debug + Send {
-    /// Decides the fleet change for this window.
-    fn decide(&mut self, obs: &FleetObservation) -> ScaleDecision;
-}
-
-/// The default policy: scale up whenever the window missed the attainment
-/// target, the tier had to defer, or the queue per live replica ran high;
-/// scale down when attainment holds, nothing is deferred or warming, and
-/// the queue would stay low on the smaller fleet.
 #[derive(Debug, Clone)]
 pub struct SloQueueAutoscaler {
-    spec: AutoscalerSpec,
+    pub(crate) spec: AutoscalerSpec,
 }
 
 impl SloQueueAutoscaler {
@@ -189,10 +181,9 @@ impl SloQueueAutoscaler {
     pub fn new(spec: AutoscalerSpec) -> Self {
         SloQueueAutoscaler { spec }
     }
-}
 
-impl Autoscaler for SloQueueAutoscaler {
-    fn decide(&mut self, obs: &FleetObservation) -> ScaleDecision {
+    /// Decides the fleet change for one observation window.
+    pub fn decide(&self, obs: &FleetObservation) -> ScaleDecision {
         let spec = &self.spec;
         let live = obs.live.max(1);
         let queue_per_live = (obs.deferred + obs.outstanding) as f64 / live as f64;
@@ -220,7 +211,6 @@ mod tests {
 
     fn obs(live: usize, deferred: usize, outstanding: usize) -> FleetObservation {
         FleetObservation {
-            now_secs: 60.0,
             live,
             warming: 0,
             draining: 0,
@@ -250,7 +240,7 @@ mod tests {
     #[test]
     fn scales_up_on_missed_slo_or_queue() {
         let spec = AutoscalerSpec::new(1, 8);
-        let mut policy = SloQueueAutoscaler::new(spec);
+        let policy = SloQueueAutoscaler::new(spec);
         let mut missed = obs(4, 0, 0);
         missed.window_slo_ok = 50;
         assert_eq!(policy.decide(&missed), ScaleDecision::Up(1));
@@ -263,7 +253,7 @@ mod tests {
     #[test]
     fn scales_down_only_when_safe() {
         let spec = AutoscalerSpec::new(2, 8);
-        let mut policy = SloQueueAutoscaler::new(spec);
+        let policy = SloQueueAutoscaler::new(spec);
         // Healthy and near-idle: drain.
         assert_eq!(policy.decide(&obs(4, 0, 1)), ScaleDecision::Drain(1));
         // At the floor: hold.

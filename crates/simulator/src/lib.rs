@@ -47,8 +47,7 @@ pub use config::{ClusterConfig, PrefixCacheConfig};
 pub use disagg::{DisaggConfig, DisaggSimulator};
 pub use engine::{BatchEngine, EngineReplica, RuntimeSource};
 pub use faults::{
-    Autoscaler, AutoscalerSpec, FaultPlan, FleetObservation, ScaleDecision, SloQueueAutoscaler,
-    WarmupModel,
+    AutoscalerSpec, FaultPlan, FleetObservation, ScaleDecision, SloQueueAutoscaler, WarmupModel,
 };
 pub use fidelity::{run_fidelity_pair, FidelityReport};
 pub use metrics::{

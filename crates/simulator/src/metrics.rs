@@ -715,14 +715,6 @@ impl MetricsCollector {
         }
     }
 
-    /// Attributes predicted execution time to an operator.
-    pub fn on_op_time(&mut self, replica: usize, op: Operator, secs: f64) {
-        match self.fold.as_mut() {
-            Some(fold) => fold.replicas[replica].op_secs[op.index()] += secs,
-            None => self.op_secs[op.index()] += secs,
-        }
-    }
-
     /// Attributes one batch's per-operator time totals (indexed by
     /// [`Operator::index`]) in a single pass — the cached-timing replay
     /// path.

@@ -7,7 +7,7 @@
 //! formation, pipeline occupancy, wakeups, completions) is self-contained.
 //! Replicas are dealt round-robin onto `k` shards (global replica `r` lives
 //! on shard `r % k` at local index `r / k`). Each shard owns its replicas, a
-//! [`ShardQueue`] and an [`EngineCore`](crate::engine::EngineCore), and logs
+//! [`ShardQueue`] and an [`EngineCore`], and logs
 //! the metric and tier effects of the events it handles instead of applying
 //! them. The merger — the calling thread — owns the tier and the collector.
 //!
@@ -21,7 +21,7 @@
 //!
 //! # The round loop
 //!
-//! [`run_barriers`] keeps one persistent worker per shard for the whole run
+//! `run_barriers` keeps one persistent worker per shard for the whole run
 //! inside one rayon scope (the merger simulates shard 0 itself, so at
 //! most `shards` threads are ever runnable; idle workers park on their
 //! channel) and repeats one round until every shard runs dry:
@@ -38,7 +38,7 @@
 //!    * *Stateless* policies (round-robin, random) are functions of their
 //!      own state and never read the live view, so routing them early draws
 //!      the decision (and RNG) sequence the interleaved run would. They
-//!      *route ahead*: up to [`ROUTE_AHEAD`] arrivals per round, which keeps
+//!      *route ahead*: up to `ROUTE_AHEAD` arrivals per round, which keeps
 //!      rounds few while bounding the logs a round holds.
 //! 2. **Advance.** Every shard with work before the *barrier* — the
 //!    `(time, ShardKey::Arrival)` of the next unrouted arrival, or none in
@@ -94,7 +94,7 @@
 //! # Fast path and fallback
 //!
 //! `shards > 1` opts in; the sharded engine runs when the configuration is
-//! on its fast path — see [`block_reason`]: runtimes must be jitter-free
+//! on its fast path — see `block_reason`: runtimes must be jitter-free
 //! (the oracle draws CPU-overhead noise from one engine-wide RNG in launch
 //! order, which is inherently serial), late-abort must be off (its stop
 //! condition depends on the merged metrics mid-run), the fleet must be

@@ -27,7 +27,7 @@
 
 use serde::{Deserialize, Serialize};
 use vidur_core::rng::SimRng;
-use vidur_core::time::{SimDuration, SimTime};
+use vidur_core::time::SimTime;
 
 /// How requests arrive over time.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -175,39 +175,6 @@ impl ArrivalProcess {
     /// Panics on invalid parameters for the stochastic variants.
     pub fn generate(&self, n: usize, rng: &mut SimRng) -> Vec<SimTime> {
         self.iter(rng).take(n).collect()
-    }
-
-    /// Nominal mean request rate (infinite for static workloads). For MMPP
-    /// this is the stationary mean; for diurnal, the mean over full periods;
-    /// for superpositions, the sum of component rates.
-    pub fn qps(&self) -> f64 {
-        match *self {
-            ArrivalProcess::Static => f64::INFINITY,
-            ArrivalProcess::Poisson { qps } | ArrivalProcess::Gamma { qps, .. } => qps,
-            ArrivalProcess::Mmpp {
-                qps_base,
-                qps_burst,
-                mean_base_secs,
-                mean_burst_secs,
-            } => {
-                let total = mean_base_secs + mean_burst_secs;
-                (qps_base * mean_base_secs + qps_burst * mean_burst_secs) / total
-            }
-            ArrivalProcess::Diurnal { mean_qps, .. } => mean_qps,
-            ArrivalProcess::Superposed { ref streams } => {
-                streams.iter().map(ArrivalProcess::qps).sum()
-            }
-        }
-    }
-
-    /// Expected makespan of the arrival phase for `n` requests.
-    pub fn expected_span(&self, n: usize) -> SimDuration {
-        let qps = self.qps();
-        if qps.is_infinite() {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_secs_f64(n as f64 / qps)
-        }
     }
 }
 
@@ -462,15 +429,6 @@ mod tests {
         assert!(bursty > 2.0 * smooth, "smooth {smooth} bursty {bursty}");
     }
 
-    #[test]
-    fn expected_span() {
-        assert_eq!(
-            ArrivalProcess::Poisson { qps: 2.0 }.expected_span(10),
-            SimDuration::from_secs(5)
-        );
-        assert_eq!(ArrivalProcess::Static.expected_span(10), SimDuration::ZERO);
-    }
-
     fn mmpp() -> ArrivalProcess {
         // Short sojourns keep the chain fast-mixing so empirical-rate tests
         // converge tightly at moderate sample sizes.
@@ -494,8 +452,7 @@ mod tests {
     fn mmpp_empirical_rate_converges_to_stationary_mean() {
         let p = mmpp();
         // Stationary mean: (2·3 + 40·0.5) / 3.5 ≈ 7.43 QPS.
-        let expect = p.qps();
-        assert!((expect - 26.0 / 3.5).abs() < 1e-12);
+        let expect = 26.0 / 3.5;
         let mut rng = SimRng::new(5);
         let n = 200_000;
         let times = p.generate(n, &mut rng);
@@ -564,7 +521,6 @@ mod tests {
                 ArrivalProcess::Gamma { qps: 2.0, cv: 2.0 },
             ],
         };
-        assert!((p.qps() - 10.0).abs() < 1e-12);
         let mut rng = SimRng::new(9);
         let n = 100_000;
         let times = p.generate(n, &mut rng);

@@ -462,14 +462,6 @@ impl Trace {
         self.tenants.len()
     }
 
-    /// Name of tenant `id`, or `"tenant-<id>"` when undeclared.
-    pub fn tenant_name(&self, id: u32) -> String {
-        self.tenants
-            .get(id as usize)
-            .cloned()
-            .unwrap_or_else(|| format!("tenant-{id}"))
-    }
-
     /// Re-times this trace's arrivals with a new process (used by capacity
     /// search to sweep QPS while holding lengths fixed).
     pub fn with_arrivals(&self, arrivals: &ArrivalProcess, rng: &mut SimRng) -> Trace {
@@ -548,24 +540,6 @@ impl Trace {
             prefixes: self.prefixes.clone(),
             requests,
         }
-    }
-
-    /// Serializes to JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `serde_json` error if serialization fails.
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string(self)
-    }
-
-    /// Deserializes from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `serde_json` error on malformed input.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
     }
 }
 
@@ -653,7 +627,7 @@ mod tests {
         let w = TraceWorkload::chat_1m();
         let mut rng = SimRng::new(6);
         let t = w.generate(10, &ArrivalProcess::Static, &mut rng);
-        let back = Trace::from_json(&t.to_json().unwrap()).unwrap();
+        let back: Trace = serde_json::from_str(&serde_json::to_string(&t).unwrap()).unwrap();
         assert_eq!(t, back);
     }
 

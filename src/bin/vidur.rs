@@ -7,8 +7,8 @@
 //! vidur search   [options]              find the best deployment
 //! ```
 //!
-//! Run `vidur --help` for every subcommand's options; a subcommand rejects
-//! any flag outside its own list.
+//! Run `vidur --help` (or `vidur <subcommand> --help`) for every
+//! subcommand's options; a subcommand rejects any flag outside its own list.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -16,16 +16,17 @@ use vidur::prelude::*;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("models") => cmd_models(),
-        Some("workloads") => cmd_workloads(),
-        Some("simulate") => cmd_simulate(&args[1..]),
-        Some("search") => cmd_search(&args[1..]),
-        Some("--help") | Some("-h") | None => {
-            print_usage();
-            ExitCode::SUCCESS
-        }
-        Some(other) => {
+    // `--help`/`-h` anywhere (top level or after a subcommand) prints usage.
+    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
+        print_usage();
+        return ExitCode::SUCCESS;
+    }
+    match args[0].as_str() {
+        "models" => cmd_models(),
+        "workloads" => cmd_workloads(),
+        "simulate" => cmd_simulate(&args[1..]),
+        "search" => cmd_search(&args[1..]),
+        other => {
             eprintln!("unknown command: {other}\n");
             print_usage();
             ExitCode::FAILURE

@@ -61,8 +61,8 @@ pub mod prelude {
     };
     pub use vidur_simulator::cluster::RuntimeSource;
     pub use vidur_simulator::{
-        onboard, onboard_timer, run_fidelity_pair, Autoscaler, AutoscalerSpec, CacheStats,
-        ClusterConfig, ClusterSimulator, DisaggConfig, DisaggSimulator, FaultPlan, FidelityReport,
+        onboard, onboard_timer, run_fidelity_pair, AutoscalerSpec, CacheStats, ClusterConfig,
+        ClusterSimulator, DisaggConfig, DisaggSimulator, FaultPlan, FidelityReport,
         FleetObservation, FleetStats, PrefixCacheConfig, PrefixStats, QuantileMode, RunStats,
         ScaleDecision, SimulationReport, SloQueueAutoscaler, StageTimer, TenantReport,
         TenantRoutingStats, TenantSlo, TimeseriesConfig, TimeseriesRow, WarmupModel,

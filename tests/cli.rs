@@ -1,6 +1,6 @@
 //! The `vidur` binary rejects invalid flag values and unknown flags with
 //! `error: ...` and exit code 1, instead of panicking or silently running
-//! something else.
+//! something else; `--help`/`-h` after a subcommand prints the usage.
 
 use std::process::Command;
 
@@ -37,5 +37,29 @@ fn invalid_flags_fail_cleanly() {
             "{args:?}: no `error:` line naming {expected:?} in {stderr:?}"
         );
         assert!(out.stdout.is_empty(), "{args:?}: must not report a run");
+    }
+}
+
+#[test]
+fn subcommand_help_prints_usage() {
+    for args in [
+        ["simulate", "--help"],
+        ["simulate", "-h"],
+        ["search", "--help"],
+        ["search", "-h"],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_vidur"))
+            .args(args)
+            .output()
+            .expect("vidur binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(stdout.contains("USAGE:"), "{args:?}: {stdout:?}");
+        assert!(stdout.contains("SIMULATE OPTIONS:"), "{args:?}: {stdout:?}");
     }
 }
