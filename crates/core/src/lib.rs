@@ -25,10 +25,9 @@
 //!   time-weighted utilization series, and the [`QuantileMode`] switch
 //!   between exact and bounded-memory metrics.
 //! * [`mergeable`] — bounded-memory summary sketches: a deterministic
-//!   t-digest ([`mergeable::TDigest`]) whose sealed state is invariant
-//!   under merge order, and a HyperLogLog distinct-count sketch
-//!   ([`mergeable::HyperLogLog`]). These are the building blocks of the
-//!   simulator's mergeable metrics mode.
+//!   t-digest ([`mergeable::TDigest`]) and a HyperLogLog distinct-count
+//!   sketch ([`mergeable::HyperLogLog`]). These are the building blocks of
+//!   the simulator's mergeable metrics mode.
 //!
 //! # Example
 //!

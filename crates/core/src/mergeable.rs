@@ -1,37 +1,33 @@
-//! Mergeable summary sketches: a deterministic t-digest and a HyperLogLog.
+//! Bounded-memory summary sketches: a deterministic t-digest and a
+//! HyperLogLog.
 //!
 //! The exact metrics path ([`crate::metrics::QuantileDigest`]) stores every
 //! sample. This module provides the two bounded-memory summaries behind the
-//! collector's mergeable mode, whose state does not depend on the order
-//! per-replica partial states are combined in:
+//! collector's mergeable mode:
 //!
 //! - [`TDigest`]: bounded-memory quantile sketch (Dunning's t-digest with
-//!   the k1 arcsine scale function). The twist relative to textbook
-//!   implementations is *determinism*: [`TDigest::merge`] only concatenates
-//!   centroid lists (no compression), and [`TDigest::seal`] performs one
-//!   canonical compression over the sorted centroid multiset. The sealed
-//!   state is therefore a pure function of the *multiset* of centroids —
-//!   merging per-shard digests in any permutation yields bit-identical
-//!   sealed state and bit-identical quantile reads.
+//!   the k1 arcsine scale function). It is *deterministic*: local
+//!   compressions trigger at fixed buffer sizes, and [`TDigest::seal`]
+//!   performs one canonical compression over the sorted centroid list, so a
+//!   given sample sequence always yields the same quantile reads.
 //! - [`HyperLogLog`]: distinct-count sketch whose registers (element-wise
 //!   maxima) are independent of insertion order by construction.
 //!
-//! Neither sketch keeps a running `f64` sum: float addition is
-//! non-associative, so an internal sum would break merge-order invariance.
-//! Callers that need exact sums keep them alongside, in per-writer slots.
+//! The t-digest keeps no running `f64` sum: callers that report a mean keep
+//! the exact sum alongside it.
 
 /// One t-digest cluster: a weighted point mass.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Centroid {
+struct Centroid {
     /// Weighted mean of the samples folded into this cluster.
-    pub mean: f64,
+    mean: f64,
     /// Number of samples folded into this cluster.
-    pub weight: u64,
+    weight: u64,
 }
 
-/// Default compression parameter δ. With the k1 scale the sealed digest
-/// holds at most ~δ/2 centroids; δ = 200 keeps mid-quantile rank error
-/// well under 1% in practice.
+/// Compression parameter δ. With the k1 scale the sealed digest holds at
+/// most ~δ/2 centroids; δ = 200 keeps mid-quantile rank error well under
+/// 1% in practice.
 pub const DEFAULT_COMPRESSION: f64 = 200.0;
 
 /// How many centroids may accumulate (relative to δ) before `record`
@@ -40,26 +36,21 @@ pub const DEFAULT_COMPRESSION: f64 = 200.0;
 /// sample sequence always produces the same centroid list.
 const BUFFER_FACTOR: usize = 8;
 
-/// A deterministic merging t-digest (Dunning's sketch, k1 scale function).
+/// A deterministic t-digest (Dunning's merging sketch, k1 scale function,
+/// compression [`DEFAULT_COMPRESSION`]).
 ///
 /// Contract:
 /// - `record` appends a weight-1 centroid and compresses locally when the
 ///   buffer exceeds `BUFFER_FACTOR × δ` entries. The trigger depends only
 ///   on the sample sequence, so identical streams yield identical state.
-/// - `merge` concatenates the other digest's centroids **without**
-///   compressing (compression here would make the result depend on merge
-///   order).
 /// - `seal` sorts the centroid list by `(mean, weight)` and runs one
-///   greedy k1-scale compression pass. Because the sort canonicalizes
-///   order, sealed state — and every quantile read after it — is a pure
-///   function of the centroid multiset, not of the merge permutation.
-/// - `quantile`/`mean` read only sealed digests (panic otherwise), exactly
-///   like [`crate::metrics::QuantileDigest`].
+///   greedy k1-scale compression pass.
+/// - `quantile` reads only sealed digests (panics otherwise), exactly like
+///   [`crate::metrics::QuantileDigest`].
 ///
 /// `count`, `min`, and `max` are tracked exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TDigest {
-    compression: f64,
     centroids: Vec<Centroid>,
     count: u64,
     min: f64,
@@ -74,19 +65,9 @@ impl Default for TDigest {
 }
 
 impl TDigest {
-    /// An empty digest with the default compression δ.
+    /// An empty digest.
     pub fn new() -> Self {
-        Self::with_compression(DEFAULT_COMPRESSION)
-    }
-
-    /// An empty digest with an explicit compression parameter δ ≥ 20.
-    pub fn with_compression(compression: f64) -> Self {
-        assert!(
-            compression >= 20.0,
-            "t-digest compression must be at least 20"
-        );
         Self {
-            compression,
             centroids: Vec::new(),
             count: 0,
             min: f64::INFINITY,
@@ -106,31 +87,9 @@ impl TDigest {
         self.min = self.min.min(value);
         self.max = self.max.max(value);
         self.sealed = false;
-        if self.centroids.len() >= BUFFER_FACTOR * self.compression as usize {
+        if self.centroids.len() >= BUFFER_FACTOR * DEFAULT_COMPRESSION as usize {
             self.compress();
         }
-    }
-
-    /// Fold another digest into this one. Centroids are concatenated, not
-    /// compressed: compressing here would make the result depend on the
-    /// merge order. Call [`TDigest::seal`] once all merges are done.
-    ///
-    /// Panics if the two digests use different compression parameters.
-    pub fn merge(&mut self, other: &TDigest) {
-        assert!(
-            self.compression == other.compression,
-            "cannot merge t-digests with different compression ({} vs {})",
-            self.compression,
-            other.compression
-        );
-        if other.count == 0 {
-            return;
-        }
-        self.centroids.extend_from_slice(&other.centroids);
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        self.sealed = false;
     }
 
     /// Canonically compress the digest: sort centroids by `(mean, weight)`
@@ -167,31 +126,6 @@ impl TDigest {
     /// Number of centroids currently held (sealed: at most ~δ/2).
     pub fn num_centroids(&self) -> usize {
         self.centroids.len()
-    }
-
-    /// The sealed centroid list, for inspection/tests.
-    ///
-    /// Panics when unsealed — the raw buffer is an implementation detail.
-    pub fn centroids(&self) -> &[Centroid] {
-        assert!(self.sealed, "centroids(): seal() the digest first");
-        &self.centroids
-    }
-
-    /// Approximate mean, computed from the sealed centroid list so the
-    /// result is canonical under merge order. Exact sums belong next to the
-    /// digest, in per-writer slots. `None` when empty.
-    ///
-    /// Panics when unsealed.
-    pub fn mean(&self) -> Option<f64> {
-        assert!(self.sealed, "mean(): seal() the digest first");
-        if self.count == 0 {
-            return None;
-        }
-        let mut acc = 0.0;
-        for c in &self.centroids {
-            acc += c.mean * c.weight as f64;
-        }
-        Some(acc / self.count as f64)
     }
 
     /// Approximate q-quantile (`0.0 ≤ q ≤ 1.0`) by linear interpolation
@@ -242,7 +176,7 @@ impl TDigest {
     /// k(q_right) − k(q_left) ≤ 1, which concentrates small clusters at the
     /// tails where quantile accuracy matters most.
     fn k_scale(&self, q: f64) -> f64 {
-        self.compression / (2.0 * std::f64::consts::PI) * (2.0 * q - 1.0).asin()
+        DEFAULT_COMPRESSION / (2.0 * std::f64::consts::PI) * (2.0 * q - 1.0).asin()
     }
 
     /// Sort centroids by `(mean, weight)` and greedily merge neighbours
@@ -259,7 +193,7 @@ impl TDigest {
                 .then(a.weight.cmp(&b.weight))
         });
         let total = self.count as f64;
-        let mut out: Vec<Centroid> = Vec::with_capacity(self.compression as usize);
+        let mut out: Vec<Centroid> = Vec::with_capacity(DEFAULT_COMPRESSION as usize);
         let mut cur = self.centroids[0];
         let mut emitted: u64 = 0;
         for &c in &self.centroids[1..] {
@@ -359,7 +293,6 @@ impl HyperLogLog {
 mod tests {
     use super::*;
     use crate::rng::SimRng;
-    use proptest::prelude::*;
 
     fn exact_quantile(sorted: &[f64], q: f64) -> f64 {
         let idx = ((q * sorted.len() as f64).ceil() as usize).max(1) - 1;
@@ -379,7 +312,6 @@ mod tests {
         assert!(d.is_empty());
         assert_eq!(d.count(), 0);
         assert_eq!(d.quantile(0.5), None);
-        assert_eq!(d.mean(), None);
         assert_eq!(d.min(), None);
         assert_eq!(d.max(), None);
     }
@@ -418,7 +350,6 @@ mod tests {
         for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
             assert_eq!(d.quantile(q), Some(7.25), "q={q}");
         }
-        assert_eq!(d.mean(), Some(7.25));
     }
 
     /// Adversarial shapes: rank error must stay within the documented
@@ -475,51 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_preserves_exact_count_min_max() {
-        let mut a = TDigest::new();
-        let mut b = TDigest::new();
-        let mut rng = SimRng::new(3);
-        for _ in 0..5_000 {
-            a.record(rng.next_f64() * 100.0);
-        }
-        for _ in 0..3_000 {
-            b.record(-50.0 + rng.next_f64() * 25.0);
-        }
-        let (amin, amax) = (a.min().unwrap(), a.max().unwrap());
-        let (bmin, bmax) = (b.min().unwrap(), b.max().unwrap());
-        a.merge(&b);
-        a.seal();
-        assert_eq!(a.count(), 8_000);
-        assert_eq!(a.min(), Some(amin.min(bmin)));
-        assert_eq!(a.max(), Some(amax.max(bmax)));
-    }
-
-    #[test]
-    fn merge_of_empty_is_identity() {
-        let mut a = TDigest::new();
-        for i in 0..1_000 {
-            a.record(i as f64);
-        }
-        let mut sealed = a.clone();
-        sealed.seal();
-        let empty = TDigest::new();
-        a.merge(&empty);
-        a.seal();
-        assert_eq!(a, sealed);
-
-        let mut e = TDigest::new();
-        e.merge(&sealed);
-        e.seal();
-        assert_eq!(e.count(), sealed.count());
-        for q in [0.1, 0.5, 0.9] {
-            assert_eq!(
-                e.quantile(q).unwrap().to_bits(),
-                sealed.quantile(q).unwrap().to_bits()
-            );
-        }
-    }
-
-    #[test]
     fn seal_is_idempotent() {
         let mut d = TDigest::new();
         let mut rng = SimRng::new(9);
@@ -530,67 +416,6 @@ mod tests {
         let snapshot = d.clone();
         d.seal();
         assert_eq!(d, snapshot);
-    }
-
-    proptest! {
-        /// The headline invariant: merging per-shard digests in any
-        /// permutation produces bit-identical sealed state.
-        #[test]
-        fn merge_is_permutation_invariant(
-            seed in 0u64..1_000,
-            shards in 2usize..6,
-            n in 1usize..4_000,
-        ) {
-            let mut rng = SimRng::new(seed);
-            let mut parts: Vec<TDigest> = (0..shards).map(|_| TDigest::new()).collect();
-            for i in 0..n {
-                parts[i % shards].record(rng.next_f64() * 1_000.0);
-            }
-            // Forward merge order.
-            let mut fwd = TDigest::new();
-            for p in &parts {
-                fwd.merge(p);
-            }
-            fwd.seal();
-            // A rotated + reversed order.
-            let mut rev = TDigest::new();
-            let rot = seed as usize % shards;
-            for i in (0..shards).rev() {
-                rev.merge(&parts[(i + rot) % shards]);
-            }
-            rev.seal();
-            prop_assert_eq!(&fwd, &rev);
-            for q in [0.25, 0.5, 0.9, 0.99] {
-                prop_assert_eq!(
-                    fwd.quantile(q).unwrap().to_bits(),
-                    rev.quantile(q).unwrap().to_bits()
-                );
-            }
-        }
-
-        /// Merged digests stay within rank-error bounds of the pooled
-        /// exact distribution.
-        #[test]
-        fn merged_digest_tracks_exact(seed in 0u64..500, shards in 1usize..5) {
-            let n = 6_000usize;
-            let mut rng = SimRng::new(seed);
-            let samples: Vec<f64> = (0..n).map(|_| rng.next_f64() * 100.0).collect();
-            let mut parts: Vec<TDigest> = (0..shards).map(|_| TDigest::new()).collect();
-            for (i, &v) in samples.iter().enumerate() {
-                parts[i % shards].record(v);
-            }
-            let mut merged = TDigest::new();
-            for p in &parts {
-                merged.merge(p);
-            }
-            merged.seal();
-            let mut sorted = samples;
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            for q in [0.5, 0.9, 0.99] {
-                let err = rank_error(&sorted, merged.quantile(q).unwrap(), q);
-                prop_assert!(err <= 0.03, "rank error {} at q={}", err, q);
-            }
-        }
     }
 
     #[test]

@@ -178,12 +178,12 @@ pub enum QuantileMode {
     /// are exact and reports are bit-reproducible, at O(samples) memory.
     #[default]
     Exact,
-    /// Fold samples into mergeable t-digests ([`crate::mergeable::TDigest`]):
-    /// O(1) memory per distribution, approximate mid-quantiles, exact
-    /// count/sum/min/max, and per-request records retired at completion —
-    /// the bounded-memory mode for very long runs. Reports are invariant
-    /// under merge order (any shard count yields identical bytes) but are
-    /// not bit-comparable with exact mode.
+    /// Fold samples into t-digests ([`crate::mergeable::TDigest`]) with
+    /// exact running sums: O(1) memory per distribution, approximate
+    /// mid-quantiles, exact count/sum/min/max, and per-request records
+    /// retired at completion — the bounded-memory mode for very long runs.
+    /// Latency quantiles and means are not bit-comparable with exact mode;
+    /// every other report field is.
     Mergeable,
 }
 

@@ -54,12 +54,11 @@ pub struct ClusterConfig {
     /// How the metrics collector aggregates latency distributions:
     /// [`QuantileMode::Exact`] (the default) stores every sample so report
     /// quantiles are exact and bit-reproducible; [`QuantileMode::Mergeable`]
-    /// folds latencies into per-replica t-digest slots and retires
+    /// records latencies into t-digests with exact running sums and retires
     /// per-request records as they complete, bounding metrics memory on
     /// very long runs (per-token TBT streams) at the cost of approximate
-    /// mid-quantiles — reports are invariant under the slots' merge order
-    /// (and so identical bytes for any shard count) but not bit-comparable
-    /// with exact mode.
+    /// mid-quantiles. Only the latency distributions differ between the
+    /// modes: every other report field is bit-equal.
     pub quantile_mode: QuantileMode,
     /// Latency SLO judged per completed request for the per-tenant
     /// attainment column of the report. Only consulted on multi-tenant
@@ -93,9 +92,8 @@ pub struct ClusterConfig {
     /// `vidur_simulator::sharded`).
     pub shards: usize,
     /// Windowed time-series output: when set, the report's `timeseries`
-    /// field carries one row per wall-clock window (throughput, TTFT p99,
-    /// mean KV occupancy). Only populated in [`QuantileMode::Mergeable`];
-    /// exact mode ignores it.
+    /// field carries one row per window of simulated time (throughput,
+    /// TTFT p99, mean KV occupancy), in either [`QuantileMode`].
     pub timeseries: Option<TimeseriesConfig>,
     /// Fault-injection plan: replica crashes (work requeues through the
     /// routing tier), straggler episodes, and recoveries with warm-up. The

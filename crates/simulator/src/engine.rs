@@ -171,8 +171,8 @@ impl EngineReplica {
 /// sequential run.
 pub trait EngineSink {
     /// A batch's cached plan timing was applied (per-operator attribution).
-    /// `replica` is the metrics-replica index the batch ran on — the
-    /// mergeable collector keys its single-writer fold slots by it.
+    /// `replica` is the metrics-replica index the batch ran on; the
+    /// collector sums operator time cluster-wide and ignores it.
     fn on_batch_timed(&mut self, replica: usize, timing: &Arc<PlanTiming>);
     /// GPU-busy seconds for a scheduled batch (stage time × TP GPUs).
     fn on_gpu_busy(&mut self, replica: usize, gpu_secs: f64);

@@ -149,7 +149,6 @@ enum Effect {
     /// `metrics.on_batch_work` + `mark_first_scheduled` for the next
     /// `first_n` ids in the log's id stream.
     BatchWork {
-        replica: u32,
         tokens: u64,
         requests: u64,
         flops: f64,
@@ -212,7 +211,7 @@ impl EngineSink for EffectLog {
     }
     fn on_batch_scheduled(
         &mut self,
-        replica: usize,
+        _replica: usize,
         _now: SimTime,
         batch: &BatchComposition,
         flops: f64,
@@ -228,7 +227,6 @@ impl EngineSink for EffectLog {
             }
         }
         self.effects.push(Effect::BatchWork {
-            replica: replica as u32,
             tokens: batch.total_query_tokens(),
             requests: batch.num_requests() as u64,
             flops,
@@ -407,14 +405,13 @@ fn commit(
                 metrics.on_gpu_busy(*replica as usize, *gpu_secs)
             }
             Effect::BatchWork {
-                replica,
                 tokens,
                 requests,
                 flops,
                 bytes,
                 first_n,
             } => {
-                metrics.on_batch_work(*replica as usize, *tokens, *requests, *flops, *bytes);
+                metrics.on_batch_work(*tokens, *requests, *flops, *bytes);
                 for &id in &log.ids[cur.id..cur.id + *first_n as usize] {
                     metrics.mark_first_scheduled(id, time);
                 }

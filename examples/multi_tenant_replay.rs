@@ -249,10 +249,10 @@ fn main() {
         ),
     }
 
-    // 6. Mergeable metrics: merge-order-invariant latency sketches. The
-    // sharded merger replays every effect in sequential order, so reports
-    // are invariant under the shard count (byte-identical to a one-shard
-    // run) and carry the windowed time series.
+    // 6. Mergeable metrics: bounded-memory latency sketches. The sharded
+    // merger replays every effect into one collector in sequential order,
+    // so reports are invariant under the shard count (byte-identical to a
+    // one-shard run) and carry the windowed time series.
     if std::env::var("VIDUR_MERGEABLE").as_deref() == Ok("1") {
         let mut mergeable_config = sharded_config.clone();
         mergeable_config.quantile_mode = QuantileMode::Mergeable;

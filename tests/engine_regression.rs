@@ -580,11 +580,11 @@ fn sharded_stateful_deferral_falls_back_bit_exact() {
     );
 }
 
-/// Mergeable-mode reports are merge-order invariant: the collector state is
-/// a pure fold over per-replica single-writer slots, so any shard count
-/// (1 = the sequential engine) must produce a byte-identical report — the
-/// mode's whole contract, time-series rows and the distinct-tenant estimate
-/// included.
+/// Mergeable-mode reports are invariant under the shard count: the sharded
+/// merger replays every effect into one collector in sequential order, so
+/// any shard count (1 = the sequential engine) must produce a
+/// byte-identical report — time-series rows and the distinct-tenant
+/// estimate included.
 #[test]
 fn mergeable_reports_invariant_across_shard_counts() {
     let mut cfg = base_config();
@@ -619,48 +619,122 @@ fn mergeable_reports_invariant_across_shard_counts() {
 }
 
 /// Mergeable metrics are a summary trade, not a behavior change: the
-/// simulation itself is untouched (bit-equal counters, makespan, MFU,
-/// energy, maxima), means agree to float rounding, and the t-digest
+/// simulation itself is untouched, and both modes sum busy-GPU seconds,
+/// flops, bytes and operator time into one accumulator in event order, so
+/// every non-latency field is bit-equal at any replica count — tenants
+/// armed or not. Means agree to float rounding (exact mode folds records
+/// in request-id order, mergeable in completion order) and the t-digest
 /// mid-quantiles stay close to exact.
 #[test]
 fn mergeable_metrics_change_only_quantiles() {
-    let trace = fixed_trace(80, 2.5, 42);
     let source = estimator_source();
-    let exact = ClusterSimulator::new(base_config(), trace.clone(), source.clone(), 42).run();
-    let mut cfg = base_config();
-    cfg.quantile_mode = QuantileMode::Mergeable;
-    let fold = ClusterSimulator::new(cfg, trace, source, 42).run();
-    // Simulation-side outcomes: identical bits (one replica, so even the
-    // f64 accumulation order matches the exact mode's).
-    assert_eq!(fold.completed, exact.completed);
-    assert_eq!(fold.makespan_secs.to_bits(), exact.makespan_secs.to_bits());
-    assert_eq!(fold.total_batches, exact.total_batches);
-    assert_eq!(fold.total_tokens, exact.total_tokens);
-    assert_eq!(fold.mfu.to_bits(), exact.mfu.to_bits());
-    assert_eq!(fold.energy_kwh.to_bits(), exact.energy_kwh.to_bits());
-    // Maxima are order-independent and stay bit-equal; means agree to float
-    // rounding (the fold accumulates in completion order, exact in id
-    // order).
-    assert_eq!(fold.tbt.max.to_bits(), exact.tbt.max.to_bits());
-    assert_eq!(fold.e2e.max.to_bits(), exact.e2e.max.to_bits());
-    assert!((fold.e2e.mean - exact.e2e.mean).abs() <= 1e-9 * exact.e2e.mean.abs());
-    assert!((fold.tbt.mean - exact.tbt.mean).abs() <= 1e-9 * exact.tbt.mean.abs());
-    // Mid-quantiles come from the t-digest: approximate but close.
-    for (m, e, name) in [
-        (fold.tbt.p50, exact.tbt.p50, "tbt.p50"),
-        (fold.e2e.p50, exact.e2e.p50, "e2e.p50"),
-        (fold.ttft.p90, exact.ttft.p90, "ttft.p90"),
+    let slo = TenantSlo {
+        ttft_secs: 2.0,
+        e2e_per_token_secs: 0.5,
+    };
+    let cases = [
+        ("1 replica", 1, fixed_trace(80, 2.5, 42), None),
+        ("4 replicas", 4, fixed_trace(400, 10.0, 42), None),
+        ("7 replicas", 7, fixed_trace(400, 17.5, 42), None),
         (
-            fold.normalized_e2e.p50,
-            exact.normalized_e2e.p50,
-            "ne2e.p50",
+            "4 replicas, tenants armed",
+            4,
+            multi_tenant_bursty_trace(220, 47),
+            Some(slo),
         ),
-    ] {
-        let tol = 0.25 * e.abs().max(1e-9);
-        assert!(
-            (m - e).abs() <= tol,
-            "{name}: mergeable {m} vs exact {e} beyond 25%"
+    ];
+    for (label, replicas, trace, tenant_slo) in cases {
+        let mut cfg = base_config();
+        cfg.num_replicas = replicas;
+        cfg.tenant_slo = tenant_slo;
+        let exact = ClusterSimulator::new(cfg.clone(), trace.clone(), source.clone(), 42).run();
+        cfg.quantile_mode = QuantileMode::Mergeable;
+        let fold = ClusterSimulator::new(cfg, trace, source.clone(), 42).run();
+        assert_eq!(fold.completed, exact.completed, "{label}");
+        for (m, e, name) in [
+            (fold.makespan_secs, exact.makespan_secs, "makespan_secs"),
+            (fold.mfu, exact.mfu, "mfu"),
+            (fold.mbu, exact.mbu, "mbu"),
+            (fold.energy_kwh, exact.energy_kwh, "energy_kwh"),
+            (
+                fold.mean_power_watts,
+                exact.mean_power_watts,
+                "mean_power_watts",
+            ),
+            (fold.kv_utilization, exact.kv_utilization, "kv_utilization"),
+        ] {
+            assert_eq!(m.to_bits(), e.to_bits(), "{label}: {name} {m} vs {e}");
+        }
+        assert_eq!(
+            fold.operator_time_breakdown.len(),
+            exact.operator_time_breakdown.len(),
+            "{label}: operator count"
         );
+        for ((mop, msecs), (eop, esecs)) in fold
+            .operator_time_breakdown
+            .iter()
+            .zip(&exact.operator_time_breakdown)
+        {
+            assert_eq!(mop, eop, "{label}: operator order");
+            assert_eq!(msecs.to_bits(), esecs.to_bits(), "{label}: {mop} secs");
+        }
+        assert_eq!(fold.total_batches, exact.total_batches, "{label}");
+        assert_eq!(fold.total_tokens, exact.total_tokens, "{label}");
+        assert_eq!(fold.preemptions, exact.preemptions, "{label}");
+        assert_eq!(fold.per_tenant.len(), exact.per_tenant.len(), "{label}");
+        assert_eq!(
+            fold.per_tenant.is_empty(),
+            tenant_slo.is_none(),
+            "{label}: tenants armed iff the trace declares them"
+        );
+        for (m, e) in fold.per_tenant.iter().zip(&exact.per_tenant) {
+            assert_eq!(m.tenant, e.tenant, "{label}");
+            assert_eq!(
+                (m.arrived, m.completed),
+                (e.arrived, e.completed),
+                "{label}"
+            );
+            assert_eq!(
+                m.slo_attainment.map(f64::to_bits),
+                e.slo_attainment.map(f64::to_bits),
+                "{label}: {} slo_attainment",
+                e.tenant
+            );
+            assert!(
+                (m.e2e.mean - e.e2e.mean).abs() <= 1e-9 * e.e2e.mean.abs(),
+                "{label}: {} e2e.mean",
+                e.tenant
+            );
+        }
+        // Maxima are order-independent and stay bit-equal; means agree to
+        // float rounding.
+        assert_eq!(fold.tbt.max.to_bits(), exact.tbt.max.to_bits(), "{label}");
+        assert_eq!(fold.e2e.max.to_bits(), exact.e2e.max.to_bits(), "{label}");
+        assert!(
+            (fold.e2e.mean - exact.e2e.mean).abs() <= 1e-9 * exact.e2e.mean.abs(),
+            "{label}: e2e.mean"
+        );
+        assert!(
+            (fold.tbt.mean - exact.tbt.mean).abs() <= 1e-9 * exact.tbt.mean.abs(),
+            "{label}: tbt.mean"
+        );
+        // Mid-quantiles come from the t-digest: approximate but close.
+        for (m, e, name) in [
+            (fold.tbt.p50, exact.tbt.p50, "tbt.p50"),
+            (fold.e2e.p50, exact.e2e.p50, "e2e.p50"),
+            (fold.ttft.p90, exact.ttft.p90, "ttft.p90"),
+            (
+                fold.normalized_e2e.p50,
+                exact.normalized_e2e.p50,
+                "ne2e.p50",
+            ),
+        ] {
+            let tol = 0.25 * e.abs().max(1e-9);
+            assert!(
+                (m - e).abs() <= tol,
+                "{label}: {name}: mergeable {m} vs exact {e} beyond 25%"
+            );
+        }
     }
 }
 
