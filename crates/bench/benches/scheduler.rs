@@ -3,7 +3,7 @@
 //! iteration — hundreds of thousands of times per run, millions per search —
 //! so this suite tracks its cost across PRs.
 //!
-//! Seven scenarios cover the hot-loop regimes:
+//! Eight scenarios cover the hot-loop regimes:
 //!
 //! * `decode_heavy` — a saturated decode pool (the steady state of every
 //!   long-running replica; the ≥2× acceptance gate lives here),
@@ -13,6 +13,9 @@
 //! * `multi_tenant_burst` — four interleaved priority classes under KV
 //!   pressure: tier-ordered admission inserts plus the full-scan
 //!   priority-aware preemption victim walk,
+//! * `ft_cohort` — FasterTransformer cohorts: each request reserves its
+//!   full KV footprint at admission, and no request joins until the whole
+//!   cohort has finished,
 //! * `routing_fairshare` — the global routing tier under skewed 4-tenant
 //!   load, gated on fair-share strictly improving the worst light tenant's
 //!   first-schedule p99 over round-robin,
@@ -130,6 +133,18 @@ fn scenarios(smoke: bool) -> Vec<Scenario> {
             total_blocks: 1_100,
             requests: (0..scale(1_500) as u64)
                 .map(|i| (60 + i % 200, 30 + i % 90, (i % 4) as u8))
+                .collect(),
+        },
+        // FasterTransformer: cohort admission reserving each request's full
+        // footprint, then prefill and decode passes over the cohort until
+        // its longest request finishes.
+        Scenario {
+            name: "ft_cohort",
+            policy: BatchPolicyKind::FasterTransformer,
+            max_batch: 64,
+            total_blocks: 500_000,
+            requests: (0..scale(512) as u64)
+                .map(|i| (64 + i % 192, 20 + i % 100, 0))
                 .collect(),
         },
     ]

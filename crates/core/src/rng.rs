@@ -121,11 +121,6 @@ impl SimRng {
         (-2.0 * u.ln()).sqrt() * (std::f64::consts::TAU * v).cos()
     }
 
-    /// Normal draw with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f64, std_dev: f64) -> f64 {
-        mean + std_dev * self.normal()
-    }
-
     /// Log-normal draw parameterized by the *underlying* normal's `mu` and
     /// `sigma` (i.e. the result is `exp(N(mu, sigma^2))`).
     pub fn log_normal(&mut self, mu: f64, sigma: f64) -> f64 {

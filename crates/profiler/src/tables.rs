@@ -99,25 +99,6 @@ impl ProfileTable {
             pts.sort_by(|a, b| a.feature.partial_cmp(&b.feature).expect("no NaN features"));
         }
     }
-
-    /// Serializes to pretty JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `serde_json` error if serialization fails (cannot happen
-    /// for well-formed tables).
-    pub fn to_json(&self) -> Result<String, serde_json::Error> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Deserializes from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `serde_json` error on malformed input.
-    pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
-    }
 }
 
 #[cfg(test)]
@@ -161,14 +142,5 @@ mod tests {
             .map(|p| p.feature)
             .collect();
         assert_eq!(feats, vec![1.0, 3.0, 5.0]);
-    }
-
-    #[test]
-    fn json_roundtrip() {
-        let mut t = ProfileTable::new("llama2-7b", 2, "h100-80g");
-        t.push(Operator::AttnDecode, point(4096.0));
-        let json = t.to_json().unwrap();
-        let back = ProfileTable::from_json(&json).unwrap();
-        assert_eq!(t, back);
     }
 }

@@ -54,6 +54,15 @@ pub struct CompletionEvent {
 
 /// Iteration-level replica scheduler with paged KV memory management.
 ///
+/// Every policy admits through one gate, `admit_next`: it is the only
+/// place a request moves from the waiting queue into the running set, so
+/// the batch-size cap (`num_running() < max_batch_size`), quota parking and
+/// the KV reservation (`admission_tokens_for`) are each decided there once.
+/// The policies differ only in what they charge against their token budget
+/// and in which batch slices they emit. Since every slice belongs to a
+/// distinct running request, `batch.num_requests() <= num_running() <=
+/// max_batch_size` holds after every [`ReplicaScheduler::next_batch`].
+///
 /// # Example
 ///
 /// ```
@@ -85,17 +94,14 @@ pub struct ReplicaScheduler {
     /// KV footprint), maintained incrementally on admit/finish/preempt.
     projected_tokens: u64,
     /// Latched once any request arrives with a non-zero priority class.
-    /// While `false` the waiting queue degenerates to plain FIFO and the
-    /// preemption victim walk keeps its early-exit fast path, so
-    /// single-priority runs pay nothing for the tier machinery.
+    /// While `false` the preemption victim walk keeps its early-exit fast
+    /// path.
     priority_in_use: bool,
     /// Per-tenant KV block quotas (index = tenant id; tenants at or beyond
-    /// the list are unlimited). Empty = quotas disabled; every quota branch
-    /// below is gated on non-emptiness, so the default hot loop is
-    /// untouched.
+    /// the list are unlimited). Empty = quotas disabled.
     tenant_quota_blocks: Vec<u64>,
-    /// Blocks currently held per tenant on this replica. Maintained only
-    /// while quotas are enabled.
+    /// Blocks currently held per tenant on this replica (index = tenant id;
+    /// grows on demand).
     tenant_held_blocks: Vec<u64>,
     /// Requests parked because admitting them would put their tenant over
     /// quota. They re-enter the front of their priority tier once the
@@ -114,10 +120,10 @@ pub struct ReplicaScheduler {
     slice_pool: Vec<Vec<RequestSlice>>,
     preemptions: u64,
     completed: u64,
-    /// Set while the replica is gracefully draining: every admission path
-    /// (policy admission loops and the prefetched-KV pass) refuses to move
-    /// work from waiting into running, so in-flight batches finish and the
-    /// queue can be migrated. See [`ReplicaScheduler::drain_queued`].
+    /// Set while the replica is gracefully draining: the admission gate
+    /// refuses to move work from waiting into running (and parks nothing),
+    /// so in-flight batches finish and the queue can be migrated. See
+    /// [`ReplicaScheduler::drain_queued`].
     admissions_closed: bool,
     /// Admissions that hit the prefix cache (each re-admission after a
     /// preemption that hits again counts again — it genuinely skips work).
@@ -358,10 +364,6 @@ impl ReplicaScheduler {
     /// whenever the new request's class is the least urgent present — the
     /// overwhelmingly common case, and always true in single-priority runs.
     fn enqueue_waiting_back(&mut self, id: RequestId) {
-        if !self.priority_in_use {
-            self.waiting.push_back(id);
-            return;
-        }
         let p = self.requests[&id].spec.priority;
         let pos = self
             .waiting
@@ -373,12 +375,9 @@ impl ReplicaScheduler {
 
     /// Inserts `id` at the **front of its priority tier** — the preemption
     /// requeue position: a restarted victim goes back ahead of its own
-    /// class but never ahead of a more urgent one.
+    /// class but never ahead of a more urgent one. The scan stops at the
+    /// first entry in single-priority runs.
     fn enqueue_waiting_front(&mut self, id: RequestId) {
-        if !self.priority_in_use {
-            self.waiting.push_front(id);
-            return;
-        }
         let p = self.requests[&id].spec.priority;
         let pos = self
             .waiting
@@ -425,10 +424,10 @@ impl ReplicaScheduler {
         self.quota_denied[idx] += 1;
     }
 
-    /// Whether admitting `id` with a reservation for `tokens` keeps its
-    /// tenant within quota. Solo-infeasible requests (need > quota outright)
-    /// are exempt — see [`ReplicaScheduler::set_tenant_quotas`].
-    fn within_quota(&self, id: RequestId, tokens: u64) -> bool {
+    /// Whether admitting `id` keeps its tenant within quota.
+    /// Solo-infeasible requests (need > quota outright) are exempt — see
+    /// [`ReplicaScheduler::set_tenant_quotas`].
+    fn within_quota(&self, id: RequestId) -> bool {
         if self.tenant_quota_blocks.is_empty() {
             return true;
         }
@@ -437,14 +436,14 @@ impl ReplicaScheduler {
         if quota == u64::MAX {
             return true;
         }
-        let need = self.blocks.blocks_for(tokens);
+        let need = self.blocks.blocks_for(self.admission_tokens_for(id));
         if need > quota {
             return true;
         }
         self.tenant_held(tenant) + need <= quota
     }
 
-    /// The blocks-worth of tokens the admission path will reserve for `id`:
+    /// The blocks-worth of tokens the admission gate reserves for `id`:
     /// the transferred KV plus one token for remote-prefilled requests, the
     /// full footprint for FasterTransformer cohorts, the prompt otherwise.
     fn admission_tokens_for(&self, id: RequestId) -> u64 {
@@ -506,14 +505,14 @@ impl ReplicaScheduler {
 
     /// Parks consecutive quota-blocked requests at the waiting front so the
     /// next admissible request surfaces — an over-quota tenant's backlog
-    /// must not head-of-line-block other tenants. Called by every admission
-    /// loop before it reads the front; no-op while quotas are disarmed.
+    /// must not head-of-line-block other tenants. Called by the admission
+    /// gate before it reads the front; no-op while quotas are disarmed.
     fn park_quota_blocked_front(&mut self) {
         if self.tenant_quota_blocks.is_empty() {
             return;
         }
         while let Some(&id) = self.waiting.front() {
-            if self.within_quota(id, self.admission_tokens_for(id)) {
+            if self.within_quota(id) {
                 break;
             }
             self.waiting.pop_front();
@@ -523,104 +522,84 @@ impl ReplicaScheduler {
         }
     }
 
-    /// [`BlockManager::try_reserve`] plus per-tenant holding accounting
-    /// (admission path).
-    fn reserve_blocks(&mut self, id: RequestId, tokens: u64) -> bool {
-        if self.tenant_quota_blocks.is_empty() {
-            return self.blocks.try_reserve(id, tokens);
-        }
+    /// Runs one [`BlockManager`] operation on `id`'s blocks and charges the
+    /// change in blocks `id` holds to its tenant. Borrowed shared prefix
+    /// blocks belong to the cache tier, so they are never charged.
+    fn charge_tenant<T>(&mut self, id: RequestId, op: impl FnOnce(&mut BlockManager) -> T) -> T {
         let before = self.blocks.held_by(id);
-        let ok = self.blocks.try_reserve(id, tokens);
-        if ok {
-            let delta = self.blocks.held_by(id) - before;
-            let tenant = self.requests[&id].spec.tenant;
-            self.add_tenant_held(tenant, delta as i64);
-        }
-        ok
-    }
-
-    /// [`BlockManager::try_reserve_prefixed`] plus per-tenant holding
-    /// accounting (the policy admission path): reserves for `tokens`,
-    /// borrowing cached prefix blocks on a hit, and returns the prefill
-    /// tokens the hit skips (0 on a miss or for prefix-free requests).
-    /// Tenants are charged only for the blocks the request itself owns —
-    /// shared prefix blocks belong to the cache tier.
-    fn reserve_blocks_prefixed(&mut self, id: RequestId, tokens: u64) -> Option<u64> {
-        let spec = self.requests[&id].spec;
-        if self.tenant_quota_blocks.is_empty() {
-            return self.blocks.try_reserve_prefixed(
-                id,
-                tokens,
-                spec.prefix_id,
-                spec.prefill_tokens,
-                spec.prefix_len,
-            );
-        }
-        let before = self.blocks.held_by(id);
-        let hit = self.blocks.try_reserve_prefixed(
-            id,
-            tokens,
-            spec.prefix_id,
-            spec.prefill_tokens,
-            spec.prefix_len,
-        )?;
+        let out = op(&mut self.blocks);
         let delta = self.blocks.held_by(id) as i64 - before as i64;
-        self.add_tenant_held(spec.tenant, delta);
-        Some(hit)
-    }
-
-    /// [`BlockManager::try_grow`] plus per-tenant holding accounting
-    /// (decode-growth path; never quota-blocked).
-    fn grow_blocks(&mut self, id: RequestId, tokens: u64) -> bool {
-        if self.tenant_quota_blocks.is_empty() {
-            return self.blocks.try_grow(id, tokens);
-        }
-        let before = self.blocks.held_by(id);
-        let ok = self.blocks.try_grow(id, tokens);
-        if ok {
-            let delta = self.blocks.held_by(id) - before;
+        if delta != 0 {
             let tenant = self.requests[&id].spec.tenant;
-            self.add_tenant_held(tenant, delta as i64);
+            self.add_tenant_held(tenant, delta);
         }
-        ok
+        out
     }
 
     /// [`BlockManager::release`] plus per-tenant holding accounting.
     fn release_blocks(&mut self, id: RequestId) {
-        if !self.tenant_quota_blocks.is_empty() {
-            let held = self.blocks.held_by(id);
-            if held > 0 {
-                let tenant = self.requests[&id].spec.tenant;
-                self.add_tenant_held(tenant, -(held as i64));
-            }
-        }
-        self.blocks.release(id);
+        self.charge_tenant(id, |b| b.release(id));
     }
 
-    /// Admits waiting requests that need **no** prefill (their KV arrived
-    /// from a prefill replica) straight into the running set. Called by
-    /// every policy before batch formation; FIFO order is preserved.
-    fn admit_prefetched(&mut self) {
-        if self.admissions_closed {
-            return;
+    /// The admission gate: the only way from `waiting` into the running
+    /// set. While the replica is open and below its batch-size cap, it
+    /// parks quota-blocked requests, then admits the front request if the
+    /// caller's `fits` accepts it and `admission_tokens_for` tokens of KV
+    /// can be reserved for it. Returns the admitted id.
+    ///
+    /// `prefetched` selects which requests the caller admits. With `true`
+    /// it admits only requests that need **no** prefill, because their KV
+    /// arrived from a prefill replica. They enter the decode phase. With
+    /// `false` it admits only requests with prefill work left. They enter
+    /// the prefill phase, and their reservation borrows cached prefix
+    /// blocks on a prefix-cache hit. A policy loop must refuse
+    /// remote-prefilled requests: if a preemption frees memory between the
+    /// prefetch pass and the policy loop, admitting one there would
+    /// re-prefill cached work. That would push `prefilled` past the prompt
+    /// length and underflow `remaining_prefill`.
+    fn admit_next(
+        &mut self,
+        prefetched: bool,
+        fits: impl FnOnce(&Self, &Request) -> bool,
+    ) -> Option<RequestId> {
+        if self.admissions_closed || self.num_running() >= self.config.max_batch_size {
+            return None;
         }
-        while self.num_running() < self.config.max_batch_size {
-            self.park_quota_blocked_front();
-            let Some(&id) = self.waiting.front() else {
-                break;
-            };
-            let r = &self.requests[&id];
-            if r.remaining_prefill() > 0 {
-                break;
-            }
-            // Reserve the transferred KV plus room for the next token.
-            let need = r.cached_tokens() + 1;
-            if !self.reserve_blocks(id, need) {
-                break;
-            }
-            self.waiting.pop_front();
-            self.enter_running(id, RequestPhase::Decoding);
+        self.park_quota_blocked_front();
+        let &id = self.waiting.front()?;
+        let r = &self.requests[&id];
+        let spec = r.spec;
+        if (r.remaining_prefill() == 0) != prefetched || !fits(self, &spec) {
+            return None;
         }
+        debug_assert!(self.within_quota(id), "the park pass admits in quota");
+        let tokens = self.admission_tokens_for(id);
+        let hit = self.charge_tenant(id, |b| {
+            if prefetched {
+                b.try_reserve(id, tokens).then_some(0)
+            } else {
+                b.try_reserve_prefixed(
+                    id,
+                    tokens,
+                    spec.prefix_id,
+                    spec.prefill_tokens,
+                    spec.prefix_len,
+                )
+            }
+        })?;
+        self.waiting.pop_front();
+        if hit > 0 {
+            debug_assert!(hit < spec.prefill_tokens, "a hit leaves prefill work");
+            self.requests.get_mut(&id).expect("tracked").prefilled = hit;
+            self.bump_prefix_stats(spec.tenant, hit);
+        }
+        let phase = if prefetched {
+            RequestPhase::Decoding
+        } else {
+            RequestPhase::Prefilling
+        };
+        self.enter_running(id, phase);
+        Some(id)
     }
 
     /// Moves `id` (already dequeued from `waiting`) into the running set
@@ -696,18 +675,39 @@ impl ReplicaScheduler {
     /// state allocates nothing.
     pub fn next_batch(&mut self) -> Option<BatchComposition> {
         self.apply_quota_parking();
-        self.admit_prefetched();
+        // Remote-prefilled requests enter the decode phase before any
+        // policy forms its batch.
+        while self.admit_next(true, |_, _| true).is_some() {}
         let mut slices = self.slice_pool.pop().unwrap_or_default();
         debug_assert!(slices.is_empty());
         match self.config.policy {
-            BatchPolicyKind::Vllm => self.vllm_batch(&mut slices),
-            BatchPolicyKind::OrcaPlus => self.orca_batch(&mut slices),
+            BatchPolicyKind::Vllm => {
+                // Prefill-prioritizing: eagerly admit waiting prompts as a
+                // prefill-only batch, otherwise resume every decode.
+                self.admit_whole_prompts(&mut slices, false);
+                if slices.is_empty() {
+                    self.collect_decodes(&mut slices);
+                }
+            }
+            BatchPolicyKind::OrcaPlus => {
+                // Mixed iteration-level batching: decodes, then new prompts.
+                self.collect_decodes(&mut slices);
+                self.admit_whole_prompts(&mut slices, false);
+            }
+            BatchPolicyKind::LightLlm => {
+                // Orca+ plus token-level admission control.
+                self.collect_decodes(&mut slices);
+                self.admit_whole_prompts(&mut slices, true);
+            }
             BatchPolicyKind::SarathiServe { chunk_size } => {
                 self.sarathi_batch(chunk_size, &mut slices)
             }
             BatchPolicyKind::FasterTransformer => self.ft_batch(&mut slices),
-            BatchPolicyKind::LightLlm => self.lightllm_batch(&mut slices),
         }
+        debug_assert!(
+            slices.len() <= self.num_running() && self.num_running() <= self.config.max_batch_size,
+            "every slice is a distinct running request, and the gate caps the running set"
+        );
         if slices.is_empty() {
             self.slice_pool.push(slices);
             None
@@ -807,46 +807,6 @@ impl ReplicaScheduler {
         self.leave_running(id);
         self.requests.remove(&id);
         self.completed += 1;
-    }
-
-    /// Admits the front waiting request, reserving `reserve_tokens` of KV
-    /// capacity. Returns the id on success.
-    ///
-    /// Requests that need no prefill (remote-prefilled KV) are refused here:
-    /// they are [`admit_prefetched`](Self::admit_prefetched)'s job. Without
-    /// this guard, a preemption that frees memory *between* the prefetch
-    /// pass and the policy admission loop would re-prefill already-cached
-    /// work, pushing `prefilled` past the prompt length and underflowing
-    /// `remaining_prefill` (a latent seed bug, reachable in disaggregated
-    /// decode pools under memory pressure).
-    fn admit_front(&mut self, reserve_tokens: u64) -> Option<RequestId> {
-        if self.admissions_closed {
-            return None;
-        }
-        let &id = self.waiting.front()?;
-        if self.requests[&id].remaining_prefill() == 0 {
-            return None;
-        }
-        // Backstop only: every in-tree policy loop parks quota-blocked
-        // fronts (with the same token amount) immediately before calling
-        // this, so the check cannot fire today — it guards future callers
-        // that admit without the pre-park.
-        if !self.within_quota(id, reserve_tokens) {
-            return None;
-        }
-        let hit = self.reserve_blocks_prefixed(id, reserve_tokens)?;
-        self.waiting.pop_front();
-        if hit > 0 {
-            let tenant = {
-                let r = self.requests.get_mut(&id).expect("tracked");
-                debug_assert!(hit < r.spec.prefill_tokens, "a hit leaves prefill work");
-                r.prefilled = hit;
-                r.spec.tenant
-            };
-            self.bump_prefix_stats(tenant, hit);
-        }
-        self.enter_running(id, RequestPhase::Prefilling);
-        Some(id)
     }
 
     /// Accounts one prefix-cache hit of `hit` skipped tokens for `tenant`.
@@ -1010,11 +970,12 @@ impl ReplicaScheduler {
 
     /// Grows `id`'s KV reservation for one appended token, preempting other
     /// requests if necessary (vLLM recompute). If no victim remains, `id`
-    /// itself is preempted and `false` is returned.
+    /// itself is preempted and `false` is returned. Decode growth is never
+    /// quota-blocked.
     fn grow_or_preempt(&mut self, id: RequestId) -> bool {
         let target = self.requests[&id].cached_tokens() + 1;
         loop {
-            if self.grow_blocks(id, target) {
+            if self.charge_tenant(id, |b| b.try_grow(id, target)) {
                 return true;
             }
             if !self.preempt_one(id) {
@@ -1025,8 +986,12 @@ impl ReplicaScheduler {
         }
     }
 
-    fn mark_inflight(&mut self, id: RequestId, tokens: u64) {
-        self.requests.get_mut(&id).expect("tracked").inflight_tokens = tokens;
+    /// Emits a prefill slice of `take` tokens for running request `id` and
+    /// marks it in flight.
+    fn push_prefill(&mut self, slices: &mut Vec<RequestSlice>, id: RequestId, take: u64) {
+        let r = self.requests.get_mut(&id).expect("tracked");
+        slices.push(RequestSlice::prefill(id, take, r.prefilled));
+        r.inflight_tokens = take;
     }
 
     /// Snapshots the ids of `list` that pass `keep` into the scratch buffer
@@ -1050,15 +1015,12 @@ impl ReplicaScheduler {
         ids
     }
 
-    /// Builds decode slices for up to `limit` schedulable decode requests,
-    /// handling memory growth with preemption.
-    fn collect_decodes(&mut self, limit: usize, slices: &mut Vec<RequestSlice>) {
+    /// Builds decode slices for every schedulable decode request, handling
+    /// memory growth with preemption.
+    fn collect_decodes(&mut self, slices: &mut Vec<RequestSlice>) {
         let decoding = self.decoding;
         let ids = self.snapshot_ids(&decoding, |r| r.inflight_tokens == 0 && !r.finished());
         for &id in &ids {
-            if slices.len() >= limit {
-                break;
-            }
             // The request may have been preempted (back to Waiting) by an
             // earlier growth in this same pass.
             if self.requests[&id].phase != RequestPhase::Decoding {
@@ -1067,117 +1029,62 @@ impl ReplicaScheduler {
             if !self.grow_or_preempt(id) {
                 continue;
             }
-            let cached = self.requests[&id].cached_tokens();
-            slices.push(RequestSlice::decode(id, cached));
-            self.mark_inflight(id, 1);
+            let r = self.requests.get_mut(&id).expect("tracked");
+            slices.push(RequestSlice::decode(id, r.cached_tokens()));
+            r.inflight_tokens = 1;
         }
         self.ids_scratch = ids;
     }
 
-    // ---- vLLM: prefill-prioritizing -------------------------------------
-
-    fn vllm_batch(&mut self, slices: &mut Vec<RequestSlice>) {
+    /// The vLLM, Orca+ and LightLLM admission loop: admits waiting prompts
+    /// while each **whole** prompt fits the token budget left after
+    /// `slices`, charging the whole prompt even when a prefix-cache hit
+    /// shrinks the computed slice. With `kv_bound` (LightLLM) it also
+    /// admits only while the projected KV footprint of everything running,
+    /// at completion, stays within capacity, avoiding future preemptions.
+    fn admit_whole_prompts(&mut self, slices: &mut Vec<RequestSlice>, kv_bound: bool) {
         let budget = self.config.token_budget();
-        let mut tokens = 0u64;
-        // Eagerly admit waiting prompts as a prefill-only batch.
-        while self.num_running() < self.config.max_batch_size {
-            self.park_quota_blocked_front();
-            let Some(&id) = self.waiting.front() else {
-                break;
-            };
-            let prompt = self.requests[&id].spec.prefill_tokens;
-            if tokens + prompt > budget {
-                break;
-            }
-            if self.admit_front(prompt).is_none() {
-                break;
-            }
-            // Re-read after admission: a prefix-cache hit set `prefilled`,
-            // so only the un-cached prompt tail is computed (with no hit
-            // this is exactly the `prefill(id, prompt, 0)` slice of old).
-            let r = &self.requests[&id];
-            let take = r.remaining_prefill();
-            slices.push(RequestSlice::prefill(id, take, r.prefilled));
-            self.mark_inflight(id, take);
-            tokens += prompt;
-        }
-        if !slices.is_empty() {
-            return;
-        }
-        // Otherwise resume decodes for everything running.
-        self.collect_decodes(self.config.max_batch_size, slices);
-    }
-
-    // ---- Orca+: mixed iteration-level batching ---------------------------
-
-    fn orca_batch(&mut self, slices: &mut Vec<RequestSlice>) {
-        let budget = self.config.token_budget();
-        self.collect_decodes(self.config.max_batch_size, slices);
+        let capacity_tokens = self.blocks.total_blocks() * self.blocks.block_size() as u64;
         let mut tokens = slices.len() as u64;
-        while self.num_running() < self.config.max_batch_size
-            && slices.len() < self.config.max_batch_size
-        {
-            self.park_quota_blocked_front();
-            let Some(&id) = self.waiting.front() else {
-                break;
-            };
-            let prompt = self.requests[&id].spec.prefill_tokens;
-            if tokens + prompt > budget {
-                break;
-            }
-            if self.admit_front(prompt).is_none() {
-                break;
-            }
-            // Post-admission re-read: prefix-cache hits shrink the slice.
+        while let Some(id) = self.admit_next(false, |s, spec| {
+            tokens + spec.prefill_tokens <= budget
+                && (!kv_bound || s.projected_tokens + spec.total_tokens() <= capacity_tokens)
+        }) {
             let r = &self.requests[&id];
-            let take = r.remaining_prefill();
-            slices.push(RequestSlice::prefill(id, take, r.prefilled));
-            self.mark_inflight(id, take);
-            tokens += prompt;
+            tokens += r.spec.prefill_tokens;
+            self.push_prefill(slices, id, r.remaining_prefill());
         }
     }
 
     // ---- Sarathi-Serve: chunked prefills under a token budget ------------
 
     fn sarathi_batch(&mut self, chunk_size: u64, slices: &mut Vec<RequestSlice>) {
-        self.collect_decodes(self.config.max_batch_size, slices);
+        self.collect_decodes(slices);
         let mut budget = chunk_size.saturating_sub(slices.len() as u64);
         // Continue partially-prefilled running requests first.
         let prefilling = self.prefilling;
         let partial = self.snapshot_ids(&prefilling, |r| r.inflight_tokens == 0);
         for &id in &partial {
-            if budget == 0 || slices.len() >= self.config.max_batch_size {
+            if budget == 0 {
                 break;
             }
-            let r = &self.requests[&id];
-            let take = r.remaining_prefill().min(budget);
+            let take = self.requests[&id].remaining_prefill().min(budget);
             if take == 0 {
                 continue;
             }
-            slices.push(RequestSlice::prefill(id, take, r.prefilled));
-            self.mark_inflight(id, take);
+            self.push_prefill(slices, id, take);
             budget -= take;
         }
         self.ids_scratch = partial;
-        // Admit new requests with the remaining budget.
-        while budget > 0
-            && self.num_running() < self.config.max_batch_size
-            && slices.len() < self.config.max_batch_size
-        {
-            self.park_quota_blocked_front();
-            let Some(&front) = self.waiting.front() else {
+        // Admit new requests with the remaining budget, charging only the
+        // chunk each one takes (a prefix-cache hit starts the chunked
+        // prefill at `prefilled` instead of 0).
+        while budget > 0 {
+            let Some(id) = self.admit_next(false, |_, _| true) else {
                 break;
             };
-            let prompt = self.requests[&front].spec.prefill_tokens;
-            let Some(id) = self.admit_front(prompt) else {
-                break;
-            };
-            // Post-admission re-read: a prefix-cache hit starts the chunked
-            // prefill at `prefilled` instead of 0.
-            let r = &self.requests[&id];
-            let take = r.remaining_prefill().min(budget);
-            slices.push(RequestSlice::prefill(id, take, r.prefilled));
-            self.mark_inflight(id, take);
+            let take = self.requests[&id].remaining_prefill().min(budget);
+            self.push_prefill(slices, id, take);
             budget -= take;
         }
     }
@@ -1185,38 +1092,26 @@ impl ReplicaScheduler {
     // ---- FasterTransformer: cohort (request-level) batching ---------------
 
     fn ft_batch(&mut self, slices: &mut Vec<RequestSlice>) {
-        let budget = self.config.token_budget();
         if self.num_running() == 0 {
-            // Admit a fresh cohort, preallocating each request's full KV
-            // footprint (FT reserves max sequence length up front).
-            while self.num_running() < self.config.max_batch_size {
-                self.park_quota_blocked_front();
-                let Some(&id) = self.waiting.front() else {
-                    break;
-                };
-                let total = self.requests[&id].spec.total_tokens();
-                if self.admit_front(total).is_none() {
-                    break;
-                }
-                let _ = id;
-            }
+            // Admit a fresh cohort. The gate reserves each request's full
+            // KV footprint (FT preallocates max sequence length up front);
+            // the prefill pass below emits the slices.
+            while self.admit_next(false, |_, _| true).is_some() {}
         }
         // Prefill phase: process cohort prompts (token budget may spread
         // them over several iterations).
+        let budget = self.config.token_budget();
         let mut tokens = 0u64;
         let prefilling = self.prefilling;
         let pending = self.snapshot_ids(&prefilling, |r| r.inflight_tokens == 0);
         for &id in &pending {
             // `remaining_prefill` equals the full prompt unless a prefix-
             // cache hit pre-filled the shared head at cohort admission.
-            let r = &self.requests[&id];
-            let take = r.remaining_prefill();
-            let cached = r.prefilled;
+            let take = self.requests[&id].remaining_prefill();
             if tokens + take > budget && tokens > 0 {
                 break;
             }
-            slices.push(RequestSlice::prefill(id, take, cached));
-            self.mark_inflight(id, take);
+            self.push_prefill(slices, id, take);
             tokens += take;
         }
         self.ids_scratch = pending;
@@ -1225,47 +1120,7 @@ impl ReplicaScheduler {
         }
         // Decode phase: everyone decodes until the whole cohort finishes
         // (no new admissions in between — decode prioritizing).
-        self.collect_decodes(self.config.max_batch_size, slices);
-    }
-
-    // ---- LightLLM: token-level admission control --------------------------
-
-    fn lightllm_batch(&mut self, slices: &mut Vec<RequestSlice>) {
-        let budget = self.config.token_budget();
-        let capacity_tokens = self.blocks.total_blocks() * self.blocks.block_size() as u64;
-        self.collect_decodes(self.config.max_batch_size, slices);
-        let mut tokens = slices.len() as u64;
-        // Projected KV footprint of everything running, at completion —
-        // maintained incrementally on admit/finish/preempt rather than
-        // re-summed over the running set per call.
-        let mut projected = self.projected_tokens;
-        while self.num_running() < self.config.max_batch_size
-            && slices.len() < self.config.max_batch_size
-        {
-            self.park_quota_blocked_front();
-            let Some(&id) = self.waiting.front() else {
-                break;
-            };
-            let spec = self.requests[&id].spec;
-            if tokens + spec.prefill_tokens > budget {
-                break;
-            }
-            // Token-level admission: only admit if the projected total KV
-            // footprint stays within capacity, avoiding future preemptions.
-            if projected + spec.total_tokens() > capacity_tokens {
-                break;
-            }
-            if self.admit_front(spec.prefill_tokens).is_none() {
-                break;
-            }
-            // Post-admission re-read: prefix-cache hits shrink the slice.
-            let r = &self.requests[&id];
-            let take = r.remaining_prefill();
-            slices.push(RequestSlice::prefill(id, take, r.prefilled));
-            self.mark_inflight(id, take);
-            tokens += spec.prefill_tokens;
-            projected += spec.total_tokens();
-        }
+        self.collect_decodes(slices);
     }
 }
 
@@ -1736,17 +1591,85 @@ mod tests {
         assert!(s.next_batch().is_some(), "admissions reopen after warm-up");
     }
 
+    /// The admission gate is the only batch-size check. Under every policy
+    /// variant the equivalence proptests cover, with remote-prefilled
+    /// arrivals, preemption churn under tight KV, armed tenant quotas and an
+    /// armed prefix cache, neither the running set nor a formed batch may
+    /// exceed `max_batch_size`.
     #[test]
     fn batch_size_limit_respected() {
-        let mut s = ReplicaScheduler::new(
-            SchedulerConfig::new(BatchPolicyKind::OrcaPlus, 4),
-            100_000,
-            16,
-        );
-        for i in 0..10 {
-            s.add_request(req(i, 10, 5));
+        let policies = [
+            BatchPolicyKind::Vllm,
+            BatchPolicyKind::OrcaPlus,
+            BatchPolicyKind::SarathiServe { chunk_size: 128 },
+            BatchPolicyKind::SarathiServe { chunk_size: 512 },
+            BatchPolicyKind::FasterTransformer,
+            BatchPolicyKind::LightLlm,
+        ];
+        let (mut tight_preemptions, mut denials, mut hits) = (0, 0, 0);
+        for policy in policies {
+            // (max batch, KV blocks): ample memory, then tight memory whose
+            // decode growth must preempt.
+            for (max_batch, blocks) in [(4usize, 100_000u64), (3, 40)] {
+                for armed in [false, true] {
+                    let mut s =
+                        ReplicaScheduler::new(SchedulerConfig::new(policy, max_batch), blocks, 16);
+                    if armed {
+                        s.set_tenant_quotas(&[12, 20]);
+                        s.arm_prefix_cache();
+                    }
+                    let mut inflight = VecDeque::new();
+                    let mut next_id = 0u64;
+                    let mut reached_cap = false;
+                    for step in 0..20_000 {
+                        if next_id < 40 && step % 3 != 2 {
+                            let mut r = req(next_id, 40 + (next_id * 37) % 260, 2 + next_id % 60)
+                                .with_tenant((next_id % 2) as u32);
+                            if armed {
+                                r = r.with_prefix(next_id % 3, 32);
+                            }
+                            if next_id % 4 == 3 {
+                                s.add_remote_prefilled(r, 1);
+                            } else {
+                                s.add_request(r);
+                            }
+                            next_id += 1;
+                        }
+                        // Up to two batches in flight, as under pipeline
+                        // parallelism.
+                        if inflight.len() < 2 {
+                            if let Some(b) = s.next_batch() {
+                                assert!(b.num_requests() <= max_batch, "{policy}: batch over cap");
+                                inflight.push_back(b);
+                            }
+                            assert!(s.num_running() <= max_batch, "{policy}: running over cap");
+                            reached_cap |= s.num_running() == max_batch;
+                        }
+                        if inflight.len() == 2 || (inflight.len() == 1 && step % 2 == 1) {
+                            let b = inflight.pop_front().expect("in flight");
+                            s.complete_batch(&b);
+                        }
+                        if next_id == 40 && inflight.is_empty() && s.outstanding() == 0 {
+                            break;
+                        }
+                    }
+                    assert_eq!(s.completed(), 40, "{policy}: run must drain");
+                    assert!(reached_cap, "{policy}: the cap must bind");
+                    if blocks == 40 {
+                        tight_preemptions += s.preemptions();
+                    }
+                    denials += s.quota_denied().iter().sum::<u64>();
+                    hits += s.prefix_hit_requests();
+                }
+            }
         }
-        let b = s.next_batch().unwrap();
-        assert!(b.num_requests() <= 4);
+        assert!(
+            tight_preemptions > 0,
+            "tight KV must cause preemption churn"
+        );
+        assert!(
+            denials > 0 && hits > 0,
+            "armed quotas and prefix cache must engage"
+        );
     }
 }

@@ -173,19 +173,8 @@ impl RouterView {
     }
 
     /// The routable replica with the fewest outstanding requests (lowest
-    /// index on ties — the same tie-break as the seed's `min_by_key`).
-    ///
-    /// # Panics
-    ///
-    /// Panics when no replica is routable; policies that must tolerate a
-    /// fully-dark fleet use [`RouterView::try_least_outstanding`].
-    pub fn least_outstanding(&self) -> usize {
-        self.try_least_outstanding()
-            .expect("tier has at least one routable replica")
-    }
-
-    /// Like [`RouterView::least_outstanding`], but `None` when no replica
-    /// is routable.
+    /// index on ties — the same tie-break as the seed's `min_by_key`), or
+    /// `None` when no replica is routable.
     pub fn try_least_outstanding(&self) -> Option<usize> {
         self.replicas
             .iter()

@@ -154,14 +154,6 @@ pub fn find_capacity_with_timer(
     })
 }
 
-/// Rough analytic sanity bound used in tests: a single replica cannot
-/// exceed `peak_flops / flops_per_token` tokens per second.
-pub fn flops_upper_bound_qps(config: &ClusterConfig, mean_tokens_per_request: f64) -> f64 {
-    let flops_per_token = vidur_model::flops::dense_flops_per_token(&config.model);
-    let cluster_flops = config.sku.peak_fp16_flops * config.total_gpus() as f64;
-    cluster_flops / (flops_per_token * mean_tokens_per_request)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,29 +219,6 @@ mod tests {
             "2 replicas: {} vs {}",
             double.capacity_qps,
             single.capacity_qps
-        );
-    }
-
-    #[test]
-    fn flops_bound_holds() {
-        let mut ledger = CostLedger::new();
-        let params = CapacityParams {
-            bisect_iters: 4,
-            ..CapacityParams::default()
-        };
-        let trace = base_trace(50);
-        let mean_tokens = trace
-            .requests
-            .iter()
-            .map(|r| (r.prefill_tokens + r.decode_tokens) as f64)
-            .sum::<f64>()
-            / trace.len() as f64;
-        let result = find_capacity(&config(), &trace, &params, &oracle(), &mut ledger).unwrap();
-        let bound = flops_upper_bound_qps(&config(), mean_tokens);
-        assert!(
-            result.capacity_qps < bound,
-            "{} < {bound}",
-            result.capacity_qps
         );
     }
 }

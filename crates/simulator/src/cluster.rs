@@ -11,7 +11,7 @@
 
 use crate::config::ClusterConfig;
 use crate::engine::{self, BatchEngine, EngineReplica};
-use crate::faults::{FleetObservation, ScaleDecision, SloQueueAutoscaler};
+use crate::faults::{AutoscalerSpec, FleetObservation, ScaleDecision};
 use crate::metrics::{FleetStats, SimulationReport, TenantRoutingStats};
 use vidur_core::event::{EventQueue, Simulation};
 use vidur_core::time::{SimDuration, SimTime};
@@ -51,9 +51,8 @@ pub(crate) struct ElasticState {
     /// Warm-up delay priced once from the warm-up model and the replica's
     /// total weight bytes.
     warmup_delay: SimDuration,
-    /// The armed autoscaler (its spec holds the bounds and thresholds), if
-    /// any.
-    autoscaler: Option<SloQueueAutoscaler>,
+    /// The armed autoscaler (bounds, thresholds and policy), if any.
+    autoscaler: Option<AutoscalerSpec>,
     /// Dispatches per trace index: a second dispatch is a retry.
     dispatch_count: Vec<u32>,
     retries: u64,
@@ -87,7 +86,7 @@ impl ElasticState {
         ElasticState {
             records: config.faults.schedule.records.clone(),
             warmup_delay: SimDuration::from_secs_f64(warmup_delay_secs),
-            autoscaler: config.autoscaler.map(SloQueueAutoscaler::new),
+            autoscaler: config.autoscaler,
             dispatch_count: vec![0; trace_len],
             retries: 0,
             requeued: 0,
@@ -392,7 +391,7 @@ impl ClusterSimulator {
                 }
                 if let Some(autoscaler) = &el.autoscaler {
                     arrivals.push((
-                        SimTime::from_secs_f64(autoscaler.spec.interval_secs),
+                        SimTime::from_secs_f64(autoscaler.interval_secs),
                         SimEvent::AutoscaleTick,
                     ));
                 }
@@ -702,7 +701,6 @@ impl ClusterSimulator {
             let el = self.elastic.as_deref_mut().expect("elastic armed");
             let autoscaler = el
                 .autoscaler
-                .as_ref()
                 .expect("tick only fires with an armed autoscaler");
             let obs = FleetObservation {
                 live,
@@ -715,7 +713,7 @@ impl ClusterSimulator {
             };
             el.window_prefills = 0;
             el.window_slo_ok = 0;
-            (autoscaler.spec, autoscaler.decide(&obs))
+            (autoscaler, autoscaler.decide(&obs))
         };
         match decision {
             ScaleDecision::Hold => {}
@@ -807,7 +805,7 @@ impl Simulation for ClusterSimulator {
                                     el.window_prefills += 1;
                                     let ttft =
                                         now.saturating_duration_since(tr.arrival).as_secs_f64();
-                                    if ttft <= autoscaler.spec.ttft_slo_secs {
+                                    if ttft <= autoscaler.ttft_slo_secs {
                                         el.window_slo_ok += 1;
                                     }
                                 }

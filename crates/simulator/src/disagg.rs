@@ -216,23 +216,6 @@ impl DisaggSimulator {
         }
     }
 
-    /// Runs to completion and returns the report together with run
-    /// statistics, mirroring
-    /// [`ClusterSimulator::run_with_stats`](crate::ClusterSimulator::run_with_stats). The
-    /// disaggregated simulator always runs sequentially (fault plans and
-    /// sharding are aggregated-cluster features), so the stats report one
-    /// shard and nothing streamed.
-    pub fn run_with_stats(self) -> (SimulationReport, crate::cluster::RunStats) {
-        let report = self.run();
-        (
-            report,
-            crate::cluster::RunStats {
-                shards: 1,
-                ..crate::cluster::RunStats::default()
-            },
-        )
-    }
-
     /// Runs to completion and returns the report.
     pub fn run(mut self) -> SimulationReport {
         let arrivals = engine::trace_arrivals(&self.trace, DisaggEvent::Arrival);

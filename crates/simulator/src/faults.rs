@@ -1,12 +1,12 @@
 //! Fault injection and elastic-fleet policy: [`FaultPlan`], the recovery
-//! warm-up model, and the [`SloQueueAutoscaler`].
+//! warm-up model, and the [`AutoscalerSpec`] policy.
 //!
 //! A [`FaultPlan`] arms the cluster engine with a deterministic
 //! [`FaultSchedule`] (crashes, recoveries, straggler episodes, graceful
 //! drains — see [`vidur_workload::faults`] for the on-disk format) plus a
 //! [`WarmupModel`] that prices how long a recovering or scaled-up replica
-//! takes before it is routable. The [`SloQueueAutoscaler`] closes the loop from
-//! observed SLO attainment and queue depth back to fleet size.
+//! takes before it is routable. [`AutoscalerSpec::decide`] closes the loop
+//! from observed SLO attainment and queue depth back to fleet size.
 //!
 //! Arming either feature changes nothing until it fires: an empty plan with
 //! no autoscaler is **byte-identical** to a run without the elastic layer
@@ -76,8 +76,8 @@ impl FaultPlan {
     }
 }
 
-/// Autoscaler configuration: evaluation cadence, fleet bounds, and the
-/// SLO/queue thresholds the default policy reacts to.
+/// The autoscaler: evaluation cadence, fleet bounds, and the SLO/queue
+/// thresholds [`AutoscalerSpec::decide`] reacts to.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AutoscalerSpec {
     /// Seconds between policy evaluations (one observation window).
@@ -123,12 +123,38 @@ impl AutoscalerSpec {
             scale_step: 1,
         }
     }
+
+    /// Decides the fleet change for one observation window: scale up
+    /// whenever the window missed the attainment target, the tier had to
+    /// defer, or the queue per live replica ran high; scale down when
+    /// attainment holds, nothing is deferred or warming, and the queue would
+    /// stay low on the smaller fleet. Invoked once per interval; the engine
+    /// applies the decision within `[min_replicas, max_replicas]`.
+    pub fn decide(&self, obs: &FleetObservation) -> ScaleDecision {
+        let live = obs.live.max(1);
+        let queue_per_live = (obs.deferred + obs.outstanding) as f64 / live as f64;
+        let missed_slo = obs.attainment().is_some_and(|a| a < self.target_attainment);
+        if missed_slo || obs.deferred > 0 || queue_per_live > self.queue_high {
+            return ScaleDecision::Up(self.scale_step);
+        }
+        let step = self
+            .scale_step
+            .min(obs.live.saturating_sub(self.min_replicas));
+        if step > 0 && obs.warming == 0 && obs.draining == 0 {
+            let shrunk = (obs.live - step).max(1);
+            let queue_after = obs.outstanding as f64 / shrunk as f64;
+            if queue_after < self.queue_low {
+                return ScaleDecision::Drain(step);
+            }
+        }
+        ScaleDecision::Hold
+    }
 }
 
-/// One observation window handed to [`SloQueueAutoscaler::decide`]: current fleet
-/// shape plus what the window saw. TTFT attainment is windowed per prefill
-/// completion — the same signal the report's per-tenant SLO column uses,
-/// sampled live instead of at the end of the run.
+/// One observation window handed to [`AutoscalerSpec::decide`]: current
+/// fleet shape plus what the window saw. TTFT attainment is windowed per
+/// prefill completion — the same signal the report's per-tenant SLO column
+/// uses, sampled live instead of at the end of the run.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetObservation {
     /// Routable replicas.
@@ -165,46 +191,6 @@ pub enum ScaleDecision {
     Drain(usize),
 }
 
-/// The autoscaling policy: scale up whenever the window missed the
-/// attainment target, the tier had to defer, or the queue per live replica
-/// ran high; scale down when attainment holds, nothing is deferred or
-/// warming, and the queue would stay low on the smaller fleet. Invoked once
-/// per interval; the engine applies the decision within the
-/// `[min_replicas, max_replicas]` bounds of the armed [`AutoscalerSpec`].
-#[derive(Debug, Clone)]
-pub struct SloQueueAutoscaler {
-    pub(crate) spec: AutoscalerSpec,
-}
-
-impl SloQueueAutoscaler {
-    /// Builds the policy around its thresholds.
-    pub fn new(spec: AutoscalerSpec) -> Self {
-        SloQueueAutoscaler { spec }
-    }
-
-    /// Decides the fleet change for one observation window.
-    pub fn decide(&self, obs: &FleetObservation) -> ScaleDecision {
-        let spec = &self.spec;
-        let live = obs.live.max(1);
-        let queue_per_live = (obs.deferred + obs.outstanding) as f64 / live as f64;
-        let missed_slo = obs.attainment().is_some_and(|a| a < spec.target_attainment);
-        if missed_slo || obs.deferred > 0 || queue_per_live > spec.queue_high {
-            return ScaleDecision::Up(spec.scale_step);
-        }
-        let step = spec
-            .scale_step
-            .min(obs.live.saturating_sub(spec.min_replicas));
-        if step > 0 && obs.warming == 0 && obs.draining == 0 {
-            let shrunk = (obs.live - step).max(1);
-            let queue_after = obs.outstanding as f64 / shrunk as f64;
-            if queue_after < spec.queue_low {
-                return ScaleDecision::Drain(step);
-            }
-        }
-        ScaleDecision::Hold
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,8 +225,7 @@ mod tests {
 
     #[test]
     fn scales_up_on_missed_slo_or_queue() {
-        let spec = AutoscalerSpec::new(1, 8);
-        let policy = SloQueueAutoscaler::new(spec);
+        let policy = AutoscalerSpec::new(1, 8);
         let mut missed = obs(4, 0, 0);
         missed.window_slo_ok = 50;
         assert_eq!(policy.decide(&missed), ScaleDecision::Up(1));
@@ -252,8 +237,7 @@ mod tests {
 
     #[test]
     fn scales_down_only_when_safe() {
-        let spec = AutoscalerSpec::new(2, 8);
-        let policy = SloQueueAutoscaler::new(spec);
+        let policy = AutoscalerSpec::new(2, 8);
         // Healthy and near-idle: drain.
         assert_eq!(policy.decide(&obs(4, 0, 1)), ScaleDecision::Drain(1));
         // At the floor: hold.

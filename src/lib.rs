@@ -64,8 +64,8 @@ pub mod prelude {
         onboard, onboard_timer, run_fidelity_pair, AutoscalerSpec, CacheStats, ClusterConfig,
         ClusterSimulator, DisaggConfig, DisaggSimulator, FaultPlan, FidelityReport,
         FleetObservation, FleetStats, PrefixCacheConfig, PrefixStats, QuantileMode, RunStats,
-        ScaleDecision, SimulationReport, SloQueueAutoscaler, StageTimer, TenantReport,
-        TenantRoutingStats, TenantSlo, TimeseriesConfig, TimeseriesRow, WarmupModel,
+        ScaleDecision, SimulationReport, StageTimer, TenantReport, TenantRoutingStats, TenantSlo,
+        TimeseriesConfig, TimeseriesRow, WarmupModel,
     };
     pub use vidur_workload::faults::{FaultAction, FaultRecord, FaultSchedule};
     pub use vidur_workload::{
