@@ -1,7 +1,7 @@
 //! # vidur-bench
 //!
 //! The benchmark harness regenerating every table and figure of the Vidur
-//! paper (see DESIGN.md's per-experiment index), plus ablation studies and
+//! paper (one `src/bin` binary per artifact), plus ablation studies and
 //! Criterion micro-benchmarks.
 //!
 //! Each `src/bin/*` binary prints a markdown table matching the paper

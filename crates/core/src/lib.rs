@@ -21,13 +21,11 @@
 //! * [`shard`] — shard-local event queues ([`shard::ShardQueue`]) whose pop
 //!   streams can be merged back into the exact sequential global order
 //!   ([`shard::ShardStamper`]), the foundation of the parallel simulator.
-//! * [`metrics`] — metric primitives: an exact quantile digest, the
-//!   time-weighted utilization series, and the [`QuantileMode`] switch
-//!   between exact and bounded-memory metrics.
-//! * [`mergeable`] — bounded-memory summary sketches: a deterministic
-//!   t-digest ([`mergeable::TDigest`]) and a HyperLogLog distinct-count
-//!   sketch ([`mergeable::HyperLogLog`]). These are the building blocks of
-//!   the simulator's mergeable metrics mode.
+//! * [`metrics`] — metric primitives: an exact quantile digest and the
+//!   [`QuantileMode`] switch between exact and mergeable metrics.
+//! * [`mergeable`] — a deterministic, bounded-memory t-digest
+//!   ([`mergeable::TDigest`]), the latency store of the simulator's
+//!   mergeable metrics mode.
 //!
 //! # Example
 //!
@@ -54,8 +52,8 @@ pub mod shard;
 pub mod time;
 
 pub use event::{EventPush, EventQueue, KeyedPairingHeap, Simulation};
-pub use mergeable::{HyperLogLog, TDigest};
-pub use metrics::{QuantileDigest, QuantileMode, TimeWeightedSeries};
+pub use mergeable::TDigest;
+pub use metrics::{QuantileDigest, QuantileMode};
 pub use rng::SimRng;
 pub use shard::{ShardKey, ShardQueue, ShardStamper};
 pub use time::{SimDuration, SimTime};

@@ -1,17 +1,12 @@
-//! Bounded-memory summary sketches: a deterministic t-digest and a
-//! HyperLogLog.
+//! A bounded-memory summary sketch: a deterministic t-digest.
 //!
 //! The exact metrics path ([`crate::metrics::QuantileDigest`]) stores every
-//! sample. This module provides the two bounded-memory summaries behind the
-//! collector's mergeable mode:
-//!
-//! - [`TDigest`]: bounded-memory quantile sketch (Dunning's t-digest with
-//!   the k1 arcsine scale function). It is *deterministic*: local
-//!   compressions trigger at fixed buffer sizes, and [`TDigest::seal`]
-//!   performs one canonical compression over the sorted centroid list, so a
-//!   given sample sequence always yields the same quantile reads.
-//! - [`HyperLogLog`]: distinct-count sketch whose registers (element-wise
-//!   maxima) are independent of insertion order by construction.
+//! sample. [`TDigest`] is the bounded-memory quantile sketch behind the
+//! collector's mergeable mode: Dunning's t-digest with the k1 arcsine scale
+//! function. It is *deterministic*: local compressions trigger at fixed
+//! buffer sizes, and [`TDigest::seal`] performs one canonical compression
+//! over the sorted centroid list, so a given sample sequence always yields
+//! the same quantile reads.
 //!
 //! The t-digest keeps no running `f64` sum: callers that report a mean keep
 //! the exact sum alongside it.
@@ -216,79 +211,6 @@ impl TDigest {
     }
 }
 
-/// SplitMix64: a cheap, well-mixed 64-bit hash (public-domain constants).
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Register-count exponent: 2^10 = 1024 registers ≈ 3.25% standard error.
-const HLL_PRECISION: u32 = 10;
-
-/// A HyperLogLog distinct-count sketch over `u64` keys.
-///
-/// 1024 one-byte registers (~3.25% standard error). Keys are mixed through
-/// SplitMix64, so dense small integers (tenant ids, prefix hashes) spread
-/// uniformly. Each register keeps the maximum rank seen, so the registers
-/// depend only on the *set* of inserted keys — any insertion order yields
-/// bit-identical registers.
-#[derive(Debug, Clone, PartialEq)]
-pub struct HyperLogLog {
-    registers: Vec<u8>,
-}
-
-impl Default for HyperLogLog {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl HyperLogLog {
-    /// An empty sketch.
-    pub fn new() -> Self {
-        Self {
-            registers: vec![0; 1 << HLL_PRECISION],
-        }
-    }
-
-    /// Fold one key into the sketch.
-    pub fn insert(&mut self, key: u64) {
-        let h = splitmix64(key);
-        let idx = (h >> (64 - HLL_PRECISION)) as usize;
-        // Rank = position of the first set bit in the remaining stream.
-        let rest = h << HLL_PRECISION;
-        let rank = (rest.leading_zeros() + 1).min(64 - HLL_PRECISION + 1) as u8;
-        if rank > self.registers[idx] {
-            self.registers[idx] = rank;
-        }
-    }
-
-    /// Estimated number of distinct keys inserted, with the standard
-    /// linear-counting correction for small cardinalities. Deterministic:
-    /// the registers determine the estimate bit for bit.
-    pub fn estimate(&self) -> f64 {
-        let m = self.registers.len() as f64;
-        let alpha = 0.7213 / (1.0 + 1.079 / m);
-        let mut denom = 0.0;
-        let mut zeros = 0u32;
-        for &r in &self.registers {
-            denom += 1.0 / (1u64 << r) as f64;
-            if r == 0 {
-                zeros += 1;
-            }
-        }
-        let raw = alpha * m * m / denom;
-        if raw <= 2.5 * m && zeros > 0 {
-            // Linear counting dominates in the small-cardinality regime.
-            m * (m / zeros as f64).ln()
-        } else {
-            raw
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,38 +338,5 @@ mod tests {
         let snapshot = d.clone();
         d.seal();
         assert_eq!(d, snapshot);
-    }
-
-    #[test]
-    fn hll_estimates_within_tolerance() {
-        for n in [10u64, 100, 1_000, 10_000, 100_000] {
-            let mut h = HyperLogLog::new();
-            for k in 0..n {
-                h.insert(k);
-            }
-            let est = h.estimate();
-            let rel = (est - n as f64).abs() / n as f64;
-            assert!(
-                rel < 0.11,
-                "n={n}: estimate {est:.0} off by {:.1}%",
-                rel * 100.0
-            );
-        }
-    }
-
-    #[test]
-    fn hll_empty_estimates_zero() {
-        let h = HyperLogLog::new();
-        assert_eq!(h.estimate(), 0.0);
-    }
-
-    #[test]
-    fn hll_insert_is_idempotent() {
-        let mut h = HyperLogLog::new();
-        for _ in 0..1_000 {
-            h.insert(42);
-        }
-        let est = h.estimate();
-        assert!((0.5..=1.5).contains(&est), "single key estimates {est}");
     }
 }

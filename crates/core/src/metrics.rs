@@ -1,11 +1,11 @@
-//! Metric primitives: an exact quantile digest and time-weighted series.
+//! Metric primitives: an exact quantile digest and the quantile-mode switch.
 //!
 //! Vidur reports request-level distributions (TTFT, TBT, normalized latency —
 //! median/P90/P95/P99) and cluster-level utilization (MFU, MBU, KV-cache
-//! occupancy over time). This module provides the small set of statistics
-//! containers those reports are built from.
+//! occupancy over time). This module provides the exact digest the latency
+//! distributions are built from; the utilization metrics are running sums
+//! kept by the simulator's metrics collector.
 
-use crate::time::SimTime;
 use serde::{Deserialize, Serialize};
 
 /// An exact quantile digest: stores every sample; reads require sorted
@@ -181,119 +181,12 @@ pub enum QuantileMode {
     /// Fold samples into t-digests ([`crate::mergeable::TDigest`]) with
     /// exact running sums: O(1) memory per distribution, approximate
     /// mid-quantiles, exact count/sum/min/max, and per-request records
-    /// retired at completion — the bounded-memory mode for very long runs.
-    /// Latency quantiles and means are not bit-comparable with exact mode;
-    /// every other report field is.
+    /// retired at completion. Metrics memory then grows neither with
+    /// batches nor with decode tokens; the dense id-indexed per-request
+    /// state still grows with the largest request id seen. Latency
+    /// quantiles and means are not bit-comparable with exact mode; every
+    /// other report field is.
     Mergeable,
-}
-
-/// A step function of time used for utilization metrics (KV occupancy, busy
-/// GPUs, outstanding requests). Values are weighted by how long they persist.
-///
-/// # Example
-///
-/// ```
-/// use vidur_core::metrics::TimeWeightedSeries;
-/// use vidur_core::time::SimTime;
-///
-/// let mut s = TimeWeightedSeries::new();
-/// s.record(SimTime::from_secs_f64(0.0), 0.0);
-/// s.record(SimTime::from_secs_f64(1.0), 1.0);
-/// s.record(SimTime::from_secs_f64(3.0), 0.0);
-/// // value was 0 for 1s and 1 for 2s => mean 2/3
-/// let mean = s.time_weighted_mean(SimTime::from_secs_f64(3.0)).unwrap();
-/// assert!((mean - 2.0 / 3.0).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct TimeWeightedSeries {
-    /// (time, value) change-points, non-decreasing in time.
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeWeightedSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeWeightedSeries { points: Vec::new() }
-    }
-
-    /// Records that the tracked value changed to `value` at `time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `time` precedes the previous change-point.
-    pub fn record(&mut self, time: SimTime, value: f64) {
-        if let Some(&(last, _)) = self.points.last() {
-            assert!(time >= last, "series updates must be in time order");
-        }
-        self.points.push((time, value));
-    }
-
-    /// Number of change-points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Returns `true` if no change-points were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// Time-weighted mean of the value from the first change-point to `end`.
-    /// Returns `None` if the series is empty or `end` precedes the first
-    /// change-point.
-    pub fn time_weighted_mean(&self, end: SimTime) -> Option<f64> {
-        let first = self.points.first()?.0;
-        if end <= first {
-            return None;
-        }
-        let total = end.duration_since(first).as_secs_f64();
-        let mut acc = 0.0;
-        for w in self.points.windows(2) {
-            let (t0, v) = w[0];
-            let t1 = w[1].0.min(end);
-            if t1 > t0 {
-                acc += v * t1.duration_since(t0).as_secs_f64();
-            }
-            if w[1].0 >= end {
-                return Some(acc / total);
-            }
-        }
-        let (t_last, v_last) = *self.points.last()?;
-        if end > t_last {
-            acc += v_last * end.duration_since(t_last).as_secs_f64();
-        }
-        Some(acc / total)
-    }
-
-    /// Time-weighted mean of the value over the window `[start, end)`.
-    /// The integration starts at `max(start, first change-point)`; returns
-    /// `None` when that leaves an empty span (series empty, or `end` not
-    /// after the first change-point / `start`).
-    pub fn window_mean(&self, start: SimTime, end: SimTime) -> Option<f64> {
-        let first = self.points.first()?.0;
-        let lo = start.max(first);
-        if end <= lo {
-            return None;
-        }
-        let total = end.duration_since(lo).as_secs_f64();
-        let mut acc = 0.0;
-        for w in self.points.windows(2) {
-            let t0 = w[0].0.max(lo);
-            let t1 = w[1].0.min(end);
-            if t1 > t0 {
-                acc += w[0].1 * t1.duration_since(t0).as_secs_f64();
-            }
-            if w[1].0 >= end {
-                return Some(acc / total);
-            }
-        }
-        let (t_last, v_last) = *self.points.last()?;
-        let t0 = t_last.max(lo);
-        if end > t0 {
-            acc += v_last * end.duration_since(t0).as_secs_f64();
-        }
-        Some(acc / total)
-    }
 }
 
 #[cfg(test)]
@@ -367,73 +260,6 @@ mod tests {
         let _ = d.quantile(0.5);
     }
 
-    #[test]
-    fn series_mean_with_tail() {
-        let mut s = TimeWeightedSeries::new();
-        s.record(SimTime::ZERO, 2.0);
-        s.record(SimTime::from_secs_f64(1.0), 4.0);
-        // 2.0 for 1s, then 4.0 for 3s => (2 + 12) / 4
-        let m = s.time_weighted_mean(SimTime::from_secs_f64(4.0)).unwrap();
-        assert!((m - 3.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn series_end_before_start() {
-        let mut s = TimeWeightedSeries::new();
-        s.record(SimTime::from_secs_f64(5.0), 1.0);
-        assert_eq!(s.time_weighted_mean(SimTime::from_secs_f64(2.0)), None);
-    }
-
-    #[test]
-    fn series_end_mid_window() {
-        let mut s = TimeWeightedSeries::new();
-        s.record(SimTime::ZERO, 1.0);
-        s.record(SimTime::from_secs_f64(2.0), 3.0);
-        s.record(SimTime::from_secs_f64(10.0), 100.0);
-        let m = s.time_weighted_mean(SimTime::from_secs_f64(4.0)).unwrap();
-        // 1.0 for 2s + 3.0 for 2s over 4s = 2.0
-        assert!((m - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn series_window_mean() {
-        let mut s = TimeWeightedSeries::new();
-        s.record(SimTime::from_secs_f64(1.0), 2.0);
-        s.record(SimTime::from_secs_f64(3.0), 6.0);
-        // Window [2, 5): 2.0 for 1s + 6.0 for 2s over 3s.
-        let m = s
-            .window_mean(SimTime::from_secs_f64(2.0), SimTime::from_secs_f64(5.0))
-            .unwrap();
-        assert!((m - 14.0 / 3.0).abs() < 1e-9);
-        // Window entirely before the first change-point.
-        assert_eq!(
-            s.window_mean(SimTime::ZERO, SimTime::from_secs_f64(1.0)),
-            None
-        );
-        // Window clipped to start at the first change-point.
-        let clipped = s
-            .window_mean(SimTime::ZERO, SimTime::from_secs_f64(3.0))
-            .unwrap();
-        assert!((clipped - 2.0).abs() < 1e-9);
-        // Window after the last change-point takes the tail value.
-        let tail = s
-            .window_mean(SimTime::from_secs_f64(10.0), SimTime::from_secs_f64(11.0))
-            .unwrap();
-        assert!((tail - 6.0).abs() < 1e-9);
-        assert_eq!(
-            TimeWeightedSeries::new().window_mean(SimTime::ZERO, SimTime::MAX),
-            None
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "time order")]
-    fn series_rejects_backwards_time() {
-        let mut s = TimeWeightedSeries::new();
-        s.record(SimTime::from_secs_f64(1.0), 0.0);
-        s.record(SimTime::ZERO, 0.0);
-    }
-
     proptest! {
         #[test]
         fn quantiles_are_monotone(mut xs in proptest::collection::vec(-1e6f64..1e6, 2..200)) {
@@ -453,19 +279,6 @@ mod tests {
             let mean = d.mean().unwrap();
             prop_assert!(mean >= d.min().unwrap() - 1e-6);
             prop_assert!(mean <= d.max().unwrap() + 1e-6);
-        }
-
-        #[test]
-        fn series_mean_bounded(vals in proptest::collection::vec(0f64..100.0, 1..50)) {
-            let mut s = TimeWeightedSeries::new();
-            for (i, &v) in vals.iter().enumerate() {
-                s.record(SimTime::from_secs_f64(i as f64), v);
-            }
-            let end = SimTime::from_secs_f64(vals.len() as f64);
-            let m = s.time_weighted_mean(end).unwrap();
-            let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            prop_assert!(m >= lo - 1e-9 && m <= hi + 1e-9);
         }
     }
 }

@@ -1,8 +1,7 @@
 //! # vidur-hardware
 //!
 //! GPU SKU specifications and the **kernel cost oracle** — this repository's
-//! substitute for the paper's real A100/H100 testbed (see DESIGN.md,
-//! "Substitutions").
+//! substitute for the paper's real A100/H100 testbed.
 //!
 //! The oracle computes, for every operator invocation produced by
 //! [`vidur_model::ExecutionPlan`], a deterministic "ground truth" execution

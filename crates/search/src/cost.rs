@@ -155,7 +155,6 @@ mod tests {
             operator_time_breakdown: Vec::new(),
             per_tenant: Vec::new(),
             timeseries: Vec::new(),
-            distinct_tenants_est: None,
             retries: 0,
             requeued: 0,
             evicted_by_crash: 0,

@@ -55,10 +55,11 @@ pub struct ClusterConfig {
     /// [`QuantileMode::Exact`] (the default) stores every sample so report
     /// quantiles are exact and bit-reproducible; [`QuantileMode::Mergeable`]
     /// records latencies into t-digests with exact running sums and retires
-    /// per-request records as they complete, bounding metrics memory on
-    /// very long runs (per-token TBT streams) at the cost of approximate
-    /// mid-quantiles. Only the latency distributions differ between the
-    /// modes: every other report field is bit-equal.
+    /// per-request records as they complete, at the cost of approximate
+    /// mid-quantiles. Its metrics memory then grows neither with TBT
+    /// samples nor with batches, only with the largest request id (the
+    /// dense per-request slabs). Only the latency distributions differ
+    /// between the modes: every other report field is bit-equal.
     pub quantile_mode: QuantileMode,
     /// Latency SLO judged per completed request for the per-tenant
     /// attainment column of the report. Only consulted on multi-tenant

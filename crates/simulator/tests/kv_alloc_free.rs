@@ -1,0 +1,93 @@
+//! Pins the constant-size KV occupancy state of the metrics collector:
+//! once each replica has been sampled (and, with the time series armed,
+//! once the current window has been touched), `on_kv_sample` must not
+//! touch the heap, however many batches the run launches.
+//!
+//! The counting allocator wraps the system allocator and counts **per
+//! thread**, so the test-harness helper threads cannot pollute the
+//! measured window.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use vidur_core::metrics::QuantileMode;
+use vidur_core::time::SimTime;
+use vidur_simulator::{MetricsCollector, TimeseriesConfig};
+
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn bump() {
+    // `try_with`: TLS may be unavailable during thread teardown; those
+    // allocations are not ours to count anyway.
+    let _ = ALLOCATIONS.try_with(|c| c.set(c.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        bump();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        bump();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(|c| c.get())
+}
+
+const REPLICAS: usize = 4;
+
+/// Samples the replicas round-robin, `n` calls one microsecond apart from
+/// `start_us`; returns the next free microsecond.
+fn sample(m: &mut MetricsCollector, start_us: u64, n: u64) -> u64 {
+    for k in 0..n {
+        let at = SimTime::from_nanos((start_us + k) * 1_000);
+        m.on_kv_sample((k % REPLICAS as u64) as usize, at, (k % 97) as f64 / 97.0);
+    }
+    start_us + n
+}
+
+/// Warms the collector up, then asserts that 100k samples allocate
+/// nothing.
+fn assert_steady_state_allocation_free(label: &str, mut m: MetricsCollector) {
+    // Warm-up: the first samples of every replica and, when armed, segments
+    // in the current window (the first millisecond of a one-minute window).
+    let next = sample(&mut m, 0, 1_000);
+    let before = allocations();
+    sample(&mut m, next, 100_000);
+    let delta = allocations() - before;
+    assert_eq!(
+        delta, 0,
+        "{label}: {delta} heap allocations in 100k KV samples"
+    );
+}
+
+#[test]
+fn kv_samples_are_allocation_free_unarmed() {
+    for mode in [QuantileMode::Exact, QuantileMode::Mergeable] {
+        let m = MetricsCollector::with_mode(REPLICAS, mode);
+        assert_steady_state_allocation_free(&format!("{mode:?}"), m);
+    }
+}
+
+#[test]
+fn kv_samples_are_allocation_free_within_touched_windows() {
+    for mode in [QuantileMode::Exact, QuantileMode::Mergeable] {
+        let mut m = MetricsCollector::with_mode(REPLICAS, mode);
+        m.set_timeseries(TimeseriesConfig::per_minute());
+        assert_steady_state_allocation_free(&format!("{mode:?}, armed"), m);
+    }
+}

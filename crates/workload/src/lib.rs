@@ -9,8 +9,8 @@
 //! Bilingual-Web-Book (translation: decode-heavy, P:D ≈ 0.65) — each capped
 //! at 4096 total tokens. We cannot ship the datasets, so [`traces`] provides
 //! **synthetic generators** with log-normal length marginals fitted to the
-//! medians and P90s Table 1 reports, plus the same 4K cap (see DESIGN.md,
-//! "Substitutions"). The simulator consumes only
+//! medians and P90s Table 1 reports, plus the same 4K cap. The simulator
+//! consumes only
 //! `(prefill_tokens, decode_tokens, arrival)` tuples, so matching these
 //! marginals reproduces each dataset's pressure on the serving stack.
 //!

@@ -7,7 +7,7 @@
 //!    `from_file`) — the same path a real production trace would enter by.
 //! 3. Amplify the seed by derived-stat resampling to the target request
 //!    count, exactly how a 1k-line log becomes a million-request what-if.
-//! 4. Replay on a cluster under the bounded-memory mergeable quantile mode —
+//! 4. Replay on a cluster under the mergeable quantile mode (t-digests) —
 //!    routed through the global tier's weighted fair-share policy with a
 //!    per-tenant KV quota on the bursty batch tenant — and report
 //!    per-tenant latency/SLO/routing breakdowns.
@@ -114,7 +114,7 @@ fn main() {
         loaded.fit_arrivals()
     );
 
-    // 4. Replay under bounded-memory metrics with a latency SLO.
+    // 4. Replay under mergeable metrics with a latency SLO.
     let mut config = ClusterConfig::new(
         ModelSpec::llama2_7b(),
         GpuSku::a100_80g(),
@@ -273,11 +273,10 @@ fn main() {
         );
         println!();
         println!(
-            "mergeable  : {} shards in {:.0} ms, {} effects replayed, ~{:.0} distinct tenants",
+            "mergeable  : {} shards in {:.0} ms, {} effects replayed",
             mergeable_stats.shards,
             mergeable_wall.as_secs_f64() * 1e3,
             mergeable_stats.streamed_effects,
-            mergeable_report.distinct_tenants_est.unwrap_or(0.0),
         );
         println!();
         println!("window (min)  completed  throughput (QPS)  TTFT p99 (s)  KV occupancy");

@@ -608,7 +608,6 @@ fn mergeable_reports_invariant_across_shard_counts() {
         !baseline.timeseries.is_empty(),
         "time-series rows must be populated"
     );
-    assert!(baseline.distinct_tenants_est.is_some());
     for shards in [2, 3, 7] {
         let sharded = run(shards);
         assert_eq!(
