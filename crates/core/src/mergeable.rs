@@ -176,7 +176,8 @@ impl TDigest {
 
     /// Sort centroids by `(mean, weight)` and greedily merge neighbours
     /// while the combined cluster stays within one k-unit. The sort makes
-    /// the pass a pure function of the centroid multiset.
+    /// the pass a pure function of the centroid multiset. It merges in
+    /// place: the write index never passes the read index.
     fn compress(&mut self) {
         if self.centroids.len() <= 1 {
             return;
@@ -188,10 +189,11 @@ impl TDigest {
                 .then(a.weight.cmp(&b.weight))
         });
         let total = self.count as f64;
-        let mut out: Vec<Centroid> = Vec::with_capacity(DEFAULT_COMPRESSION as usize);
+        let mut written = 0;
         let mut cur = self.centroids[0];
         let mut emitted: u64 = 0;
-        for &c in &self.centroids[1..] {
+        for read in 1..self.centroids.len() {
+            let c = self.centroids[read];
             let proposed = cur.weight + c.weight;
             let q_left = emitted as f64 / total;
             let q_right = (emitted + proposed) as f64 / total;
@@ -202,12 +204,13 @@ impl TDigest {
                 cur.weight = proposed;
             } else {
                 emitted += cur.weight;
-                out.push(cur);
+                self.centroids[written] = cur;
+                written += 1;
                 cur = c;
             }
         }
-        out.push(cur);
-        self.centroids = out;
+        self.centroids[written] = cur;
+        self.centroids.truncate(written + 1);
     }
 }
 

@@ -182,8 +182,8 @@ pub enum QuantileMode {
     /// exact running sums: O(1) memory per distribution, approximate
     /// mid-quantiles, exact count/sum/min/max, and per-request records
     /// retired at completion. Metrics memory then grows neither with
-    /// batches nor with decode tokens; the dense id-indexed per-request
-    /// state still grows with the largest request id seen. Latency
+    /// batches nor with decode tokens, and per-request state spans the ids
+    /// from the oldest unretired request to the newest. Latency
     /// quantiles and means are not bit-comparable with exact mode; every
     /// other report field is.
     Mergeable,

@@ -182,7 +182,8 @@ impl ReferenceScheduler {
                 break;
             }
             let need = r.cached_tokens() + 1;
-            if !self.blocks.try_reserve(id, need) {
+            let kv = &mut self.requests.get_mut(&id).expect("tracked").kv;
+            if !self.blocks.try_reserve(kv, need) {
                 break;
             }
             self.waiting.pop_front();
@@ -279,8 +280,13 @@ impl ReferenceScheduler {
         events
     }
 
+    fn release(&mut self, id: RequestId) {
+        let kv = &mut self.requests.get_mut(&id).expect("tracked").kv;
+        self.blocks.release(kv);
+    }
+
     fn finish(&mut self, id: RequestId) {
-        self.blocks.release(id);
+        self.release(id);
         self.running.retain(|&r| r != id);
         self.requests.remove(&id);
         self.completed += 1;
@@ -296,9 +302,10 @@ impl ReferenceScheduler {
         if self.requests[&id].remaining_prefill() == 0 {
             return None;
         }
-        let spec = self.requests[&id].spec;
+        let tracked = self.requests.get_mut(&id).expect("tracked");
+        let spec = tracked.spec;
         let hit = self.blocks.try_reserve_prefixed(
-            id,
+            &mut tracked.kv,
             reserve_tokens,
             spec.prefix_id,
             spec.prefill_tokens,
@@ -340,7 +347,7 @@ impl ReferenceScheduler {
             return false;
         };
         let victim = self.running.remove(pos);
-        self.blocks.release(victim);
+        self.release(victim);
         let req = self.requests.get_mut(&victim).expect("tracked");
         req.restart();
         self.enqueue_waiting_front(victim);
@@ -351,12 +358,13 @@ impl ReferenceScheduler {
     fn grow_or_preempt(&mut self, id: RequestId) -> bool {
         let target = self.requests[&id].cached_tokens() + 1;
         loop {
-            if self.blocks.try_grow(id, target) {
+            let kv = &mut self.requests.get_mut(&id).expect("tracked").kv;
+            if self.blocks.try_grow(kv, target) {
                 return true;
             }
             if !self.preempt_one(id) {
                 self.running.retain(|&r| r != id);
-                self.blocks.release(id);
+                self.release(id);
                 let req = self.requests.get_mut(&id).expect("tracked");
                 req.restart();
                 self.enqueue_waiting_front(id);

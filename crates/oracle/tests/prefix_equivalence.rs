@@ -21,7 +21,7 @@ use vidur_core::time::SimTime;
 use vidur_model::batch::BatchComposition;
 use vidur_oracle::ReferenceScheduler;
 use vidur_scheduler::{
-    BatchPolicyKind, BlockManager, ReplicaScheduler, Request, SchedulerConfig, NO_PREFIX,
+    BatchPolicyKind, BlockManager, KvHolding, ReplicaScheduler, Request, SchedulerConfig, NO_PREFIX,
 };
 
 const POLICIES: [BatchPolicyKind; 6] = [
@@ -426,6 +426,7 @@ proptest! {
         const IDS: u64 = 24;
         let mut m = BlockManager::new(60, 16, 0.05);
         m.arm_prefix_cache();
+        let mut h = [KvHolding::default(); IDS as usize];
         // What each live holder borrowed at admission, to re-check that the
         // entry it reads stays resident.
         let mut borrowed: Vec<Option<(u64, u64)>> = vec![None; IDS as usize];
@@ -433,37 +434,37 @@ proptest! {
             match op {
                 // Admit with an optional prefix.
                 0 => {
-                    if m.held_by(id) == 0 && borrowed[id as usize].is_none() {
+                    if h[id as usize].blocks() == 0 && borrowed[id as usize].is_none() {
                         let key = if key_choice < 3 { key_choice } else { NO_PREFIX };
                         let prefill = tokens.max(2);
                         let len = (prefill * (1 + len_pct as u64 % 4) / 4).max(1);
                         if let Some(hit) =
-                            m.try_reserve_prefixed(id, prefill + 8, key, prefill, len)
+                            m.try_reserve_prefixed(&mut h[id as usize], prefill + 8, key, prefill, len)
                         {
                             prop_assert!(hit < prefill, "hit must leave prefill work");
                             prop_assert_eq!(hit % 16, 0, "hits are whole blocks");
                             if key != NO_PREFIX {
-                                borrowed[id as usize] = Some((key, m.borrowed_blocks(id)));
+                                borrowed[id as usize] = Some((key, m.borrowed_blocks(&h[id as usize])));
                             }
                         }
                     }
                 }
                 // Decode growth.
                 1 => {
-                    if m.held_by(id) > 0 || borrowed[id as usize].is_some() {
-                        m.try_grow(id, tokens + 64);
+                    if h[id as usize].blocks() > 0 || borrowed[id as usize].is_some() {
+                        m.try_grow(&mut h[id as usize], tokens + 64);
                     }
                 }
                 // Finish / preempt: release and drop the borrow.
                 2 => {
-                    m.release(id);
+                    m.release(&mut h[id as usize]);
                     borrowed[id as usize] = None;
                 }
                 // Crash-path eviction of unreferenced cached prefixes.
                 _ => m.evict_cached_prefixes(),
             }
             prop_assert!(m.used_blocks() <= m.total_blocks());
-            let held_sum: u64 = (0..IDS).map(|i| m.held_by(i)).sum();
+            let held_sum: u64 = h.iter().map(KvHolding::blocks).sum();
             prop_assert_eq!(
                 held_sum + m.prefix_cached_blocks(),
                 m.used_blocks(),
@@ -474,13 +475,13 @@ proptest! {
             // the manager if a referenced entry were evicted).
             for (i, b) in borrowed.iter().enumerate() {
                 if let Some((_, blocks)) = b {
-                    prop_assert_eq!(m.borrowed_blocks(i as u64), *blocks);
+                    prop_assert_eq!(m.borrowed_blocks(&h[i]), *blocks);
                 }
             }
         }
         // Drain: release everything, then evict — nothing may leak.
-        for id in 0..IDS {
-            m.release(id);
+        for kv in &mut h {
+            m.release(kv);
         }
         m.evict_cached_prefixes();
         prop_assert_eq!(m.used_blocks(), 0, "blocks leaked");
@@ -536,26 +537,27 @@ fn shared_prefix_hits_and_crash_eviction_reclaims() {
 fn lru_eviction_prefers_cold_unreferenced_entries() {
     let mut m = BlockManager::new(20, 16, 0.0);
     m.arm_prefix_cache();
+    let mut h = [KvHolding::default(); 5];
     // Two cached prefixes (4 blocks each), both released ⇒ unreferenced.
-    assert_eq!(m.try_reserve_prefixed(0, 64, 100, 64, 64), Some(0));
-    assert_eq!(m.try_reserve_prefixed(1, 64, 200, 64, 64), Some(0));
-    m.release(0);
-    m.release(1);
+    assert_eq!(m.try_reserve_prefixed(&mut h[0], 64, 100, 64, 64), Some(0));
+    assert_eq!(m.try_reserve_prefixed(&mut h[1], 64, 200, 64, 64), Some(0));
+    m.release(&mut h[0]);
+    m.release(&mut h[1]);
     assert_eq!(m.used_blocks(), 8);
     // Touch key 100 via a live borrower so key 200 is the LRU victim.
-    assert_eq!(m.try_reserve_prefixed(2, 80, 100, 64, 64), Some(48));
+    assert_eq!(m.try_reserve_prefixed(&mut h[2], 80, 100, 64, 64), Some(48));
     // 20 total, 8 cached + holder-2's own blocks; demand the rest so the
     // manager must evict. Key 200 (unreferenced, coldest) goes; key 100 is
     // referenced and must survive even though memory stays tight.
     let free = m.free_blocks();
-    assert!(m.try_reserve(3, (free + 4) * 16));
+    assert!(m.try_reserve(&mut h[3], (free + 4) * 16));
     assert_eq!(m.num_prefix_entries(), 1, "one entry evicted");
     assert_eq!(m.prefix_cached_tokens(100, 64), 48, "hot entry survived");
     assert_eq!(m.prefix_cached_tokens(200, 64), 0, "cold entry evicted");
     // Asking for more than eviction can supply fails cleanly.
-    assert!(!m.try_reserve(4, 10_000 * 16));
-    m.release(2);
-    m.release(3);
+    assert!(!m.try_reserve(&mut h[4], 10_000 * 16));
+    m.release(&mut h[2]);
+    m.release(&mut h[3]);
     m.evict_cached_prefixes();
     assert_eq!(m.used_blocks(), 0);
 }

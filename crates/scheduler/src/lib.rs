@@ -36,7 +36,7 @@ pub mod stage;
 
 pub use config::{BatchPolicyKind, SchedulerConfig};
 pub use global::GlobalPolicyKind;
-pub use memory::BlockManager;
+pub use memory::{BlockManager, KvHolding};
 pub use replica::ReplicaScheduler;
 pub use request::{Request, RequestId, RequestPhase, TrackedRequest, NO_PREFIX};
 pub use router::{

@@ -6,7 +6,7 @@
 //! watermark: admissions must leave a configurable fraction of blocks free
 //! so in-flight decodes can grow without immediate preemption.
 
-use crate::request::{RequestId, NO_PREFIX};
+use crate::request::NO_PREFIX;
 use serde::{Deserialize, Serialize};
 
 /// One reference-counted cached prefix: the first `tokens` tokens (always a
@@ -28,16 +28,41 @@ struct PrefixEntry {
     lru: u64,
 }
 
-/// Paged KV-cache accounting for one replica.
+/// What one request holds in its replica's KV cache: the blocks it owns
+/// and the cached prefix it borrows, if any. It lives in the request's
+/// [`TrackedRequest::kv`](crate::TrackedRequest::kv), not in the manager.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct KvHolding {
+    /// Blocks owned (0 = not a holder; a holder always owns ≥ 1 block
+    /// since requests are non-empty).
+    blocks: u64,
+    /// Borrowed prefix-entry key: the entry [`BlockManager::release`] must
+    /// dereference, exactly once.
+    prefix: Option<u64>,
+}
+
+impl KvHolding {
+    /// Blocks this request owns (borrowed prefix blocks excluded: the cache
+    /// tier owns those).
+    pub fn blocks(&self) -> u64 {
+        self.blocks
+    }
+}
+
+/// Paged KV-cache accounting for one replica: the block pool, the
+/// admission watermark and the prefix-cache entries. What each request
+/// holds is a [`KvHolding`] kept by the caller.
 ///
 /// # Example
 ///
 /// ```
-/// use vidur_scheduler::BlockManager;
+/// use vidur_scheduler::{BlockManager, KvHolding};
 /// let mut m = BlockManager::new(100, 16, 0.01);
-/// assert!(m.try_reserve(1, 64)); // 4 blocks for 64 tokens
+/// let mut h = KvHolding::default();
+/// assert!(m.try_reserve(&mut h, 64)); // 4 blocks for 64 tokens
+/// assert_eq!(h.blocks(), 4);
 /// assert_eq!(m.free_blocks(), 96);
-/// m.release(1);
+/// m.release(&mut h);
 /// assert_eq!(m.free_blocks(), 100);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -45,12 +70,7 @@ pub struct BlockManager {
     total_blocks: u64,
     block_size: u32,
     watermark_blocks: u64,
-    /// Blocks held per request, indexed densely by request id (0 = not a
-    /// holder; a holder always owns ≥ 1 block since requests are non-empty).
-    /// Request ids are dense trace indices, so this trades a bounded id-range
-    /// vector for allocation-free reserve/grow/release on the per-batch hot
-    /// path (the seed's `BTreeMap` allocated a node per admission).
-    held: Vec<u64>,
+    /// Holdings that own at least one block.
     holders: usize,
     used_blocks: u64,
     /// Whether the prefix-cache tier is armed. All prefix state below stays
@@ -62,10 +82,6 @@ pub struct BlockManager {
     prefix_entries: Vec<PrefixEntry>,
     /// LRU clock for [`PrefixEntry::lru`].
     prefix_lru_seq: u64,
-    /// Per-request borrowed entry key (`NO_PREFIX` = not borrowing),
-    /// id-indexed like `held`. Tracks which entry [`release`](Self::release)
-    /// must dereference, exactly once.
-    borrow: Vec<u64>,
 }
 
 impl BlockManager {
@@ -89,13 +105,11 @@ impl BlockManager {
             total_blocks,
             block_size,
             watermark_blocks,
-            held: Vec::new(),
             holders: 0,
             used_blocks: 0,
             prefix_armed: false,
             prefix_entries: Vec::new(),
             prefix_lru_seq: 0,
-            borrow: Vec::new(),
         }
     }
 
@@ -106,19 +120,14 @@ impl BlockManager {
         self.prefix_armed = true;
     }
 
-    /// Sets `id`'s held-block count, keeping the holder count in sync.
-    fn set_held(&mut self, id: RequestId, blocks: u64) {
-        let idx = id as usize;
-        if idx >= self.held.len() {
-            self.held.resize(idx + 1, 0);
-        }
-        let prev = self.held[idx];
-        self.held[idx] = blocks;
-        match (prev, blocks) {
+    /// Sets `h`'s owned-block count, keeping the holder count in sync.
+    fn set_blocks(&mut self, h: &mut KvHolding, blocks: u64) {
+        match (h.blocks, blocks) {
             (0, b) if b > 0 => self.holders += 1,
             (p, 0) if p > 0 => self.holders -= 1,
             _ => {}
         }
+        h.blocks = blocks;
     }
 
     /// Total blocks under management.
@@ -151,27 +160,21 @@ impl BlockManager {
         tokens.div_ceil(self.block_size as u64)
     }
 
-    /// Blocks currently held by `id`.
-    pub fn held_by(&self, id: RequestId) -> u64 {
-        self.held.get(id as usize).copied().unwrap_or(0)
-    }
-
-    /// Reserves blocks so `id` holds capacity for `total_tokens` cached
+    /// Reserves blocks so `h` holds capacity for `total_tokens` cached
     /// tokens (admission path; respects the watermark). Returns `false`
     /// without side effects if memory is insufficient — after evicting
     /// unreferenced cached prefixes when the prefix tier is armed.
-    pub fn try_reserve(&mut self, id: RequestId, total_tokens: u64) -> bool {
+    pub fn try_reserve(&mut self, h: &mut KvHolding, total_tokens: u64) -> bool {
         let target = self.blocks_for(total_tokens);
-        let current = self.held_by(id);
-        if target <= current {
+        if target <= h.blocks {
             return true;
         }
-        let need = target - current;
+        let need = target - h.blocks;
         if !self.ensure_free(need + self.watermark_blocks) {
             return false;
         }
         self.used_blocks += need;
-        self.set_held(id, target);
+        self.set_blocks(h, target);
         true
     }
 
@@ -192,22 +195,22 @@ impl BlockManager {
     /// after evicting every unreferenced cached prefix.
     pub fn try_reserve_prefixed(
         &mut self,
-        id: RequestId,
+        h: &mut KvHolding,
         total_tokens: u64,
         key: u64,
         prefill_tokens: u64,
         prefix_len: u64,
     ) -> Option<u64> {
         if !self.prefix_armed || key == NO_PREFIX {
-            return self.try_reserve(id, total_tokens).then_some(0);
+            return self.try_reserve(h, total_tokens).then_some(0);
         }
-        debug_assert_eq!(self.borrowed_key(id), NO_PREFIX, "request already borrows");
+        debug_assert_eq!(h.prefix, None, "request already borrows");
         let bs = self.block_size as u64;
         let Some(pos) = self.entry_pos(key) else {
             // Miss: reserve in full, then carve the cache entry out of the
             // request's own footprint (used_blocks is unchanged by the
             // donation — ownership moves, capacity does not).
-            if !self.try_reserve(id, total_tokens) {
+            if !self.try_reserve(h, total_tokens) {
                 return None;
             }
             let aligned = prefix_len.min(prefill_tokens) / bs * bs;
@@ -215,9 +218,8 @@ impl BlockManager {
             if blocks == 0 {
                 return Some(0);
             }
-            let held = self.held_by(id);
-            debug_assert!(blocks <= held, "prefix cannot exceed the reservation");
-            self.set_held(id, held - blocks);
+            debug_assert!(blocks <= h.blocks, "prefix cannot exceed the reservation");
+            self.set_blocks(h, h.blocks - blocks);
             self.prefix_lru_seq += 1;
             self.prefix_entries.push(PrefixEntry {
                 key,
@@ -226,68 +228,63 @@ impl BlockManager {
                 refs: 1,
                 lru: self.prefix_lru_seq,
             });
-            self.set_borrow(id, key);
+            h.prefix = Some(key);
             return Some(0);
         };
         let hit = self.hit_tokens(self.prefix_entries[pos].tokens, prefill_tokens);
         if hit == 0 {
             // Known key but unusable (sub-block prefix or one-token prompt).
-            return self.try_reserve(id, total_tokens).then_some(0);
+            return self.try_reserve(h, total_tokens).then_some(0);
         }
         // Protect the entry from LRU eviction while we make room.
         self.prefix_entries[pos].refs += 1;
         let target = self.blocks_for(total_tokens).saturating_sub(hit / bs);
-        let current = self.held_by(id);
-        let need = target.saturating_sub(current);
+        let need = target.saturating_sub(h.blocks);
         if !self.ensure_free(need + self.watermark_blocks) {
             let pos = self.entry_pos(key).expect("referenced entries never evict");
             self.prefix_entries[pos].refs -= 1;
             return None;
         }
         self.used_blocks += need;
-        self.set_held(id, target.max(current));
+        self.set_blocks(h, target.max(h.blocks));
         self.prefix_lru_seq += 1;
         let pos = self.entry_pos(key).expect("referenced entries never evict");
         self.prefix_entries[pos].lru = self.prefix_lru_seq;
-        self.set_borrow(id, key);
+        h.prefix = Some(key);
         Some(hit)
     }
 
-    /// Grows `id`'s reservation to `total_tokens` cached tokens on the
+    /// Grows `h`'s reservation to `total_tokens` cached tokens on the
     /// *decode* path — watermark does not apply (watermark exists precisely
     /// to serve these growths), and tokens covered by a borrowed cached
     /// prefix need no blocks of the request's own. Returns `false` if truly
     /// out of blocks, even after evicting unreferenced cached prefixes.
-    pub fn try_grow(&mut self, id: RequestId, total_tokens: u64) -> bool {
+    pub fn try_grow(&mut self, h: &mut KvHolding, total_tokens: u64) -> bool {
         let target = self
             .blocks_for(total_tokens)
-            .saturating_sub(self.borrowed_blocks(id));
-        let current = self.held_by(id);
-        if target <= current {
+            .saturating_sub(self.borrowed_blocks(h));
+        if target <= h.blocks {
             return true;
         }
-        let need = target - current;
+        let need = target - h.blocks;
         if !self.ensure_free(need) {
             return false;
         }
         self.used_blocks += need;
-        self.set_held(id, target);
+        self.set_blocks(h, target);
         true
     }
 
-    /// Releases all blocks held by `id` (request finished or preempted) and
+    /// Releases all blocks `h` owns (request finished or preempted) and
     /// drops its cached-prefix reference, if any — the entry itself stays
     /// resident (LRU-evictable once unreferenced) so future arrivals hit.
-    pub fn release(&mut self, id: RequestId) {
-        let blocks = self.held_by(id);
-        if blocks > 0 {
-            debug_assert!(self.used_blocks >= blocks);
-            self.used_blocks -= blocks;
-            self.set_held(id, 0);
+    pub fn release(&mut self, h: &mut KvHolding) {
+        if h.blocks > 0 {
+            debug_assert!(self.used_blocks >= h.blocks);
+            self.used_blocks -= h.blocks;
+            self.set_blocks(h, 0);
         }
-        let key = self.borrowed_key(id);
-        if key != NO_PREFIX {
-            self.borrow[id as usize] = NO_PREFIX;
+        if let Some(key) = h.prefix.take() {
             let pos = self.entry_pos(key).expect("borrowed entries never evict");
             let e = &mut self.prefix_entries[pos];
             debug_assert!(e.refs > 0, "borrow without a reference");
@@ -295,7 +292,7 @@ impl BlockManager {
         }
     }
 
-    /// Number of requests currently holding blocks.
+    /// Number of holdings that currently own blocks.
     pub fn num_holders(&self) -> usize {
         self.holders
     }
@@ -379,28 +376,13 @@ impl BlockManager {
         true
     }
 
-    /// The cache-entry key `id` currently borrows (`NO_PREFIX` if none).
-    fn borrowed_key(&self, id: RequestId) -> u64 {
-        self.borrow.get(id as usize).copied().unwrap_or(NO_PREFIX)
-    }
-
-    /// Blocks `id` reads from a borrowed cached prefix (0 when not
+    /// Blocks `h` reads from a borrowed cached prefix (0 when not
     /// borrowing).
-    pub fn borrowed_blocks(&self, id: RequestId) -> u64 {
-        let key = self.borrowed_key(id);
-        if key == NO_PREFIX {
-            return 0;
-        }
-        let pos = self.entry_pos(key).expect("borrowed entries never evict");
-        self.prefix_entries[pos].blocks
-    }
-
-    fn set_borrow(&mut self, id: RequestId, key: u64) {
-        let idx = id as usize;
-        if idx >= self.borrow.len() {
-            self.borrow.resize(idx + 1, NO_PREFIX);
-        }
-        self.borrow[idx] = key;
+    pub fn borrowed_blocks(&self, h: &KvHolding) -> u64 {
+        h.prefix.map_or(0, |key| {
+            let pos = self.entry_pos(key).expect("borrowed entries never evict");
+            self.prefix_entries[pos].blocks
+        })
     }
 
     fn entry_pos(&self, key: u64) -> Option<usize> {
@@ -416,14 +398,15 @@ mod tests {
     #[test]
     fn reserve_and_release_balance() {
         let mut m = BlockManager::new(10, 16, 0.0);
-        assert!(m.try_reserve(1, 32)); // 2 blocks
-        assert!(m.try_reserve(2, 100)); // 7 blocks
+        let mut h = [KvHolding::default(); 3];
+        assert!(m.try_reserve(&mut h[0], 32)); // 2 blocks
+        assert!(m.try_reserve(&mut h[1], 100)); // 7 blocks
         assert_eq!(m.used_blocks(), 9);
-        assert!(!m.try_reserve(3, 32)); // needs 2, only 1 free
-        m.release(1);
-        assert!(m.try_reserve(3, 32));
-        m.release(2);
-        m.release(3);
+        assert!(!m.try_reserve(&mut h[2], 32)); // needs 2, only 1 free
+        m.release(&mut h[0]);
+        assert!(m.try_reserve(&mut h[2], 32));
+        m.release(&mut h[1]);
+        m.release(&mut h[2]);
         assert_eq!(m.used_blocks(), 0);
         assert_eq!(m.num_holders(), 0);
     }
@@ -432,58 +415,61 @@ mod tests {
     fn watermark_blocks_admission_but_not_growth() {
         // 10 blocks, 20% watermark => admissions must leave 2 free.
         let mut m = BlockManager::new(10, 16, 0.2);
-        assert!(m.try_reserve(1, 16 * 8)); // 8 blocks: leaves 2 => ok
-        assert!(!m.try_reserve(2, 16)); // would leave 1 < watermark
-                                        // But decode growth can dip into the watermark.
-        assert!(m.try_grow(1, 16 * 9));
+        let (mut a, mut b) = (KvHolding::default(), KvHolding::default());
+        assert!(m.try_reserve(&mut a, 16 * 8)); // 8 blocks: leaves 2 => ok
+        assert!(!m.try_reserve(&mut b, 16)); // would leave 1 < watermark
+                                             // But decode growth can dip into the watermark.
+        assert!(m.try_grow(&mut a, 16 * 9));
         assert_eq!(m.free_blocks(), 1);
-        assert!(m.try_grow(1, 16 * 10));
-        assert!(!m.try_grow(1, 16 * 11));
+        assert!(m.try_grow(&mut a, 16 * 10));
+        assert!(!m.try_grow(&mut a, 16 * 11));
     }
 
     #[test]
     fn grow_is_incremental() {
         let mut m = BlockManager::new(10, 16, 0.0);
-        assert!(m.try_reserve(1, 16));
-        assert_eq!(m.held_by(1), 1);
+        let mut h = KvHolding::default();
+        assert!(m.try_reserve(&mut h, 16));
+        assert_eq!(h.blocks(), 1);
         // Same block covers tokens 1..=16; token 17 needs another.
-        assert!(m.try_grow(1, 16));
-        assert_eq!(m.held_by(1), 1);
-        assert!(m.try_grow(1, 17));
-        assert_eq!(m.held_by(1), 2);
+        assert!(m.try_grow(&mut h, 16));
+        assert_eq!(h.blocks(), 1);
+        assert!(m.try_grow(&mut h, 17));
+        assert_eq!(h.blocks(), 2);
     }
 
     #[test]
     fn release_unknown_is_noop() {
         let mut m = BlockManager::new(10, 16, 0.0);
-        m.release(42);
+        m.release(&mut KvHolding::default());
         assert_eq!(m.used_blocks(), 0);
     }
 
     #[test]
     fn utilization_tracks_usage() {
         let mut m = BlockManager::new(10, 16, 0.0);
-        m.try_reserve(1, 16 * 5);
+        m.try_reserve(&mut KvHolding::default(), 16 * 5);
         assert!((m.utilization() - 0.5).abs() < 1e-12);
     }
 
     proptest! {
         #[test]
         fn never_over_allocates(
-            ops in proptest::collection::vec((0u64..20, 1u64..500, proptest::bool::ANY), 0..200)
+            ops in proptest::collection::vec((0usize..20, 1u64..500, proptest::bool::ANY), 0..200)
         ) {
             let mut m = BlockManager::new(50, 16, 0.05);
+            let mut h = [KvHolding::default(); 20];
             for (id, tokens, grow) in ops {
                 if grow {
-                    m.try_grow(id, tokens);
-                } else if m.held_by(id) == 0 {
-                    m.try_reserve(id, tokens);
+                    m.try_grow(&mut h[id], tokens);
+                } else if h[id].blocks() == 0 {
+                    m.try_reserve(&mut h[id], tokens);
                 } else {
-                    m.release(id);
+                    m.release(&mut h[id]);
                 }
                 prop_assert!(m.used_blocks() <= m.total_blocks());
                 // Internal consistency: held sum == used.
-                let held_sum: u64 = (0..20).map(|i| m.held_by(i)).sum();
+                let held_sum: u64 = h.iter().map(KvHolding::blocks).sum();
                 prop_assert_eq!(held_sum, m.used_blocks());
             }
         }

@@ -32,7 +32,7 @@
 //!   admit/finish/preempt instead of a per-call re-sum over the running set.
 
 use crate::config::{BatchPolicyKind, SchedulerConfig};
-use crate::memory::BlockManager;
+use crate::memory::{BlockManager, KvHolding};
 use crate::request::{Request, RequestId, RequestPhase, TrackedRequest, NO_REQ};
 use crate::slab::IdSlab;
 use serde::{Deserialize, Serialize};
@@ -134,6 +134,15 @@ pub struct ReplicaScheduler {
     tenant_prefix_hits: Vec<u64>,
     /// Per-tenant tokens saved (index = tenant id; grows on demand).
     tenant_prefix_saved: Vec<u64>,
+}
+
+/// Tenant `tenant`'s entry in a per-tenant table, growing it on demand.
+fn tenant_slot(table: &mut Vec<u64>, tenant: u32) -> &mut u64 {
+    let idx = tenant as usize;
+    if idx >= table.len() {
+        table.resize(idx + 1, 0);
+    }
+    &mut table[idx]
 }
 
 /// An intrusive doubly-linked list over [`TrackedRequest`]s, ordered by
@@ -405,25 +414,6 @@ impl ReplicaScheduler {
             .unwrap_or(0)
     }
 
-    fn add_tenant_held(&mut self, tenant: u32, delta: i64) {
-        let idx = tenant as usize;
-        if idx >= self.tenant_held_blocks.len() {
-            self.tenant_held_blocks.resize(idx + 1, 0);
-        }
-        let held = &mut self.tenant_held_blocks[idx];
-        *held = held
-            .checked_add_signed(delta)
-            .expect("tenant block accounting underflow");
-    }
-
-    fn bump_quota_denied(&mut self, tenant: u32) {
-        let idx = tenant as usize;
-        if idx >= self.quota_denied.len() {
-            self.quota_denied.resize(idx + 1, 0);
-        }
-        self.quota_denied[idx] += 1;
-    }
-
     /// Whether admitting `id` keeps its tenant within quota.
     /// Solo-infeasible requests (need > quota outright) are exempt — see
     /// [`ReplicaScheduler::set_tenant_quotas`].
@@ -518,27 +508,29 @@ impl ReplicaScheduler {
             self.waiting.pop_front();
             self.quota_parked.push_back(id);
             let tenant = self.requests[&id].spec.tenant;
-            self.bump_quota_denied(tenant);
+            *tenant_slot(&mut self.quota_denied, tenant) += 1;
         }
     }
 
-    /// Runs one [`BlockManager`] operation on `id`'s blocks and charges the
-    /// change in blocks `id` holds to its tenant. Borrowed shared prefix
+    /// Runs one [`BlockManager`] operation on `id`'s holding and charges the
+    /// change in blocks `id` owns to its tenant. Borrowed shared prefix
     /// blocks belong to the cache tier, so they are never charged.
-    fn charge_tenant<T>(&mut self, id: RequestId, op: impl FnOnce(&mut BlockManager) -> T) -> T {
-        let before = self.blocks.held_by(id);
-        let out = op(&mut self.blocks);
-        let delta = self.blocks.held_by(id) as i64 - before as i64;
+    fn charge_tenant<T>(
+        &mut self,
+        id: RequestId,
+        op: impl FnOnce(&mut BlockManager, &mut KvHolding) -> T,
+    ) -> T {
+        let r = self.requests.get_mut(&id).expect("tracked");
+        let before = r.kv.blocks();
+        let out = op(&mut self.blocks, &mut r.kv);
+        let delta = r.kv.blocks() as i64 - before as i64;
         if delta != 0 {
-            let tenant = self.requests[&id].spec.tenant;
-            self.add_tenant_held(tenant, delta);
+            let held = tenant_slot(&mut self.tenant_held_blocks, r.spec.tenant);
+            *held = held
+                .checked_add_signed(delta)
+                .expect("tenant block accounting underflow");
         }
         out
-    }
-
-    /// [`BlockManager::release`] plus per-tenant holding accounting.
-    fn release_blocks(&mut self, id: RequestId) {
-        self.charge_tenant(id, |b| b.release(id));
     }
 
     /// The admission gate: the only way from `waiting` into the running
@@ -574,12 +566,12 @@ impl ReplicaScheduler {
         }
         debug_assert!(self.within_quota(id), "the park pass admits in quota");
         let tokens = self.admission_tokens_for(id);
-        let hit = self.charge_tenant(id, |b| {
+        let hit = self.charge_tenant(id, |b, kv| {
             if prefetched {
-                b.try_reserve(id, tokens).then_some(0)
+                b.try_reserve(kv, tokens).then_some(0)
             } else {
                 b.try_reserve_prefixed(
-                    id,
+                    kv,
                     tokens,
                     spec.prefix_id,
                     spec.prefill_tokens,
@@ -591,7 +583,10 @@ impl ReplicaScheduler {
         if hit > 0 {
             debug_assert!(hit < spec.prefill_tokens, "a hit leaves prefill work");
             self.requests.get_mut(&id).expect("tracked").prefilled = hit;
-            self.bump_prefix_stats(spec.tenant, hit);
+            self.prefix_hit_requests += 1;
+            self.prefix_tokens_saved += hit;
+            *tenant_slot(&mut self.tenant_prefix_hits, spec.tenant) += 1;
+            *tenant_slot(&mut self.tenant_prefix_saved, spec.tenant) += hit;
         }
         let phase = if prefetched {
             RequestPhase::Decoding
@@ -663,11 +658,6 @@ impl ReplicaScheduler {
     /// Requests fully completed so far.
     pub fn completed(&self) -> u64 {
         self.completed
-    }
-
-    /// Read access to a tracked request (for metrics/debugging).
-    pub fn request(&self, id: RequestId) -> Option<&TrackedRequest> {
-        self.requests.get(&id)
     }
 
     /// Forms the next batch, or `None` when nothing can run (idle or all
@@ -803,23 +793,10 @@ impl ReplicaScheduler {
     }
 
     fn finish(&mut self, id: RequestId) {
-        self.release_blocks(id);
+        self.charge_tenant(id, |b, kv| b.release(kv));
         self.leave_running(id);
         self.requests.remove(&id);
         self.completed += 1;
-    }
-
-    /// Accounts one prefix-cache hit of `hit` skipped tokens for `tenant`.
-    fn bump_prefix_stats(&mut self, tenant: u32, hit: u64) {
-        self.prefix_hit_requests += 1;
-        self.prefix_tokens_saved += hit;
-        let idx = tenant as usize;
-        if idx >= self.tenant_prefix_hits.len() {
-            self.tenant_prefix_hits.resize(idx + 1, 0);
-            self.tenant_prefix_saved.resize(idx + 1, 0);
-        }
-        self.tenant_prefix_hits[idx] += 1;
-        self.tenant_prefix_saved[idx] += hit;
     }
 
     /// Evicts a running request (vLLM recompute-restart): releases its KV,
@@ -827,7 +804,7 @@ impl ReplicaScheduler {
     /// priority tier in the waiting queue.
     fn evict(&mut self, id: RequestId) {
         self.leave_running(id);
-        self.release_blocks(id);
+        self.charge_tenant(id, |b, kv| b.release(kv));
         let req = self.requests.get_mut(&id).expect("tracked");
         req.restart();
         self.enqueue_waiting_front(id);
@@ -848,22 +825,13 @@ impl ReplicaScheduler {
     /// Does **not** count toward [`ReplicaScheduler::preemptions`]: crash
     /// evictions are accounted separately by the cluster driver.
     pub fn evict_all(&mut self, out: &mut Vec<RequestId>) {
-        while let Some(id) = self.waiting.pop_front() {
-            self.release_blocks(id);
-            self.requests.remove(&id);
-            out.push(id);
-        }
-        while let Some(id) = self.quota_parked.pop_front() {
-            self.release_blocks(id);
-            self.requests.remove(&id);
-            out.push(id);
-        }
+        self.take_queued(out);
         for list in [self.prefilling, self.decoding] {
             let mut cur = list.head;
             while cur != NO_REQ {
                 let next = self.requests[&cur].next;
                 self.leave_running(cur);
-                self.release_blocks(cur);
+                self.charge_tenant(cur, |b, kv| b.release(kv));
                 self.requests.remove(&cur);
                 out.push(cur);
                 cur = next;
@@ -891,14 +859,16 @@ impl ReplicaScheduler {
     /// re-route. Queued work holds no KV blocks, so nothing is released.
     pub fn drain_queued(&mut self, out: &mut Vec<RequestId>) {
         self.admissions_closed = true;
-        while let Some(id) = self.waiting.pop_front() {
-            debug_assert_eq!(self.blocks.held_by(id), 0, "queued work holds no KV");
-            self.requests.remove(&id);
-            out.push(id);
-        }
-        while let Some(id) = self.quota_parked.pop_front() {
-            debug_assert_eq!(self.blocks.held_by(id), 0, "parked work holds no KV");
-            self.requests.remove(&id);
+        self.take_queued(out);
+    }
+
+    /// Removes the waiting queue and then the quota-parked set, appending
+    /// their ids to `out` in FIFO order. Queued work holds no KV: a
+    /// preemption releases its victim's blocks before requeueing it.
+    fn take_queued(&mut self, out: &mut Vec<RequestId>) {
+        for id in self.waiting.drain(..).chain(self.quota_parked.drain(..)) {
+            let r = self.requests.remove(&id).expect("tracked");
+            debug_assert_eq!(r.kv, KvHolding::default(), "queued work holds no KV");
             out.push(id);
         }
     }
@@ -907,11 +877,6 @@ impl ReplicaScheduler {
     /// back from warm-up.
     pub fn reopen_admissions(&mut self) {
         self.admissions_closed = false;
-    }
-
-    /// Whether a graceful drain has closed admissions.
-    pub fn admissions_closed(&self) -> bool {
-        self.admissions_closed
     }
 
     /// Preempts (recompute-restarts) one running request that is not in
@@ -975,7 +940,7 @@ impl ReplicaScheduler {
     fn grow_or_preempt(&mut self, id: RequestId) -> bool {
         let target = self.requests[&id].cached_tokens() + 1;
         loop {
-            if self.charge_tenant(id, |b| b.try_grow(id, target)) {
+            if self.charge_tenant(id, |b, kv| b.try_grow(kv, target)) {
                 return true;
             }
             if !self.preempt_one(id) {
@@ -1391,8 +1356,8 @@ mod tests {
         let b = s.next_batch().unwrap();
         s.complete_batch(&b);
         assert_eq!(s.preemptions(), 1, "growth must have preempted once");
-        assert_eq!(s.request(2).unwrap().restarts, 1, "r2 is the victim");
-        assert_eq!(s.request(3).unwrap().restarts, 0, "urgent r3 survives");
+        assert_eq!(s.requests[&2].restarts, 1, "r2 is the victim");
+        assert_eq!(s.requests[&3].restarts, 0, "urgent r3 survives");
     }
 
     #[test]
@@ -1576,7 +1541,7 @@ mod tests {
         let mut out = Vec::new();
         s.drain_queued(&mut out);
         assert_eq!(out, vec![1, 2], "queued work migrates in FIFO order");
-        assert!(s.admissions_closed());
+        assert!(s.admissions_closed);
         // Running request 0 still decodes to completion.
         while s.outstanding() > 0 {
             let b = s.next_batch().expect("running work keeps executing");

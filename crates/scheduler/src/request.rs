@@ -6,6 +6,7 @@
 //! is produced by the iteration that completes the prefill; each subsequent
 //! decode iteration produces one more.
 
+use crate::memory::KvHolding;
 use serde::{Deserialize, Serialize};
 use vidur_core::time::SimTime;
 
@@ -145,6 +146,8 @@ pub struct TrackedRequest {
     /// Intrusive link: next request in this request's phase list
     /// ([`NO_REQ`] at the tail).
     pub(crate) next: RequestId,
+    /// KV blocks held on the replica (see [`BlockManager`](crate::BlockManager)).
+    pub kv: KvHolding,
 }
 
 impl TrackedRequest {
@@ -160,6 +163,7 @@ impl TrackedRequest {
             admit_seq: 0,
             prev: NO_REQ,
             next: NO_REQ,
+            kv: KvHolding::default(),
         }
     }
 

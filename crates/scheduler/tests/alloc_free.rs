@@ -10,6 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use vidur_core::time::SimTime;
+use vidur_scheduler::replica::CompletionEvent;
 use vidur_scheduler::{
     BatchPolicyKind, GlobalPolicyKind, ReplicaScheduler, Request, RouteRequest, RoutingTier,
     SchedulerConfig,
@@ -152,5 +153,63 @@ fn steady_state_routing_is_allocation_free() {
             delta, 0,
             "{kind}: {delta} heap allocations in 200 steady-state routing cycles"
         );
+    }
+}
+
+/// Streams `requests` fresh requests with increasing ids through one
+/// replica, keeping at most 48 outstanding: admission, batches and
+/// completion. Prefixed requests share one of three cached prefixes.
+fn stream(
+    s: &mut ReplicaScheduler,
+    events: &mut Vec<CompletionEvent>,
+    next_id: &mut u64,
+    requests: u64,
+    prefixed: bool,
+) {
+    let end = *next_id + requests;
+    while *next_id < end || s.outstanding() > 0 {
+        while *next_id < end && s.outstanding() < 48 {
+            let id = *next_id;
+            let mut req = Request::new(id, SimTime::ZERO, 96 + id % 64, 1 + id % 7);
+            if prefixed {
+                req = req.with_prefix(id % 3, 64);
+            }
+            s.add_request(req);
+            *next_id += 1;
+        }
+        let batch = s.next_batch().expect("outstanding work forms a batch");
+        s.complete_batch_into(&batch, events);
+        s.recycle_batch(batch);
+    }
+}
+
+/// Per-request state is sized to the work in flight, not to the largest
+/// id: after warm-up, 100k requests with ever-larger ids stream through
+/// admission, batches and completion without touching the heap, with the
+/// prefix cache disarmed and armed.
+#[test]
+fn streaming_requests_is_allocation_free() {
+    for prefixed in [false, true] {
+        let mut s = ReplicaScheduler::new(
+            SchedulerConfig::new(BatchPolicyKind::SarathiServe { chunk_size: 512 }, 32),
+            100_000,
+            16,
+        );
+        if prefixed {
+            s.arm_prefix_cache();
+        }
+        let (mut events, mut next_id) = (Vec::new(), 0);
+        stream(&mut s, &mut events, &mut next_id, 5_000, prefixed);
+        let before = allocations();
+        stream(&mut s, &mut events, &mut next_id, 100_000, prefixed);
+        let delta = allocations() - before;
+        assert_eq!(
+            delta, 0,
+            "prefixed={prefixed}: {delta} heap allocations streaming 100k requests"
+        );
+        assert_eq!(s.completed(), 105_000);
+        if prefixed {
+            assert!(s.prefix_hit_requests() > 0, "shared prefixes must hit");
+        }
     }
 }

@@ -204,6 +204,9 @@ pub struct ClusterSimulator {
     /// `None` unless [`ClusterConfig::elastic`] — the fixed-fleet path pays
     /// nothing for the feature.
     pub(crate) elastic: Option<Box<ElasticState>>,
+    /// One expected prefix hit per replica, reused for every routing
+    /// decision while the prefix cache is armed.
+    pub(crate) prefix_hits: Vec<u64>,
     /// Construction seed, kept so a sharded attempt that aborts mid-run (a
     /// stateful policy deferred a request) can rebuild the simulator from
     /// scratch and re-run sequentially.
@@ -331,6 +334,7 @@ impl ClusterSimulator {
             replicas,
             tier,
             elastic,
+            prefix_hits: vec![0; fleet],
             seed,
         }
     }
@@ -461,7 +465,7 @@ impl ClusterSimulator {
             el.dispatch_count[idx as usize] += 1;
         }
         self.replicas[target].scheduler.add_request(
-            Request::new(tr.id, tr.arrival, tr.prefill_tokens, tr.decode_tokens)
+            Request::new(idx.into(), tr.arrival, tr.prefill_tokens, tr.decode_tokens)
                 .with_tenant(tr.tenant)
                 .with_priority(tr.priority)
                 .with_prefix(tr.prefix_id, tr.prefix_len),
@@ -481,16 +485,13 @@ impl ClusterSimulator {
             return;
         }
         let tr = self.trace.requests[idx as usize];
-        let hits: Vec<u64> = self
-            .replicas
-            .iter()
-            .map(|rep| {
-                rep.scheduler
-                    .blocks()
-                    .prefix_cached_tokens(tr.prefix_id, tr.prefill_tokens)
-            })
-            .collect();
-        self.tier.set_route_prefix_hits(&hits);
+        for (hit, rep) in self.prefix_hits.iter_mut().zip(&self.replicas) {
+            *hit = rep
+                .scheduler
+                .blocks()
+                .prefix_cached_tokens(tr.prefix_id, tr.prefill_tokens);
+        }
+        self.tier.set_route_prefix_hits(&self.prefix_hits);
     }
 
     /// Binds deferred requests while the tier will place them (stateful
@@ -500,8 +501,8 @@ impl ClusterSimulator {
             // The hit view still holds the last-routed request's hits;
             // deferred requests place on a clean (all-zero) view rather
             // than another request's stale one.
-            let zeros = vec![0u64; self.replicas.len()];
-            self.tier.set_route_prefix_hits(&zeros);
+            self.prefix_hits.fill(0);
+            self.tier.set_route_prefix_hits(&self.prefix_hits);
         }
         while let Some((req, target)) = self.tier.next_ready() {
             self.dispatch(req.key as u32, target, now, queue);
@@ -762,7 +763,7 @@ impl Simulation for ClusterSimulator {
                 let tr = self.trace.requests[idx as usize];
                 self.engine
                     .metrics
-                    .on_arrival(tr.id, now, tr.decode_tokens, tr.tenant);
+                    .on_arrival(idx.into(), now, tr.decode_tokens, tr.tenant);
                 let req = self.route_request(idx);
                 self.publish_prefix_hits(idx);
                 // `None` means the tier holds the request; completions

@@ -57,9 +57,10 @@ pub struct ClusterConfig {
     /// records latencies into t-digests with exact running sums and retires
     /// per-request records as they complete, at the cost of approximate
     /// mid-quantiles. Its metrics memory then grows neither with TBT
-    /// samples nor with batches, only with the largest request id (the
-    /// dense per-request slabs). Only the latency distributions differ
-    /// between the modes: every other report field is bit-equal.
+    /// samples nor with batches, and its per-request state spans the ids
+    /// from the oldest unretired request to the newest; `Exact` keeps every
+    /// record and TBT sample by design. Only the latency distributions
+    /// differ between the modes: every other report field is bit-equal.
     pub quantile_mode: QuantileMode,
     /// Latency SLO judged per completed request for the per-tenant
     /// attainment column of the report. Only consulted on multi-tenant

@@ -266,7 +266,7 @@ impl DisaggSimulator {
     ) {
         let tr = self.trace.requests[idx as usize];
         self.prefill[target].scheduler.add_request(
-            Request::new(tr.id, now, tr.prefill_tokens, 1)
+            Request::new(idx.into(), now, tr.prefill_tokens, 1)
                 .with_tenant(tr.tenant)
                 .with_priority(tr.priority),
         );
@@ -284,7 +284,7 @@ impl DisaggSimulator {
     ) {
         let tr = self.trace.requests[idx as usize];
         self.decode[target].scheduler.add_remote_prefilled(
-            Request::new(tr.id, tr.arrival, tr.prefill_tokens, tr.decode_tokens)
+            Request::new(idx.into(), tr.arrival, tr.prefill_tokens, tr.decode_tokens)
                 .with_tenant(tr.tenant)
                 .with_priority(tr.priority),
             1,
@@ -344,7 +344,7 @@ impl Simulation for DisaggSimulator {
                 let tr = self.trace.requests[idx as usize];
                 self.engine
                     .metrics
-                    .on_arrival(tr.id, now, tr.decode_tokens, tr.tenant);
+                    .on_arrival(idx.into(), now, tr.decode_tokens, tr.tenant);
                 // The prefill tier places the request (round-robin by
                 // default); the request "finishes" there after one output
                 // token.

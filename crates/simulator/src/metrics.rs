@@ -625,10 +625,10 @@ impl RequestRecord {
 /// Streaming metrics collector driven by the cluster simulator.
 #[derive(Debug, Clone)]
 pub struct MetricsCollector {
-    /// Per-request records, id-indexed: simulators feed dense trace
-    /// indices, so the slab beats a map on the per-slice hot paths. In
-    /// mergeable mode records retire into `requests` as requests complete
-    /// instead of accumulating until the final report.
+    /// Per-request records, id-indexed: simulators feed trace indices, so
+    /// the slab beats a map on the per-slice hot paths. In mergeable mode
+    /// records retire into `requests` as requests complete, and the slab's
+    /// window slides past them, instead of accumulating until the report.
     records: IdSlab<RequestRecord>,
     tbt: LatencySink,
     /// Request-level sinks; their `mode` is the collector's

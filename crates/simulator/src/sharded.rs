@@ -305,6 +305,7 @@ pub(crate) fn run_sharded(
         // Elastic runs never reach the sharded path (`block_reason` rejects
         // them), so the elastic state stays untouched here.
         elastic: _,
+        prefix_hits: _,
         seed,
     } = *sim;
 
@@ -544,7 +545,7 @@ impl BarrierShard {
             SimEvent::Arrival(idx) => {
                 let tr = trace.requests[idx as usize];
                 log.effects.push(Effect::Arrival {
-                    id: tr.id,
+                    id: idx.into(),
                     decode_tokens: tr.decode_tokens,
                     tenant: tr.tenant,
                 });
@@ -552,7 +553,7 @@ impl BarrierShard {
                 self.replicas[target as usize / self.num_shards]
                     .scheduler
                     .add_request(
-                        Request::new(tr.id, tr.arrival, tr.prefill_tokens, tr.decode_tokens)
+                        Request::new(idx.into(), tr.arrival, tr.prefill_tokens, tr.decode_tokens)
                             .with_tenant(tr.tenant)
                             .with_priority(tr.priority),
                     );
