@@ -28,17 +28,20 @@
 //! `ReferenceScheduler` (from the dev-only `vidur-oracle` crate) in the same
 //! process, so the reported speedup is hardware-independent and the two
 //! implementations are differentially smoke-checked (same batch and
-//! preemption counts) on every run.
+//! preemption counts) on every run. Each scenario takes [`SAMPLES`] timed
+//! pairs, alternating which side runs first, and reports the median
+//! per-pair speedup with its interquartile range.
 //!
 //! Output: human-readable lines plus machine-readable
-//! `results/BENCH_scheduler.json`. With `BENCH_SCHEDULER_BASELINE=<path>`
-//! set (CI points it at the committed
+//! `results/BENCH_scheduler.json` (with the host's core count). With
+//! `BENCH_SCHEDULER_BASELINE=<path>` set (CI points it at the committed
 //! `crates/bench/baselines/BENCH_scheduler.json`), the run fails (exit 1)
-//! if the decode-heavy speedup drops below 2× or regresses more than 25%
-//! against the baseline — CI's perf-regression gate. `BENCH_SMOKE=1`
-//! shrinks the deep-backlog workload for CI.
+//! if the decode-heavy median speedup drops below 2× or regresses more
+//! than 25% against the baseline — CI's perf-regression gate.
+//! `BENCH_SMOKE=1` shrinks the deep-backlog workload for CI.
 
 use serde::{Deserialize, Serialize};
+use std::fmt::Debug;
 use std::time::Instant;
 use vidur_core::rng::SimRng;
 use vidur_core::time::SimTime;
@@ -303,50 +306,130 @@ fn drive_routing(kind: GlobalPolicyKind, smoke: bool) -> (u64, u64) {
     (batches, worst)
 }
 
-/// Best-of-`reps` wall-clock nanoseconds for `f` (one untimed warm-up).
-fn best_of<F: FnMut() -> (u64, u64)>(reps: usize, mut f: F) -> (f64, u64, u64) {
-    let (batches, preemptions) = f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
+/// Timed pairs per scenario. On a shared 2-vCPU host one sample per side
+/// can put `decode_heavy` under its 2× floor by noise alone, so the gate
+/// reads the median of this many paired ratios.
+const SAMPLES: usize = 9;
+
+/// Wall-clock nanoseconds of an optimized and a reference run, one entry
+/// per timed pair.
+struct Paired {
+    opt_ns: Vec<f64>,
+    ref_ns: Vec<f64>,
+}
+
+/// Runs `opt` and `reference` once untimed, then [`SAMPLES`] timed pairs,
+/// alternating which side goes first so drift on a shared host hits both
+/// sides alike. Every timed run must return what its untimed run did.
+fn paired<T: PartialEq + Debug>(
+    mut opt: impl FnMut() -> T,
+    mut reference: impl FnMut() -> T,
+) -> (T, T, Paired) {
+    let (opt_out, ref_out) = (opt(), reference());
+    let time = |f: &mut dyn FnMut() -> T, expected: &T| {
         let start = Instant::now();
         let out = std::hint::black_box(f());
         let ns = start.elapsed().as_nanos() as f64;
-        assert_eq!(out, (batches, preemptions), "non-deterministic drain");
-        best = best.min(ns);
+        assert_eq!(&out, expected, "non-deterministic run");
+        ns
+    };
+    let mut p = Paired {
+        opt_ns: Vec::with_capacity(SAMPLES),
+        ref_ns: Vec::with_capacity(SAMPLES),
+    };
+    for i in 0..SAMPLES {
+        if i % 2 == 0 {
+            p.opt_ns.push(time(&mut opt, &opt_out));
+            p.ref_ns.push(time(&mut reference, &ref_out));
+        } else {
+            p.ref_ns.push(time(&mut reference, &ref_out));
+            p.opt_ns.push(time(&mut opt, &opt_out));
+        }
     }
-    (best, batches, preemptions)
+    (opt_out, ref_out, p)
 }
 
-#[derive(Debug, Serialize, Deserialize)]
+/// The `q` quantile of `xs` by linear interpolation between order
+/// statistics.
+fn quantile(xs: &[f64], q: f64) -> f64 {
+    let mut sorted = xs.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let pos = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - lo as f64)
+}
+
+impl Paired {
+    /// Median and interquartile range of the per-pair `reference /
+    /// optimized` time ratios.
+    fn speedup(&self) -> (f64, f64) {
+        let ratios: Vec<f64> = self
+            .ref_ns
+            .iter()
+            .zip(&self.opt_ns)
+            .map(|(r, o)| r / o)
+            .collect();
+        (
+            quantile(&ratios, 0.5),
+            quantile(&ratios, 0.75) - quantile(&ratios, 0.25),
+        )
+    }
+
+    /// Median ns per batch of each side: `(optimized, reference)`.
+    fn ns_per_batch(&self, opt_batches: u64, ref_batches: u64) -> (f64, f64) {
+        (
+            quantile(&self.opt_ns, 0.5) / opt_batches as f64,
+            quantile(&self.ref_ns, 0.5) / ref_batches as f64,
+        )
+    }
+}
+
+#[derive(Debug, Serialize)]
 struct ScenarioResult {
     name: String,
     batches: u64,
     preemptions: u64,
+    /// Median over the timed samples.
     optimized_ns_per_batch: f64,
+    /// Median over the timed samples.
     reference_ns_per_batch: f64,
+    /// Median per-pair speedup (the two routing scenarios record a
+    /// deterministic quality factor here instead; see below).
     speedup: f64,
+    /// Interquartile range of the per-pair speedups (0 for the
+    /// deterministic factors).
+    speedup_iqr: f64,
 }
 
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Serialize)]
 struct BenchReport {
     schema: u32,
     smoke: bool,
+    /// Cores available to this process.
+    cores: usize,
+    /// Timed pairs per scenario.
+    samples: usize,
     scenarios: Vec<ScenarioResult>,
 }
 
-impl BenchReport {
-    fn scenario(&self, name: &str) -> Option<&ScenarioResult> {
-        self.scenarios.iter().find(|s| s.name == name)
-    }
+/// The part of a committed report the regression gate reads.
+#[derive(Debug, Deserialize)]
+struct Baseline {
+    scenarios: Vec<BaselineScenario>,
+}
+
+#[derive(Debug, Deserialize)]
+struct BaselineScenario {
+    name: String,
+    speedup: f64,
 }
 
 fn main() {
     let smoke = std::env::var("BENCH_SMOKE").is_ok();
-    let reps = if smoke { 2 } else { 5 };
     let mut results = Vec::new();
     for sc in scenarios(smoke) {
-        let (opt_ns, opt_batches, opt_preempt) = best_of(reps, || drain_optimized(&sc));
-        let (ref_ns, ref_batches, ref_preempt) = best_of(reps, || drain_reference(&sc));
+        let ((opt_batches, opt_preempt), (ref_batches, ref_preempt), times) =
+            paired(|| drain_optimized(&sc), || drain_reference(&sc));
         // Differential smoke: both implementations must agree on what ran.
         assert_eq!(
             (opt_batches, opt_preempt),
@@ -364,20 +447,25 @@ fn main() {
                 sc.name
             );
         }
+        let (optimized_ns_per_batch, reference_ns_per_batch) =
+            times.ns_per_batch(opt_batches, ref_batches);
+        let (speedup, speedup_iqr) = times.speedup();
         let r = ScenarioResult {
             name: sc.name.to_string(),
             batches: opt_batches,
             preemptions: opt_preempt,
-            optimized_ns_per_batch: opt_ns / opt_batches as f64,
-            reference_ns_per_batch: ref_ns / ref_batches as f64,
-            speedup: ref_ns / opt_ns,
+            optimized_ns_per_batch,
+            reference_ns_per_batch,
+            speedup,
+            speedup_iqr,
         };
         println!(
-            "bench: scheduler_formation/{:<16} {:>9.0} ns/batch (seed {:>9.0} ns/batch, {:>5.2}x, {} batches, {} preemptions)",
+            "bench: scheduler_formation/{:<16} {:>9.0} ns/batch (seed {:>9.0} ns/batch, {:>5.2}x IQR {:.2}, {} batches, {} preemptions)",
             r.name,
             r.optimized_ns_per_batch,
             r.reference_ns_per_batch,
             r.speedup,
+            r.speedup_iqr,
             r.batches,
             r.preemptions
         );
@@ -390,15 +478,15 @@ fn main() {
     // first-schedule p99 (in rounds) must strictly improve, which is an
     // in-process, hardware-independent property.
     {
-        let (fs_ns, fs_batches, fs_worst) = best_of(reps, || {
-            drive_routing(GlobalPolicyKind::FairShare { max_outstanding: 8 }, smoke)
-        });
-        let (rr_ns, rr_batches, rr_worst) =
-            best_of(reps, || drive_routing(GlobalPolicyKind::RoundRobin, smoke));
+        let ((fs_batches, fs_worst), (rr_batches, rr_worst), times) = paired(
+            || drive_routing(GlobalPolicyKind::FairShare { max_outstanding: 8 }, smoke),
+            || drive_routing(GlobalPolicyKind::RoundRobin, smoke),
+        );
+        let (fs_ns_per_batch, rr_ns_per_batch) = times.ns_per_batch(fs_batches, rr_batches);
         println!(
             "bench: scheduler_routing/routing_fairshare {:>9.0} ns/batch (round-robin {:>9.0} ns/batch, light-tenant p99 wait {} vs {} rounds)",
-            fs_ns / fs_batches as f64,
-            rr_ns / rr_batches as f64,
+            fs_ns_per_batch,
+            rr_ns_per_batch,
             fs_worst,
             rr_worst
         );
@@ -413,9 +501,10 @@ fn main() {
             name: "routing_fairshare".to_string(),
             batches: fs_batches,
             preemptions: 0,
-            optimized_ns_per_batch: fs_ns / fs_batches as f64,
-            reference_ns_per_batch: rr_ns / rr_batches as f64,
+            optimized_ns_per_batch: fs_ns_per_batch,
+            reference_ns_per_batch: rr_ns_per_batch,
             speedup: rr_worst as f64 / fs_worst.max(1) as f64,
+            speedup_iqr: 0.0,
         });
     }
 
@@ -478,20 +567,12 @@ fn main() {
             cfg.prefix_cache = Some(PrefixCacheConfig::default());
             ClusterSimulator::new(cfg, trace.clone(), source.clone(), 71).run()
         };
-        let time_policy = |policy: GlobalPolicyKind| {
-            let report = run(policy);
-            let mut best = f64::INFINITY;
-            for _ in 0..reps {
-                let start = Instant::now();
-                let again = std::hint::black_box(run(policy));
-                let ns = start.elapsed().as_nanos() as f64;
-                assert_eq!(again, report, "non-deterministic simulator run");
-                best = best.min(ns);
-            }
-            (best, report)
-        };
-        let (kv_ns, kv) = time_policy(GlobalPolicyKind::KvAware);
-        let (rr_ns, rr) = time_policy(GlobalPolicyKind::RoundRobin);
+        let (kv, rr, times) = paired(
+            || run(GlobalPolicyKind::KvAware),
+            || run(GlobalPolicyKind::RoundRobin),
+        );
+        let (kv_ns_per_batch, rr_ns_per_batch) =
+            times.ns_per_batch(kv.total_batches, rr.total_batches);
         println!(
             "bench: scheduler_routing/prefix_routing   TTFT p99 {:.3}s vs round-robin {:.3}s \
              ({:.2}x; hit rate {:.1}% vs {:.1}%, tokens saved {} vs {})",
@@ -522,15 +603,18 @@ fn main() {
             name: "prefix_routing".to_string(),
             batches: kv.total_batches,
             preemptions: kv.preemptions,
-            optimized_ns_per_batch: kv_ns / kv.total_batches as f64,
-            reference_ns_per_batch: rr_ns / rr.total_batches as f64,
+            optimized_ns_per_batch: kv_ns_per_batch,
+            reference_ns_per_batch: rr_ns_per_batch,
             speedup: rr.ttft.p99 / kv.ttft.p99,
+            speedup_iqr: 0.0,
         });
     }
 
     let report = BenchReport {
-        schema: 1,
+        schema: 2,
         smoke,
+        cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        samples: SAMPLES,
         scenarios: results,
     };
 
@@ -549,19 +633,21 @@ fn main() {
         }
         let baseline_txt = std::fs::read_to_string(&resolved)
             .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", resolved.display()));
-        let baseline: BenchReport =
+        let baseline: Baseline =
             serde_json::from_str(&baseline_txt).expect("parse baseline BENCH_scheduler.json");
         let cur = report
-            .scenario("decode_heavy")
+            .scenarios
+            .iter()
+            .find(|s| s.name == "decode_heavy")
             .expect("decode_heavy scenario present");
         if cur.speedup < 2.0 {
             eprintln!(
-                "FAIL: decode_heavy speedup {:.2}x is below the 2x acceptance floor",
-                cur.speedup
+                "FAIL: decode_heavy median speedup {:.2}x (IQR {:.2}) is below the 2x acceptance floor",
+                cur.speedup, cur.speedup_iqr
             );
             failed = true;
         }
-        if let Some(base) = baseline.scenario("decode_heavy") {
+        if let Some(base) = baseline.scenarios.iter().find(|s| s.name == "decode_heavy") {
             let floor = 0.75 * base.speedup;
             if cur.speedup < floor {
                 eprintln!(

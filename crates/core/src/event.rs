@@ -155,14 +155,6 @@ impl<K: Ord, E> KeyedPairingHeap<K, E> {
         Some((key, payload))
     }
 
-    /// Drops all entries and recycles every slot.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.root = NIL;
-        self.free = NIL;
-        self.len = 0;
-    }
-
     /// Links two heap roots, returning the new root. The loser becomes the
     /// winner's first child. `<=` keeps the earlier-rooted node on top at
     /// equal keys.
@@ -259,11 +251,6 @@ impl<E> EventQueue<E> {
         Some((time, payload))
     }
 
-    /// Returns the timestamp of the next event without removing it.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|&(time, _)| time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -272,11 +259,6 @@ impl<E> EventQueue<E> {
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Drops all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -414,16 +396,8 @@ mod tests {
         assert_eq!(q.len(), 2);
         q.pop();
         assert_eq!(q.len(), 1);
-        q.clear();
+        q.pop();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn peek_does_not_remove() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_nanos(3), "x");
-        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(3)));
-        assert_eq!(q.len(), 1);
     }
 
     #[test]

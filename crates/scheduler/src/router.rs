@@ -97,16 +97,19 @@ pub struct RouterView {
     /// [`RoutingTier::set_route_prefix_hits`] (all zero until then, and in
     /// every run without a prefix cache).
     prefix_hits: Vec<u64>,
+    /// Per-tenant fair-share weights (index = tenant id), as configured.
+    weights: Vec<f64>,
 }
 
 impl RouterView {
-    fn new(num_replicas: usize) -> Self {
+    fn new(num_replicas: usize, weights: &[f64]) -> Self {
         RouterView {
             replicas: vec![ReplicaLoad::default(); num_replicas],
             health: vec![ReplicaHealth::Live; num_replicas],
             non_live: 0,
             tenant_in_system: Vec::new(),
             prefix_hits: vec![0; num_replicas],
+            weights: weights.to_vec(),
         }
     }
 
@@ -214,6 +217,15 @@ impl RouterView {
             .get(tenant as usize)
             .copied()
             .unwrap_or(0)
+    }
+
+    /// `tenant`'s fair-share weight: a missing or non-positive weight
+    /// counts as 1.0.
+    fn tenant_weight(&self, tenant: u32) -> f64 {
+        match self.weights.get(tenant as usize) {
+            Some(&w) if w > 0.0 => w,
+            _ => 1.0,
+        }
     }
 
     fn tenant_entry(&mut self, tenant: u32) -> &mut usize {
@@ -384,8 +396,6 @@ impl Router for PriorityAwareRouter {
 #[derive(Debug)]
 struct FairShareRouter {
     max_outstanding: usize,
-    /// Per-tenant weights (missing entries default to 1.0).
-    weights: Vec<f64>,
     /// Per-tenant virtual time, grown on first sight.
     vtime: Vec<f64>,
     /// Virtual time of the last served request's start tag — the floor idle
@@ -394,15 +404,6 @@ struct FairShareRouter {
 }
 
 impl FairShareRouter {
-    fn weight(&self, tenant: u32) -> f64 {
-        let w = self.weights.get(tenant as usize).copied().unwrap_or(1.0);
-        if w > 0.0 {
-            w
-        } else {
-            1.0
-        }
-    }
-
     fn vtime_entry(&mut self, tenant: u32) -> &mut f64 {
         let idx = tenant as usize;
         if idx >= self.vtime.len() {
@@ -445,8 +446,8 @@ impl Router for FairShareRouter {
             .map(|(i, _)| i)
     }
 
-    fn on_dispatch(&mut self, req: &RouteRequest, _target: usize, _view: &RouterView) {
-        let w = self.weight(req.tenant);
+    fn on_dispatch(&mut self, req: &RouteRequest, _target: usize, view: &RouterView) {
+        let w = view.tenant_weight(req.tenant);
         let v = self.vtime_entry(req.tenant);
         let start = *v;
         *v = start + req.tokens as f64 / w;
@@ -583,7 +584,6 @@ pub struct RoutingTier {
     seq: u64,
     tenants: Vec<TenantRouting>,
     total_routed_tokens: u64,
-    weights: Vec<f64>,
 }
 
 impl RoutingTier {
@@ -610,7 +610,6 @@ impl RoutingTier {
             }
             GlobalPolicyKind::FairShare { max_outstanding } => Box::new(FairShareRouter {
                 max_outstanding,
-                weights: weights.to_vec(),
                 vtime: Vec::new(),
                 vfloor: 0.0,
             }),
@@ -623,12 +622,11 @@ impl RoutingTier {
         RoutingTier {
             kind,
             router,
-            view: RouterView::new(num_replicas),
+            view: RouterView::new(num_replicas, weights),
             deferred: VecDeque::new(),
             seq: 0,
             tenants: Vec::new(),
             total_routed_tokens: 0,
-            weights: weights.to_vec(),
         }
     }
 
@@ -770,17 +768,11 @@ impl RoutingTier {
             return None;
         }
         let stat = self.tenants.get(tenant as usize)?;
-        let weight = |t: usize| {
-            let w = self.weights.get(t).copied().unwrap_or(1.0);
-            if w > 0.0 {
-                w
-            } else {
-                1.0
-            }
-        };
-        let total_weight: f64 = (0..self.tenants.len()).map(weight).sum();
+        let total_weight: f64 = (0..self.tenants.len() as u32)
+            .map(|t| self.view.tenant_weight(t))
+            .sum();
         let share = stat.tokens as f64 / self.total_routed_tokens as f64;
-        let entitled = weight(tenant as usize) / total_weight;
+        let entitled = self.view.tenant_weight(tenant) / total_weight;
         Some(share / entitled)
     }
 

@@ -13,6 +13,7 @@ use crate::config::ClusterConfig;
 use crate::engine::{self, BatchEngine, EngineReplica};
 use crate::faults::{AutoscalerSpec, FleetObservation, ScaleDecision};
 use crate::metrics::{FleetStats, SimulationReport, TenantRoutingStats};
+use std::collections::HashSet;
 use vidur_core::event::{EventQueue, Simulation};
 use vidur_core::time::{SimDuration, SimTime};
 use vidur_model::batch::BatchComposition;
@@ -31,8 +32,9 @@ pub enum SimEvent {
     Arrival(u32),
     /// Replica may be able to schedule (stage 0 freed).
     Wakeup(u32),
-    /// Batch `batch_id` on replica finished its last stage.
-    BatchComplete(u32, u64),
+    /// Replica's oldest in-flight batch finished its last stage; the second
+    /// field is the replica's crash epoch when the batch launched.
+    BatchComplete(u32, u32),
     /// Fault record `idx` of the armed plan fires (elastic runs only).
     Fault(u32),
     /// The autoscaler evaluates one observation window (elastic runs only).
@@ -53,8 +55,9 @@ pub(crate) struct ElasticState {
     warmup_delay: SimDuration,
     /// The armed autoscaler (bounds, thresholds and policy), if any.
     autoscaler: Option<AutoscalerSpec>,
-    /// Dispatches per trace index: a second dispatch is a retry.
-    dispatch_count: Vec<u32>,
+    /// Trace indices requeued but not yet re-dispatched: their next
+    /// dispatch is a retry. Only membership is read, never the order.
+    awaiting_retry: HashSet<u32>,
     retries: u64,
     requeued: u64,
     evicted_by_crash: u64,
@@ -77,7 +80,7 @@ pub(crate) struct ElasticState {
 }
 
 impl ElasticState {
-    fn new(config: &ClusterConfig, trace_len: usize, warmup_delay_secs: f64) -> Self {
+    fn new(config: &ClusterConfig, warmup_delay_secs: f64) -> Self {
         let fleet = config.fleet_size();
         let mut up_since = vec![None; fleet];
         for slot in up_since.iter_mut().take(config.num_replicas) {
@@ -87,7 +90,7 @@ impl ElasticState {
             records: config.faults.schedule.records.clone(),
             warmup_delay: SimDuration::from_secs_f64(warmup_delay_secs),
             autoscaler: config.autoscaler,
-            dispatch_count: vec![0; trace_len],
+            awaiting_retry: HashSet::new(),
             retries: 0,
             requeued: 0,
             evicted_by_crash: 0,
@@ -218,7 +221,14 @@ impl std::fmt::Debug for ClusterSimulator {
         f.debug_struct("ClusterSimulator")
             .field("config", &self.config.label())
             .field("trace_len", &self.trace.len())
-            .field("inflight", &self.engine.inflight_len())
+            .field(
+                "inflight",
+                &self
+                    .replicas
+                    .iter()
+                    .map(EngineReplica::inflight_len)
+                    .sum::<usize>(),
+            )
             .finish()
     }
 }
@@ -298,7 +308,7 @@ impl ClusterSimulator {
         // Elastic runs pre-allocate the autoscaler's `max_replicas` ceiling;
         // fixed fleets allocate exactly `num_replicas` (fleet_size == that).
         let fleet = config.fleet_size();
-        let mut replicas = EngineReplica::pool(&config, &plan, fleet);
+        let mut replicas = EngineReplica::pool(&config, &plan, 0, fleet);
         if let Some(quota) = config.tenant_quota_blocks(plan.num_kv_blocks) {
             for replica in &mut replicas {
                 replica.scheduler.set_tenant_quotas(&quota);
@@ -325,7 +335,7 @@ impl ClusterSimulator {
             let weight_bytes_total =
                 plan.weight_bytes * config.parallelism.gpus_per_replica() as f64;
             let delay = config.faults.warmup.delay_secs(weight_bytes_total);
-            Box::new(ElasticState::new(&config, trace.len(), delay))
+            Box::new(ElasticState::new(&config, delay))
         });
         ClusterSimulator {
             config,
@@ -458,11 +468,10 @@ impl ClusterSimulator {
     ) {
         let tr = self.trace.requests[idx as usize];
         if let Some(el) = self.elastic.as_deref_mut() {
-            if el.dispatch_count[idx as usize] > 0 {
+            if el.awaiting_retry.remove(&idx) {
                 el.retries += 1;
                 ElasticState::bump(&mut el.tenant_retries, tr.tenant);
             }
-            el.dispatch_count[idx as usize] += 1;
         }
         self.replicas[target].scheduler.add_request(
             Request::new(idx.into(), tr.arrival, tr.prefill_tokens, tr.decode_tokens)
@@ -514,12 +523,11 @@ impl ClusterSimulator {
         let config = &self.config;
         self.engine.try_schedule(
             &mut self.replicas[r],
-            r,
             now,
             queue,
             |batch| batch_bytes(config, batch),
             || SimEvent::Wakeup(replica),
-            |id| SimEvent::BatchComplete(replica, id),
+            |epoch| SimEvent::BatchComplete(replica, epoch),
         );
     }
 
@@ -537,16 +545,17 @@ impl ClusterSimulator {
         match rec.action {
             FaultAction::Crash => self.crash_replica(r, now, queue),
             FaultAction::Recover => self.begin_warmup(r, now, queue),
-            FaultAction::Slow(mult) => self.engine.set_stage_multiplier(r, mult),
-            FaultAction::Restore => self.engine.set_stage_multiplier(r, 1.0),
+            FaultAction::Slow(mult) => self.replicas[r].set_stage_multiplier(mult),
+            FaultAction::Restore => self.replicas[r].set_stage_multiplier(1.0),
             FaultAction::Drain => self.drain_replica(r, now, queue),
         }
     }
 
-    /// Hard-crashes replica `r`: cancels its in-flight batches (their
-    /// already-queued completion events become stale and are dropped),
-    /// evicts every request with KV reclaimed, and requeues the evicted
-    /// work through the routing tier. No-op if the replica is already down.
+    /// Hard-crashes replica `r`: cancels its in-flight batches and bumps its
+    /// epoch (their already-queued completion events become stale and are
+    /// dropped), evicts every request with KV reclaimed, and requeues the
+    /// evicted work through the routing tier. No-op if the replica is
+    /// already down.
     fn crash_replica(&mut self, r: usize, now: SimTime, queue: &mut EventQueue<SimEvent>) {
         if self.tier.health(r) == ReplicaHealth::Down {
             return;
@@ -559,7 +568,7 @@ impl ClusterSimulator {
         };
         evicted.clear();
         self.tier.set_health(r, ReplicaHealth::Down);
-        self.engine.cancel_inflight(&mut self.replicas[r]);
+        self.replicas[r].crash();
         self.replicas[r].scheduler.evict_all(&mut evicted);
         self.tier
             .set_free_kv_blocks(r, self.replicas[r].scheduler.blocks().free_blocks());
@@ -622,8 +631,10 @@ impl ClusterSimulator {
 
     /// Sends evicted/migrated requests back through the routing tier. The
     /// tier defers them when no replica is routable; recoveries drain the
-    /// deferred queue.
+    /// deferred queue. Either way their next dispatch counts as a retry.
     fn requeue(&mut self, ids: &[RequestId], now: SimTime, queue: &mut EventQueue<SimEvent>) {
+        let el = self.elastic.as_deref_mut().expect("elastic armed");
+        el.awaiting_retry.extend(ids.iter().map(|&id| id as u32));
         for &id in ids {
             let idx = id as u32;
             let req = self.route_request(idx);
@@ -776,11 +787,11 @@ impl Simulation for ClusterSimulator {
                 self.replicas[replica as usize].clear_wakeup();
                 self.try_schedule(replica, now, queue);
             }
-            SimEvent::BatchComplete(replica, id) => {
+            SimEvent::BatchComplete(replica, epoch) => {
                 let r = replica as usize;
-                // Crash cancellation leaves completion events for batches
-                // that no longer exist; their generation check fails here.
-                if self.elastic.is_some() && !self.engine.inflight_contains(id) {
+                // A crash cancelled the batches launched before it and
+                // bumped the epoch, so their completions arrive stale.
+                if epoch != self.replicas[r].epoch() {
                     return;
                 }
                 let trace = &self.trace;
@@ -788,8 +799,6 @@ impl Simulation for ClusterSimulator {
                 let mut elastic = self.elastic.as_deref_mut();
                 self.engine.retire_batch(
                     &mut self.replicas[r],
-                    r,
-                    id,
                     now,
                     queue,
                     // Aggregated clusters record completion events as-is;

@@ -112,8 +112,8 @@ pub enum DisaggEvent {
     Arrival(u32),
     /// A pool replica may schedule (`pool`, replica).
     Wakeup(Pool, u32),
-    /// A batch finished (`pool`, replica, batch id).
-    BatchComplete(Pool, u32, u64),
+    /// A pool replica's oldest in-flight batch finished (`pool`, replica).
+    BatchComplete(Pool, u32),
     /// Request `idx`'s KV finished transferring to the decode pool.
     KvArrived(u32),
 }
@@ -175,8 +175,14 @@ impl DisaggSimulator {
             .base
             .memory_plan()
             .expect("configuration cannot host the model");
-        let mut prefill = EngineReplica::pool(&config.base, &plan, config.prefill_replicas);
-        let mut decode = EngineReplica::pool(&config.base, &plan, config.decode_replicas);
+        // Metrics series: the prefill pool first, then the decode pool.
+        let mut prefill = EngineReplica::pool(&config.base, &plan, 0, config.prefill_replicas);
+        let mut decode = EngineReplica::pool(
+            &config.base,
+            &plan,
+            config.prefill_replicas,
+            config.decode_replicas,
+        );
         if let Some(quota) = config.base.tenant_quota_blocks(plan.num_kv_blocks) {
             for replica in prefill.iter_mut().chain(decode.iter_mut()) {
                 replica.scheduler.set_tenant_quotas(&quota);
@@ -248,13 +254,6 @@ impl DisaggSimulator {
         )
     }
 
-    fn metrics_replica_index(&self, pool: Pool, replica: u32) -> usize {
-        match pool {
-            Pool::Prefill => replica as usize,
-            Pool::Decode => self.prefill.len() + replica as usize,
-        }
-    }
-
     /// Registers trace request `idx` with the prefill pool's `target`
     /// replica (one output token: the prefill iteration produces it).
     fn dispatch_prefill(
@@ -316,18 +315,17 @@ impl DisaggSimulator {
         now: SimTime,
         queue: &mut EventQueue<DisaggEvent>,
     ) {
-        let metrics_idx = self.metrics_replica_index(pool, replica);
         let pool_replicas = pool_mut(&mut self.prefill, &mut self.decode, pool);
         self.engine.try_schedule(
             &mut pool_replicas[replica as usize],
-            metrics_idx,
             now,
             queue,
             // Disaggregated MBU accounting is not modeled yet; batches carry
             // no HBM-traffic estimate (matches the pre-engine behavior).
             |_batch| 0.0,
             || DisaggEvent::Wakeup(pool, replica),
-            |id| DisaggEvent::BatchComplete(pool, replica, id),
+            // Replicas never crash here, so the epoch stays 0.
+            |_epoch| DisaggEvent::BatchComplete(pool, replica),
         );
     }
 }
@@ -377,8 +375,7 @@ impl Simulation for DisaggSimulator {
                     .clear_wakeup();
                 self.try_schedule(pool, replica, now, queue);
             }
-            DisaggEvent::BatchComplete(pool, replica, id) => {
-                let metrics_idx = self.metrics_replica_index(pool, replica);
+            DisaggEvent::BatchComplete(pool, replica) => {
                 let r = replica as usize;
                 let trace = &self.trace;
                 let config = &self.config;
@@ -388,8 +385,6 @@ impl Simulation for DisaggSimulator {
                 let pool_replicas = pool_mut(&mut self.prefill, &mut self.decode, pool);
                 self.engine.retire_batch(
                     &mut pool_replicas[r],
-                    metrics_idx,
-                    id,
                     now,
                     queue,
                     // Prefill-pool completions map to the request's real

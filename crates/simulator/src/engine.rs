@@ -13,6 +13,14 @@
 //! pool topology, KV handoff) on top of [`vidur_core::event::Simulation`]
 //! and is driven through [`vidur_core::event::run`].
 //!
+//! Each replica's batches run as one FIFO pipeline (paper §4.5, the
+//! synchronous pipeline-parallel policy), so every [`EngineReplica`] keeps
+//! its own in-flight batches in launch order and a completion retires the
+//! front one. A completion event names only its replica and that replica's
+//! crash *epoch* at launch: a crash cancels the replica's in-flight batches
+//! and bumps the epoch, so their already-queued completions compare unequal
+//! and the simulator drops them.
+//!
 //! Future backends (pipeline variants, hybrid pools) should build on
 //! [`BatchEngine`] the same way: own the engine plus a set of
 //! [`EngineReplica`]s, translate engine callbacks into their own event type,
@@ -21,6 +29,7 @@
 use crate::config::{ClusterConfig, LateAbort};
 use crate::metrics::{MetricsCollector, PowerSpec, SimulationReport};
 use crate::timing::StageTimer;
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 use vidur_core::event::{self, EventPush, EventQueue, Simulation};
@@ -39,88 +48,34 @@ pub use crate::timing::RuntimeSource;
 /// events per iteration, so real runs finish far below this.
 pub const MAX_EVENTS: u64 = 200_000_000;
 
-/// Generation-tagged slot map for in-flight batches (a ROADMAP hot-path
-/// item: the seed's `HashMap<u64, BatchComposition>` hashed and probed on
-/// every launch/retire). Batch ids pack `(generation << 32) | slot`; slots
-/// recycle through a free list, so the steady state is two Vec index
-/// operations and zero hashing, while stale ids from a simulator bug still
-/// miss (the generation check) instead of aliasing a live batch.
-#[derive(Debug, Default)]
-struct InflightSlots {
-    slots: Vec<Option<BatchComposition>>,
-    generations: Vec<u32>,
-    free: Vec<u32>,
-    len: usize,
-}
-
-impl InflightSlots {
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Stores `batch`, returning its id.
-    fn insert(&mut self, batch: BatchComposition) -> u64 {
-        self.len += 1;
-        let slot = match self.free.pop() {
-            Some(slot) => {
-                debug_assert!(self.slots[slot as usize].is_none());
-                self.slots[slot as usize] = Some(batch);
-                slot
-            }
-            None => {
-                let slot = self.slots.len() as u32;
-                self.slots.push(Some(batch));
-                self.generations.push(0);
-                slot
-            }
-        };
-        (self.generations[slot as usize] as u64) << 32 | slot as u64
-    }
-
-    /// Whether `id` maps to a live in-flight batch.
-    fn contains(&self, id: u64) -> bool {
-        let slot = (id & u32::MAX as u64) as usize;
-        let generation = (id >> 32) as u32;
-        self.generations.get(slot).copied() == Some(generation) && self.slots[slot].is_some()
-    }
-
-    /// Removes and returns the batch behind `id`; `None` for ids that are
-    /// stale (generation mismatch) or never existed.
-    fn remove(&mut self, id: u64) -> Option<BatchComposition> {
-        let slot = (id & u32::MAX as u64) as usize;
-        let generation = (id >> 32) as u32;
-        if self.generations.get(slot).copied() != Some(generation) {
-            return None;
-        }
-        let batch = self.slots[slot].take()?;
-        self.generations[slot] = generation.wrapping_add(1);
-        self.free.push(slot as u32);
-        self.len -= 1;
-        Some(batch)
-    }
-}
-
-/// One replica's scheduling state: its batch scheduler, pipeline-stage
-/// tracker, the earliest pending wake-up (dedupes `Wakeup` events), and the
-/// completion times of its in-flight batches (coalesces wake-ups that a
-/// completion handler would cover anyway).
+/// One replica's engine state: its batch scheduler and pipeline-stage
+/// tracker, its metrics-replica index, the earliest pending wake-up (dedupes
+/// `Wakeup` events), its in-flight batches, its crash epoch, and its
+/// straggler multiplier.
 #[derive(Debug)]
 pub struct EngineReplica {
     /// Batch formation and KV block accounting.
     pub scheduler: ReplicaScheduler,
     /// Pipeline-stage occupancy (resolves stage contention and bubbles).
     pub pipeline: PipelineTracker,
+    /// This replica's index in the metrics collector's per-replica series.
+    metrics_idx: usize,
     wakeup_at: Option<SimTime>,
-    /// `(completion time, batch id)` of in-flight batches in launch order
-    /// (monotone: the synchronous pipeline retires batches FIFO). The batch
-    /// id rides along so a crash can cancel exactly this replica's in-flight
-    /// work — see [`EngineCore::cancel_inflight`].
-    pending_completions: std::collections::VecDeque<(SimTime, u64)>,
+    /// In-flight batches with their completion times, in launch order. The
+    /// synchronous pipeline retires batches FIFO, so the times are monotone
+    /// and a completion retires the front batch.
+    inflight: VecDeque<(SimTime, BatchComposition)>,
+    /// Crashes so far. Completion events carry the epoch of their launch.
+    epoch: u32,
+    /// Straggler multiplier applied to every stage time after the
+    /// shape-cache lookup (so the cache stays shared across replicas).
+    stage_multiplier: f64,
 }
 
 impl EngineReplica {
-    /// Builds one replica for `config` with the KV capacity from `plan`.
-    pub fn new(config: &ClusterConfig, plan: &MemoryPlan) -> Self {
+    /// Builds one replica for `config` with the KV capacity from `plan`,
+    /// recording into the collector's per-replica series `metrics_idx`.
+    pub fn new(config: &ClusterConfig, plan: &MemoryPlan, metrics_idx: usize) -> Self {
         let mut scheduler =
             ReplicaScheduler::new(config.scheduler, plan.num_kv_blocks, config.block_size);
         if config.prefix_cache.is_some() {
@@ -129,14 +84,25 @@ impl EngineReplica {
         EngineReplica {
             scheduler,
             pipeline: PipelineTracker::new(config.parallelism.pipeline_parallel as usize),
+            metrics_idx,
             wakeup_at: None,
-            pending_completions: std::collections::VecDeque::new(),
+            inflight: VecDeque::new(),
+            epoch: 0,
+            stage_multiplier: 1.0,
         }
     }
 
-    /// Builds a pool of `n` identical replicas.
-    pub fn pool(config: &ClusterConfig, plan: &MemoryPlan, n: usize) -> Vec<Self> {
-        (0..n).map(|_| EngineReplica::new(config, plan)).collect()
+    /// Builds a pool of `n` identical replicas whose metrics indices start
+    /// at `first_metrics_idx`.
+    pub fn pool(
+        config: &ClusterConfig,
+        plan: &MemoryPlan,
+        first_metrics_idx: usize,
+        n: usize,
+    ) -> Vec<Self> {
+        (first_metrics_idx..first_metrics_idx + n)
+            .map(|idx| EngineReplica::new(config, plan, idx))
+            .collect()
     }
 
     /// Clears the pending wake-up marker (call when handling its event).
@@ -147,15 +113,41 @@ impl EngineReplica {
     /// Number of this replica's batches still executing (a draining replica
     /// is done once both this and its scheduler's outstanding count are 0).
     pub fn inflight_len(&self) -> usize {
-        self.pending_completions.len()
+        self.inflight.len()
     }
 
-    /// Crash reset: clears the wake-up marker and replaces the pipeline
-    /// tracker with a fresh one (a crashed replica's stages hold nothing).
-    /// In-flight batches must be cancelled first via
-    /// [`EngineCore::cancel_inflight`].
-    pub fn reset_for_crash(&mut self) {
-        debug_assert!(self.pending_completions.is_empty());
+    /// The replica's crash epoch. A completion event whose epoch differs
+    /// belongs to a batch that a crash cancelled; drop it.
+    pub fn epoch(&self) -> u32 {
+        self.epoch
+    }
+
+    /// Sets the straggler stage-time multiplier (1.0 = nominal speed). A
+    /// multiplier of exactly 1.0 leaves stage times bit-identical.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `mult` is finite and >= 1.0 (stragglers slow down).
+    pub fn set_stage_multiplier(&mut self, mult: f64) {
+        assert!(
+            mult.is_finite() && mult >= 1.0,
+            "straggler multiplier must be finite and >= 1.0, got {mult}"
+        );
+        self.stage_multiplier = mult;
+    }
+
+    /// Crash semantics: cancels every in-flight batch (recycling its slice
+    /// storage) and bumps the epoch, so the batches' already-queued
+    /// completion events read as stale. The pipeline tracker and wake-up
+    /// marker reset; the straggler multiplier survives. The scheduler still
+    /// holds the evicted requests; call
+    /// [`ReplicaScheduler::evict_all`](vidur_scheduler::ReplicaScheduler::evict_all)
+    /// after this to requeue them.
+    pub fn crash(&mut self) {
+        for (_, batch) in self.inflight.drain(..) {
+            self.scheduler.recycle_batch(batch);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
         self.wakeup_at = None;
         self.pipeline = PipelineTracker::new(self.pipeline.num_stages());
     }
@@ -216,8 +208,8 @@ impl EngineSink for MetricsCollector {
     }
 }
 
-/// The sink-agnostic scheduling core: batch formation, timing, pipeline
-/// occupancy, and in-flight tracking, with all measurement routed through an
+/// The sink-agnostic scheduling core: batch formation, timing, and
+/// CPU-overhead jitter, with all measurement routed through an
 /// [`EngineSink`] and all event scheduling through
 /// [`EventPush`]. [`BatchEngine`] wraps one of
 /// these around the metrics collector for the sequential path; the sharded
@@ -227,14 +219,6 @@ pub struct EngineCore {
     rng: SimRng,
     tp_gpus: f64,
     cpu_overhead: f64,
-    inflight: InflightSlots,
-    launched: u64,
-    /// Per-replica straggler multipliers applied to every stage time after
-    /// the shape-cache lookup (so the cache stays shared across replicas).
-    /// Empty means "all 1.0" — the vector only materializes when a fault
-    /// plan arms a `Slow` episode, and a multiplier of exactly 1.0 is
-    /// bit-identical to no multiplier at all.
-    stage_multipliers: Vec<f64>,
     /// Per-batch scratch (jittered stage times / stage durations /
     /// completion events), reused to keep allocations out of the scheduling
     /// hot loop.
@@ -246,9 +230,9 @@ pub struct EngineCore {
 impl fmt::Debug for EngineCore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("EngineCore")
-            .field("inflight", &self.inflight.len())
-            .field("launched", &self.launched)
-            .finish()
+            .field("tp_gpus", &self.tp_gpus)
+            .field("cpu_overhead", &self.cpu_overhead)
+            .finish_non_exhaustive()
     }
 }
 
@@ -256,7 +240,7 @@ impl fmt::Debug for EngineCore {
 ///
 /// Owns everything both simulators used to duplicate: the runtime source,
 /// the metrics collector, the deterministic RNG behind CPU-overhead jitter,
-/// the in-flight batch table, and the stop conditions (deadline, late-abort).
+/// and the stop conditions (deadline, late-abort).
 /// Concrete simulators call [`BatchEngine::try_schedule`] whenever a replica
 /// might make progress and [`BatchEngine::retire_batch`] when a batch
 /// completion event fires.
@@ -273,8 +257,7 @@ pub struct BatchEngine {
 impl fmt::Debug for BatchEngine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("BatchEngine")
-            .field("inflight", &self.core.inflight.len())
-            .field("launched", &self.core.launched)
+            .field("core", &self.core)
             .field("deadline_hit", &self.deadline_hit)
             .finish()
     }
@@ -288,9 +271,6 @@ impl EngineCore {
             rng: SimRng::new(seed),
             tp_gpus: config.parallelism.tensor_parallel as f64,
             cpu_overhead: config.cpu_overhead,
-            inflight: InflightSlots::default(),
-            launched: 0,
-            stage_multipliers: Vec::new(),
             scratch_secs: Vec::new(),
             scratch_durations: Vec::new(),
             events_scratch: Vec::new(),
@@ -300,66 +280,6 @@ impl EngineCore {
     /// The core's stage timer (for cache statistics inspection).
     pub fn timer(&self) -> &StageTimer {
         &self.timer
-    }
-
-    /// Number of batches currently executing.
-    pub fn inflight_len(&self) -> usize {
-        self.inflight.len()
-    }
-
-    /// Batches launched so far.
-    pub fn launched(&self) -> u64 {
-        self.launched
-    }
-
-    /// Sets replica `replica`'s straggler stage-time multiplier (1.0 =
-    /// nominal speed). Applied to every stage after the shape-cache lookup,
-    /// so the cache stays shared; a multiplier of exactly 1.0 leaves stage
-    /// times bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `mult` is finite and >= 1.0 (stragglers slow down).
-    pub fn set_stage_multiplier(&mut self, replica: usize, mult: f64) {
-        assert!(
-            mult.is_finite() && mult >= 1.0,
-            "straggler multiplier must be finite and >= 1.0, got {mult}"
-        );
-        if replica >= self.stage_multipliers.len() {
-            if mult == 1.0 {
-                return;
-            }
-            self.stage_multipliers.resize(replica + 1, 1.0);
-        }
-        self.stage_multipliers[replica] = mult;
-    }
-
-    /// Whether batch `id` is still in flight (stale ids from cancelled
-    /// batches miss via their bumped generation).
-    pub fn inflight_contains(&self, id: u64) -> bool {
-        self.inflight.contains(id)
-    }
-
-    /// Cancels every in-flight batch on `replica` (crash semantics): the
-    /// batches are removed from the in-flight table — so their already-queued
-    /// completion events become stale ids the driver must drop — their slice
-    /// storage is recycled, and the replica's pipeline and wake-up state are
-    /// reset. Returns the number of batches cancelled. The scheduler still
-    /// holds the evicted requests; call
-    /// [`ReplicaScheduler::evict_all`](vidur_scheduler::ReplicaScheduler::evict_all)
-    /// after this to requeue them.
-    pub fn cancel_inflight(&mut self, replica: &mut EngineReplica) -> usize {
-        let mut cancelled = 0;
-        while let Some((_, id)) = replica.pending_completions.pop_front() {
-            let batch = self
-                .inflight
-                .remove(id)
-                .expect("pending completion must be in flight");
-            replica.scheduler.recycle_batch(batch);
-            cancelled += 1;
-        }
-        replica.reset_for_crash();
-        cancelled
     }
 
     /// Per-iteration CPU/framework overhead in seconds.
@@ -389,14 +309,14 @@ impl EngineCore {
     pub fn try_schedule<E>(
         &mut self,
         replica: &mut EngineReplica,
-        metrics_idx: usize,
         now: SimTime,
         queue: &mut impl EventPush<E>,
         sink: &mut impl EngineSink,
         bytes_of: impl Fn(&BatchComposition) -> f64,
         wakeup: impl Fn() -> E,
-        complete: impl Fn(u64) -> E,
+        complete: impl Fn(u32) -> E,
     ) {
+        let metrics_idx = replica.metrics_idx;
         loop {
             let free_at = replica.pipeline.stage0_free_at();
             if free_at > now {
@@ -406,11 +326,7 @@ impl EngineCore {
                 // after it and do nothing — coalesce it away. With PP=1
                 // stage 0 always frees exactly at batch completion, so this
                 // halves the steady-state event traffic.
-                if replica
-                    .pending_completions
-                    .iter()
-                    .any(|&(t, _)| t == free_at)
-                {
+                if replica.inflight.iter().any(|&(t, _)| t == free_at) {
                     return;
                 }
                 // Otherwise arm a wake-up (dedupe identical ones).
@@ -435,11 +351,7 @@ impl EngineCore {
             let overhead = self.cpu_overhead();
             self.scratch_secs.clear();
             self.scratch_secs.extend_from_slice(timing.stage_secs());
-            let mult = self
-                .stage_multipliers
-                .get(metrics_idx)
-                .copied()
-                .unwrap_or(1.0);
+            let mult = replica.stage_multiplier;
             if mult != 1.0 {
                 for s in &mut self.scratch_secs {
                     *s *= mult;
@@ -458,32 +370,30 @@ impl EngineCore {
             let bytes = bytes_of(&batch);
             sink.on_batch_scheduled(metrics_idx, now, &batch, timing.model_flops(), bytes);
             sink.on_kv_sample(metrics_idx, now, replica.scheduler.blocks().utilization());
-            self.launched += 1;
-            let id = self.inflight.insert(batch);
-            replica.pending_completions.push_back((completion, id));
-            queue.push(completion, complete(id));
+            replica.inflight.push_back((completion, batch));
+            queue.push(completion, complete(replica.epoch));
             // Loop: with PP, stage 0 may free before completion, allowing
             // another microbatch now-ish; the next loop iteration either
             // schedules it or arms a wakeup.
         }
     }
 
-    /// Pops finished batch `id` and retires it on `replica`'s scheduler.
-    /// See [`BatchEngine::retire_batch`] for the full contract.
-    #[allow(clippy::too_many_arguments)]
+    /// Pops `replica`'s oldest in-flight batch and retires it on its
+    /// scheduler. See [`BatchEngine::retire_batch`] for the full contract.
     pub fn retire_batch<E, Q: EventPush<E>>(
         &mut self,
         replica: &mut EngineReplica,
-        metrics_idx: usize,
-        id: u64,
         now: SimTime,
         queue: &mut Q,
         sink: &mut impl EngineSink,
         mut translate: impl FnMut(&mut CompletionEvent, &mut Q),
     ) {
-        let batch = self.inflight.remove(id).expect("unknown in-flight batch");
-        let done = replica.pending_completions.pop_front();
-        debug_assert_eq!(done, Some((now, id)), "completions must retire in order");
+        let metrics_idx = replica.metrics_idx;
+        let (done_at, batch) = replica
+            .inflight
+            .pop_front()
+            .expect("completion for a replica with no batch in flight");
+        debug_assert_eq!(done_at, now, "completions must retire in order");
         let mut events = std::mem::take(&mut self.events_scratch);
         replica.scheduler.complete_batch_into(&batch, &mut events);
         sink.on_kv_sample(metrics_idx, now, replica.scheduler.blocks().utilization());
@@ -550,30 +460,6 @@ impl BatchEngine {
         self.core.timer()
     }
 
-    /// Number of batches currently executing.
-    pub fn inflight_len(&self) -> usize {
-        self.core.inflight_len()
-    }
-
-    /// Whether batch `id` is still in flight — see
-    /// [`EngineCore::inflight_contains`]. Drivers with crash injection use
-    /// this to drop completion events for cancelled batches.
-    pub fn inflight_contains(&self, id: u64) -> bool {
-        self.core.inflight_contains(id)
-    }
-
-    /// Sets a replica's straggler stage-time multiplier — see
-    /// [`EngineCore::set_stage_multiplier`].
-    pub fn set_stage_multiplier(&mut self, replica: usize, mult: f64) {
-        self.core.set_stage_multiplier(replica, mult);
-    }
-
-    /// Cancels every in-flight batch on `replica` (crash semantics) — see
-    /// [`EngineCore::cancel_inflight`].
-    pub fn cancel_inflight(&mut self, replica: &mut EngineReplica) -> usize {
-        self.core.cancel_inflight(replica)
-    }
-
     /// Latches and reports the deadline: call at the top of every event
     /// handler; once `now` passes the configured cap the handler should drop
     /// the event, and [`BatchEngine::halted`] reports done.
@@ -610,22 +496,20 @@ impl BatchEngine {
     /// payloads; the engine itself schedules them on `queue`. The handler
     /// for the `wakeup()` event must call
     /// [`EngineReplica::clear_wakeup`] and re-enter `try_schedule` for this
-    /// replica; the handler for `complete(id)` must route the finished
-    /// batch id back into [`BatchEngine::retire_batch`].
-    #[allow(clippy::too_many_arguments)]
+    /// replica. The handler for `complete(epoch)` must drop the event if
+    /// `epoch` differs from [`EngineReplica::epoch`] (a crash cancelled the
+    /// batch) and otherwise call [`BatchEngine::retire_batch`].
     pub fn try_schedule<E>(
         &mut self,
         replica: &mut EngineReplica,
-        metrics_idx: usize,
         now: SimTime,
         queue: &mut EventQueue<E>,
         bytes_of: impl Fn(&BatchComposition) -> f64,
         wakeup: impl Fn() -> E,
-        complete: impl Fn(u64) -> E,
+        complete: impl Fn(u32) -> E,
     ) {
         self.core.try_schedule(
             replica,
-            metrics_idx,
             now,
             queue,
             &mut self.metrics,
@@ -635,36 +519,29 @@ impl BatchEngine {
         );
     }
 
-    /// Pops finished batch `id`, retires it on `replica`'s scheduler,
-    /// samples KV utilization, and records the completion events — after
-    /// giving the policy layer a chance to rewrite each event via
-    /// `translate` (e.g. the disaggregated prefill→decode handoff, which
-    /// un-finishes requests and schedules their KV transfer on `queue`).
+    /// Pops `replica`'s oldest in-flight batch, retires it on the replica's
+    /// scheduler, samples KV utilization, and records the completion
+    /// events — after giving the policy layer a chance to rewrite each
+    /// event via `translate` (e.g. the disaggregated prefill→decode
+    /// handoff, which un-finishes requests and schedules their KV transfer
+    /// on `queue`).
     ///
     /// The event buffer and the batch's slice storage are both recycled, so
     /// the steady-state retire path is allocation-free.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not in flight, which would indicate a simulator bug.
+    /// Panics if `replica` has no batch in flight, which would indicate a
+    /// simulator bug.
     pub fn retire_batch<E>(
         &mut self,
         replica: &mut EngineReplica,
-        metrics_idx: usize,
-        id: u64,
         now: SimTime,
         queue: &mut EventQueue<E>,
         translate: impl FnMut(&mut CompletionEvent, &mut EventQueue<E>),
     ) {
-        self.core.retire_batch(
-            replica,
-            metrics_idx,
-            id,
-            now,
-            queue,
-            &mut self.metrics,
-            translate,
-        );
+        self.core
+            .retire_batch(replica, now, queue, &mut self.metrics, translate);
     }
 
     /// Consumes the engine and assembles the final [`SimulationReport`],
@@ -758,54 +635,6 @@ pub fn drive<S: Simulation>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vidur_model::batch::RequestSlice;
-
-    fn batch(id: u64) -> BatchComposition {
-        BatchComposition::new(vec![RequestSlice::decode(id, 10)])
-    }
-
-    #[test]
-    fn inflight_slots_roundtrip_and_recycle() {
-        let mut slots = InflightSlots::default();
-        let a = slots.insert(batch(1));
-        let b = slots.insert(batch(2));
-        assert_ne!(a, b);
-        assert_eq!(slots.len(), 2);
-        let got = slots.remove(a).expect("live id");
-        assert_eq!(got.slices()[0].request_id, 1);
-        assert_eq!(slots.len(), 1);
-        // The freed slot recycles under a new generation: the new id must
-        // differ from the retired one, and the stale id must miss.
-        let c = slots.insert(batch(3));
-        assert_ne!(c, a, "recycled slot carries a fresh generation");
-        assert!(slots.remove(a).is_none(), "stale id misses");
-        assert_eq!(slots.remove(c).unwrap().slices()[0].request_id, 3);
-        assert_eq!(slots.remove(b).unwrap().slices()[0].request_id, 2);
-        assert_eq!(slots.len(), 0);
-        assert!(slots.remove(b).is_none(), "double retire misses");
-    }
-
-    #[test]
-    fn inflight_slots_interleaved_fifo_pattern() {
-        // The engine's real pattern: a window of in-flight batches retiring
-        // FIFO while new ones launch. Ids must stay unique within the
-        // window across heavy slot reuse.
-        let mut slots = InflightSlots::default();
-        let mut window = std::collections::VecDeque::new();
-        for i in 0..1000u64 {
-            window.push_back((i, slots.insert(batch(i))));
-            if window.len() > 4 {
-                let (req, id) = window.pop_front().unwrap();
-                assert_eq!(slots.remove(id).unwrap().slices()[0].request_id, req);
-            }
-            let live: Vec<u64> = window.iter().map(|&(_, id)| id).collect();
-            let mut dedup = live.clone();
-            dedup.sort_unstable();
-            dedup.dedup();
-            assert_eq!(dedup.len(), live.len(), "live ids must be unique");
-        }
-        assert!(slots.slots.len() <= 8, "slots recycle instead of growing");
-    }
 
     /// A simulation that never finishes: every event schedules another.
     struct Endless;

@@ -563,14 +563,13 @@ impl BarrierShard {
                 self.replicas[replica as usize / self.num_shards].clear_wakeup();
                 self.try_schedule(config, replica, now, log);
             }
-            SimEvent::BatchComplete(replica, id) => {
+            // Sharded runs never crash a replica, so every epoch is current.
+            SimEvent::BatchComplete(replica, _epoch) => {
                 let local = replica as usize / self.num_shards;
                 // The tier's `on_finished` is deferred to commit time (the
                 // tier is shared); the translate hook is therefore empty.
                 self.core.retire_batch(
                     &mut self.replicas[local],
-                    replica as usize,
-                    id,
                     now,
                     &mut self.queue,
                     log,
@@ -597,13 +596,12 @@ impl BarrierShard {
     ) {
         self.core.try_schedule(
             &mut self.replicas[replica as usize / self.num_shards],
-            replica as usize,
             now,
             &mut self.queue,
             log,
             |batch| batch_bytes(config, batch),
             || SimEvent::Wakeup(replica),
-            |id| SimEvent::BatchComplete(replica, id),
+            |epoch| SimEvent::BatchComplete(replica, epoch),
         );
     }
 }

@@ -988,6 +988,57 @@ fn graceful_drain_migrates_queue_without_evictions() {
     assert_eq!(report.replica_availability[0], 1.0);
 }
 
+/// Bit-exact pin of a fault-armed run. Oracle jitter and PP=2 keep batches
+/// in flight when replica 0 crashes, so the crash cancels live batches and
+/// their already-queued completions must be dropped as stale. Replica 0 is
+/// slowed before the crash and restored only after its recovery, so the
+/// straggler multiplier must survive the crash. Replica 2 drains late in
+/// the run. The multi-tenant trace pins the per-tenant fleet counters.
+#[test]
+fn fault_plan_report_bits_pinned() {
+    let mut cfg = base_config();
+    cfg.num_replicas = 2;
+    cfg.parallelism = ParallelismConfig::new(1, 2);
+    cfg.scheduler = SchedulerConfig::new(BatchPolicyKind::Vllm, 256);
+    let record = |secs, replica, action| FaultRecord {
+        at: SimTime::from_secs_f64(secs),
+        replica,
+        action,
+    };
+    cfg.faults.schedule = FaultSchedule {
+        records: vec![
+            record(5.0, 0, FaultAction::Slow(2.5)),
+            record(12.0, 0, FaultAction::Crash),
+            record(25.0, 0, FaultAction::Recover),
+            record(30.0, 1, FaultAction::Drain),
+            record(40.0, 0, FaultAction::Restore),
+        ],
+    };
+    let report = ClusterSimulator::new(cfg, multi_tenant_bursty_trace(260, 17), oracle(), 17).run();
+    assert_fingerprint(
+        "fault_plan_seed17",
+        &report,
+        0x405c087cffd7b37d,
+        0x4025cd9e58578760,
+        0x3fa251e502ac355b,
+        0x403946c380350ac2,
+        0x3fae227aed8ef9a8,
+        9843,
+        599654,
+        0,
+    );
+    assert_eq!(report.completed, 260);
+    assert_eq!(
+        (report.retries, report.requeued, report.evicted_by_crash),
+        (38, 38, 37)
+    );
+    let tenant =
+        |f: fn(&TenantReport) -> u64| -> Vec<u64> { report.per_tenant.iter().map(f).collect() };
+    assert_eq!(tenant(|t| t.retries), [18, 3, 17]);
+    assert_eq!(tenant(|t| t.requeued), [18, 3, 17]);
+    assert_eq!(tenant(|t| t.evicted_by_crash), [18, 3, 16]);
+}
+
 // ---- prefix cache / KV-aware routing ------------------------------------
 
 /// High-share multi-tenant trace: nearly every request carries one of a
