@@ -1,15 +1,8 @@
-//! Event-loop benchmark suite: the two speed layers of the sharded-engine
-//! PR, each gated against a committed baseline.
+//! Event-loop benchmark suite: the sharded engine against the sequential
+//! one, and the elastic fleet against static provisioning, each gated
+//! against a committed baseline.
 //!
-//! * `queue_churn` — the event-queue core in isolation. A discrete-event
-//!   simulator's queue sees a distinctive pattern: a large sorted pre-push
-//!   of arrivals, then steady-state churn where each pop schedules a couple
-//!   of *near-future* events (completions land just past the current time,
-//!   so binary-heap pushes sift almost to the root every time). Runs the
-//!   same deterministic churn on the pairing-heap [`EventQueue`] and on the
-//!   seed's binary-heap [`BaselineQueue`], in-process, and reports the
-//!   ratio — hardware-independent, like the scheduler suite's gates.
-//! * `sharded_replay` — the end-to-end layer: a multi-replica round-robin
+//! * `sharded_replay` — a multi-replica round-robin
 //!   estimator replay run sequentially and with one shard per replica,
 //!   routing ahead on the sharded runner. The reports
 //!   must be **byte-identical** (that assertion runs everywhere); the ≥2×
@@ -36,72 +29,22 @@
 //! `results/BENCH_event_loop.json`. With `BENCH_EVENT_LOOP_BASELINE=<path>`
 //! set (CI points it at the committed
 //! `crates/bench/baselines/BENCH_event_loop.json`), the run fails (exit 1)
-//! if `queue_churn` falls below its absolute floor or regresses more than
-//! 25% against the baseline, or if `sharded_replay` misses 2× (or
-//! `sharded_stateful` falls below 1.0×) on a ≥4-core host. `BENCH_SMOKE=1`
-//! shrinks the workloads for CI.
+//! if `sharded_replay` misses 2× (or `sharded_stateful` falls below 1.0×)
+//! on a ≥4-core host, or if `elastic_diurnal`'s savings fall below 1.67×.
+//! `BENCH_SMOKE=1` shrinks the workloads for CI.
 
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
-use vidur_core::event::EventQueue;
 use vidur_core::rng::SimRng;
-use vidur_core::time::{SimDuration, SimTime};
 use vidur_estimator::EstimatorKind;
 use vidur_hardware::GpuSku;
 use vidur_model::{ModelSpec, ParallelismConfig};
-use vidur_oracle::BaselineQueue;
 use vidur_scheduler::{BatchPolicyKind, GlobalPolicyKind, SchedulerConfig};
 use vidur_simulator::cluster::RuntimeSource;
 use vidur_simulator::{
     onboard, AutoscalerSpec, ClusterConfig, ClusterSimulator, SimulationReport, TenantSlo,
 };
 use vidur_workload::{ArrivalProcess, MultiTenantWorkload, TenantStream, Trace, TraceWorkload};
-
-/// The queue-churn workload: `arrivals` sorted pre-pushes, then pops with
-/// `children` near-future re-pushes each until the queue drains.
-struct QueueWorkload {
-    arrivals: usize,
-    children_every: u64,
-}
-
-/// Drives one queue implementation through the DES pattern; the returned
-/// checksum (events popped, low bits of accumulated times) must agree
-/// across implementations and repetitions.
-macro_rules! drive_queue {
-    ($queue:expr, $wl:expr) => {{
-        let mut queue = $queue;
-        let mut rng = SimRng::new(0xE7E47);
-        let mut t = SimTime::ZERO;
-        // Sorted arrival pre-push (the trace seed).
-        for i in 0..$wl.arrivals as u64 {
-            t += SimDuration::from_secs_f64(1e-3 * rng.log_normal(0.0, 0.5));
-            queue.push(t, i);
-        }
-        let mut popped = 0u64;
-        let mut acc = 0u64;
-        while let Some((now, id)) = queue.pop() {
-            popped += 1;
-            acc = acc
-                .wrapping_mul(0x9E3779B97F4A7C15)
-                .wrapping_add(now.as_secs_f64().to_bits() ^ id);
-            // Steady-state churn: most events schedule a near-future
-            // follow-up (a completion a few stage-times ahead), some also
-            // arm a wake-up landing even closer. Near-future pushes are the
-            // binary heap's worst case (full sift toward the root).
-            if id % $wl.children_every != 0 {
-                let dt = 1e-4 * (1.0 + (id % 7) as f64);
-                queue.push(now + SimDuration::from_secs_f64(dt), id + 1_000_000);
-                if id % 3 == 0 {
-                    queue.push(now + SimDuration::from_secs_f64(dt * 0.5), id + 2_000_000);
-                }
-            }
-            if popped >= 4 * $wl.arrivals as u64 {
-                break;
-            }
-        }
-        (popped, acc)
-    }};
-}
 
 /// Best-of-`reps` wall-clock nanoseconds for `f` (one untimed warm-up).
 fn best_of<O: PartialEq + std::fmt::Debug, F: FnMut() -> O>(reps: usize, mut f: F) -> (f64, O) {
@@ -213,40 +156,6 @@ fn main() {
     let reps = if smoke { 3 } else { 7 };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut results = Vec::new();
-
-    // --- queue_churn: pairing heap vs the seed's binary heap -------------
-    {
-        // Not scaled down in smoke mode: the ratio depends on queue depth
-        // (deeper heaps sift further), so a shrunk smoke run would measure
-        // a different regime than the committed full-size baseline — and
-        // the full run costs well under a second per repetition.
-        let wl = QueueWorkload {
-            arrivals: 200_000,
-            children_every: 4,
-        };
-        let (pairing_ns, (popped, checksum)) =
-            best_of(reps, || drive_queue!(EventQueue::<u64>::new(), &wl));
-        let (binary_ns, baseline_out) =
-            best_of(reps, || drive_queue!(BaselineQueue::<u64>::new(), &wl));
-        assert_eq!(
-            (popped, checksum),
-            baseline_out,
-            "pairing and binary heaps popped different event streams"
-        );
-        let r = ScenarioResult {
-            name: "queue_churn".to_string(),
-            optimized_ns: pairing_ns / popped as f64,
-            reference_ns: binary_ns / popped as f64,
-            speedup: binary_ns / pairing_ns,
-            shards: 1,
-            quantile_mode: "n/a".to_string(),
-        };
-        println!(
-            "bench: event_loop/queue_churn   {:>7.1} ns/event (binary heap {:>7.1} ns/event, {:>5.2}x, {} events)",
-            r.optimized_ns, r.reference_ns, r.speedup, popped
-        );
-        results.push(r);
-    }
 
     // --- sharded_replay: sequential vs one-shard-per-replica -------------
     {
@@ -471,31 +380,21 @@ fn main() {
             .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", resolved.display()));
         let baseline: BenchReport =
             serde_json::from_str(&baseline_txt).expect("parse baseline BENCH_event_loop.json");
-
-        let queue = report
-            .scenario("queue_churn")
-            .expect("queue_churn scenario present");
-        if queue.speedup < 1.1 {
+        // Every gate below is an absolute floor; the baseline records the
+        // last full run and must list the same scenarios as this one.
+        let names = |r: &BenchReport| {
+            r.scenarios
+                .iter()
+                .map(|s| s.name.clone())
+                .collect::<Vec<_>>()
+        };
+        if names(&baseline) != names(&report) {
             eprintln!(
-                "FAIL: queue_churn speedup {:.2}x is below the 1.1x acceptance floor",
-                queue.speedup
+                "FAIL: baseline scenarios {:?} differ from this run's {:?}; regenerate the baseline",
+                names(&baseline),
+                names(&report)
             );
             failed = true;
-        }
-        if let Some(base) = baseline.scenario("queue_churn") {
-            let floor = 0.75 * base.speedup;
-            if queue.speedup < floor {
-                eprintln!(
-                    "FAIL: queue_churn speedup {:.2}x regressed >25% vs baseline {:.2}x",
-                    queue.speedup, base.speedup
-                );
-                failed = true;
-            } else {
-                println!(
-                    "gate: queue_churn {:.2}x vs baseline {:.2}x (floor {:.2}x) — ok",
-                    queue.speedup, base.speedup, floor
-                );
-            }
         }
 
         let replay = report

@@ -7,181 +7,65 @@
 //! analysis (§3) depends on: re-running a configuration must reproduce the
 //! exact same batching pattern.
 //!
-//! Internally the queue is a slab-backed **pairing heap**
-//! ([`KeyedPairingHeap`]) rather than a binary heap. Discrete-event
-//! workloads push near-future events (wakeups, batch completions) into a
-//! large pending set; in a binary heap such pushes sift almost all the way
-//! to the root (`O(log n)` comparisons on the hot path), while a pairing
-//! heap links them in `O(1)` and defers all comparison work to `pop`.
-//! Nodes live in a slab `Vec` with an intrusive free list, so steady-state
-//! event churn allocates nothing once the peak queue depth has been
-//! reached. The previous binary-heap implementation lives on in the
-//! dev-only `vidur-oracle` crate — the differential oracle for the pairing
-//! heap's ordering and the reference side of the event-loop microbench.
+//! Arrivals do not go through the queue. [`run`] reads them from a cursor
+//! over the trace, in index order, and merges that stream with the queue:
+//! an arrival precedes every same-instant queued event. So the queue holds
+//! only in-flight events (wake-ups, completions, the fault schedule), a
+//! handful per replica, and a [`BinaryHeap`] serves it well.
 
 use crate::time::SimTime;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 use std::fmt;
+use std::iter::Peekable;
 
-const NIL: u32 = u32::MAX;
+/// A min-heap of payloads ordered by key alone, so the payload needs no
+/// `Ord`. Equal keys pop in unspecified order; both queues built on it make
+/// every key unique.
+pub(crate) struct KeyedHeap<K, E>(BinaryHeap<Entry<K, E>>);
 
-struct Node<K, E> {
-    /// `Some` while the node is live, `None` while parked on the free list.
-    slot: Option<(K, E)>,
-    /// First child (live) — children form a singly linked sibling list.
-    child: u32,
-    /// Next sibling (live) or next free node (parked).
-    sibling: u32,
+struct Entry<K, E> {
+    key: K,
+    payload: E,
 }
 
-/// A slab-backed pairing heap keyed on any `Ord` key.
-///
-/// `push` is `O(1)`: the new node is linked against the root with a single
-/// comparison. `pop` performs the classic two-pass pairing of the root's
-/// child list (`O(log n)` amortized) using a scratch buffer owned by the
-/// heap, so no allocation happens on either path once the slab and scratch
-/// have grown to the workload's steady state. Freed slots are recycled
-/// through an intrusive free list threaded over the `sibling` links.
-///
-/// Ties are broken by the key itself — callers that need FIFO ordering at
-/// equal times (as [`EventQueue`] does) include an insertion sequence in the
-/// key. The merge uses `<=` so equal keys would still favor the
-/// earlier-rooted node, but [`EventQueue`] never produces equal keys.
-pub struct KeyedPairingHeap<K, E> {
-    nodes: Vec<Node<K, E>>,
-    root: u32,
-    free: u32,
-    len: usize,
-    /// Reused by `pop` for the first pairing pass.
-    scratch: Vec<u32>,
-}
-
-impl<K: Ord, E> KeyedPairingHeap<K, E> {
-    /// Creates an empty heap.
-    pub fn new() -> Self {
-        KeyedPairingHeap {
-            nodes: Vec::new(),
-            root: NIL,
-            free: NIL,
-            len: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Returns `true` if the heap holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Borrows the minimum key without removing it.
-    pub fn peek(&self) -> Option<&K> {
-        if self.root == NIL {
-            return None;
-        }
-        self.nodes[self.root as usize].slot.as_ref().map(|(k, _)| k)
-    }
-
-    /// Inserts an entry. `O(1)`: one slab write plus one key comparison.
-    pub fn push(&mut self, key: K, payload: E) {
-        let idx = if self.free != NIL {
-            let idx = self.free;
-            let node = &mut self.nodes[idx as usize];
-            self.free = node.sibling;
-            node.slot = Some((key, payload));
-            node.child = NIL;
-            node.sibling = NIL;
-            idx
-        } else {
-            assert!(self.nodes.len() < NIL as usize, "event heap slab overflow");
-            self.nodes.push(Node {
-                slot: Some((key, payload)),
-                child: NIL,
-                sibling: NIL,
-            });
-            (self.nodes.len() - 1) as u32
-        };
-        self.root = if self.root == NIL {
-            idx
-        } else {
-            self.merge(self.root, idx)
-        };
-        self.len += 1;
-    }
-
-    /// Removes and returns the minimum entry.
-    pub fn pop(&mut self) -> Option<(K, E)> {
-        if self.root == NIL {
-            return None;
-        }
-        let popped = self.root;
-        let node = &mut self.nodes[popped as usize];
-        let (key, payload) = node.slot.take().expect("live root");
-        let mut child = node.child;
-        // Park the popped node on the free list.
-        node.sibling = self.free;
-        self.free = popped;
-
-        // Two-pass pairing of the former root's children: merge adjacent
-        // pairs left to right, then fold the pairs right to left.
-        self.scratch.clear();
-        while child != NIL {
-            let a = child;
-            let a_next = self.nodes[a as usize].sibling;
-            if a_next == NIL {
-                self.scratch.push(a);
-                break;
-            }
-            let b = a_next;
-            child = self.nodes[b as usize].sibling;
-            self.nodes[a as usize].sibling = NIL;
-            self.nodes[b as usize].sibling = NIL;
-            let merged = self.merge(a, b);
-            self.scratch.push(merged);
-        }
-        let mut root = NIL;
-        while let Some(sub) = self.scratch.pop() {
-            root = if root == NIL {
-                sub
-            } else {
-                self.merge(sub, root)
-            };
-        }
-        self.root = root;
-        self.len -= 1;
-        Some((key, payload))
-    }
-
-    /// Links two heap roots, returning the new root. The loser becomes the
-    /// winner's first child. `<=` keeps the earlier-rooted node on top at
-    /// equal keys.
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
-        let key_a = self.nodes[a as usize].slot.as_ref().map(|(k, _)| k);
-        let key_b = self.nodes[b as usize].slot.as_ref().map(|(k, _)| k);
-        debug_assert!(key_a.is_some() && key_b.is_some(), "merge of freed node");
-        let (winner, loser) = if key_a <= key_b { (a, b) } else { (b, a) };
-        let first = self.nodes[winner as usize].child;
-        self.nodes[loser as usize].sibling = first;
-        self.nodes[winner as usize].child = loser;
-        winner
+impl<K: Ord, E> Ord for Entry<K, E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // `BinaryHeap` is a max-heap: reverse so the smallest key pops first.
+        other.key.cmp(&self.key)
     }
 }
-
-impl<K: Ord, E> Default for KeyedPairingHeap<K, E> {
-    fn default() -> Self {
-        Self::new()
+impl<K: Ord, E> PartialOrd for Entry<K, E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
+impl<K: Ord, E> PartialEq for Entry<K, E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+impl<K: Ord, E> Eq for Entry<K, E> {}
 
-impl<K, E> fmt::Debug for KeyedPairingHeap<K, E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("KeyedPairingHeap")
-            .field("len", &self.len)
-            .field("slab", &self.nodes.len())
-            .finish()
+impl<K: Ord, E> KeyedHeap<K, E> {
+    pub(crate) fn new() -> Self {
+        KeyedHeap(BinaryHeap::new())
+    }
+
+    pub(crate) fn push(&mut self, key: K, payload: E) {
+        self.0.push(Entry { key, payload });
+    }
+
+    pub(crate) fn pop(&mut self) -> Option<(K, E)> {
+        self.0.pop().map(|e| (e.key, e.payload))
+    }
+
+    pub(crate) fn peek(&self) -> Option<&K> {
+        self.0.peek().map(|e| &e.key)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
     }
 }
 
@@ -205,13 +89,14 @@ pub trait EventPush<E> {
 /// q.push(SimTime::from_nanos(10), "late");
 /// q.push(SimTime::from_nanos(5), "early");
 /// q.push(SimTime::from_nanos(5), "early-second");
+/// assert_eq!(q.peek_time(), Some(SimTime::from_nanos(5)));
 /// assert_eq!(q.pop().unwrap().1, "early");
 /// assert_eq!(q.pop().unwrap().1, "early-second");
 /// assert_eq!(q.pop().unwrap().1, "late");
 /// assert!(q.pop().is_none());
 /// ```
 pub struct EventQueue<E> {
-    heap: KeyedPairingHeap<(SimTime, u64), E>,
+    heap: KeyedHeap<(SimTime, u64), E>,
     seq: u64,
 }
 
@@ -234,7 +119,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: KeyedPairingHeap::new(),
+            heap: KeyedHeap::new(),
             seq: 0,
         }
     }
@@ -251,6 +136,11 @@ impl<E> EventQueue<E> {
         Some((time, payload))
     }
 
+    /// The time of the earliest pending event, without removing it.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.peek().map(|&(time, _)| time)
+    }
+
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -258,7 +148,7 @@ impl<E> EventQueue<E> {
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.len() == 0
     }
 }
 
@@ -289,19 +179,27 @@ pub trait Simulation {
     }
 }
 
-/// Runs `sim` until the queue drains, `sim.is_done()` reports completion, or
-/// `max_events` events have been processed.
+/// Runs `sim` until both `arrivals` and the queue drain, `sim.is_done()`
+/// reports completion, or `max_events` events have been processed.
+///
+/// `arrivals` is a cursor over time-ordered arrival events, read one at a
+/// time and merged with `queue`: at equal times an arrival fires before any
+/// queued event, and arrivals fire in stream order. What is left in either
+/// after the run stays there, so the caller can tell a finished run from a
+/// truncated one.
 ///
 /// Returns the timestamp of the last processed event (or `SimTime::ZERO` when
 /// no event fired) and the number of events processed.
 ///
 /// # Panics
 ///
-/// Panics if a handler scheduled an event earlier than the event being
-/// handled (time travel), which would indicate a simulator bug.
-pub fn run<S: Simulation>(
+/// Panics if an event would fire before the one handled last: a handler
+/// scheduled into the past or the arrival stream is out of order, either
+/// of which would indicate a simulator bug.
+pub fn run<S: Simulation, A: Iterator<Item = (SimTime, S::Event)>>(
     sim: &mut S,
     queue: &mut EventQueue<S::Event>,
+    arrivals: &mut Peekable<A>,
     max_events: u64,
 ) -> (SimTime, u64) {
     let mut now = SimTime::ZERO;
@@ -310,7 +208,16 @@ pub fn run<S: Simulation>(
         if sim.is_done() {
             break;
         }
-        let Some((time, event)) = queue.pop() else {
+        let arrival_first = match (arrivals.peek(), queue.peek_time()) {
+            (Some(&(arrival, _)), Some(queued)) => arrival <= queued,
+            (arrival, _) => arrival.is_some(),
+        };
+        let next = if arrival_first {
+            arrivals.next()
+        } else {
+            queue.pop()
+        };
+        let Some((time, event)) = next else {
             break;
         };
         assert!(
@@ -398,24 +305,12 @@ mod tests {
         assert_eq!(q.len(), 1);
         q.pop();
         assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
     }
 
-    #[test]
-    fn slab_recycles_slots() {
-        // Steady-state churn must not grow the slab: pop frees a slot, the
-        // next push reuses it.
-        let mut q: KeyedPairingHeap<u64, u64> = KeyedPairingHeap::new();
-        for i in 0..64 {
-            q.push(i, i);
-        }
-        let slab_high_water = q.nodes.len();
-        for i in 64..4096 {
-            let (k, v) = q.pop().unwrap();
-            assert_eq!(k, v);
-            q.push(i, i);
-        }
-        assert_eq!(q.nodes.len(), slab_high_water);
-        assert_eq!(q.len(), 64);
+    /// No arrivals: the driver runs on the queue alone.
+    fn no_arrivals<E>() -> Peekable<std::iter::Empty<(SimTime, E)>> {
+        std::iter::empty().peekable()
     }
 
     /// A toy simulation: a counter that re-schedules itself `n` times.
@@ -443,7 +338,7 @@ mod tests {
         };
         let mut q = EventQueue::new();
         q.push(SimTime::ZERO, ());
-        let (end, processed) = run(&mut sim, &mut q, u64::MAX);
+        let (end, processed) = run(&mut sim, &mut q, &mut no_arrivals(), u64::MAX);
         assert_eq!(processed, 5);
         assert_eq!(end, SimTime::from_secs_f64(0.04));
         assert_eq!(sim.fired_at.len(), 5);
@@ -458,7 +353,7 @@ mod tests {
         };
         let mut q = EventQueue::new();
         q.push(SimTime::ZERO, ());
-        let (_, processed) = run(&mut sim, &mut q, 17);
+        let (_, processed) = run(&mut sim, &mut q, &mut no_arrivals(), 17);
         assert_eq!(processed, 17);
     }
 
@@ -479,11 +374,114 @@ mod tests {
         let mut sim = DoneAfter(3);
         let mut q = EventQueue::new();
         q.push(SimTime::ZERO, ());
-        let (_, processed) = run(&mut sim, &mut q, u64::MAX);
+        let (_, processed) = run(&mut sim, &mut q, &mut no_arrivals(), u64::MAX);
         assert_eq!(processed, 3);
     }
 
+    /// Logs every event and answers each arrival with a same-instant and a
+    /// later follow-up.
+    #[derive(Default)]
+    struct Echo(Vec<(u64, &'static str)>);
+
+    impl Simulation for Echo {
+        type Event = &'static str;
+        fn handle(&mut self, now: SimTime, event: &'static str, q: &mut EventQueue<&'static str>) {
+            self.0.push((now.as_nanos(), event));
+            if event.starts_with("arrival") {
+                q.push(now, "now");
+                q.push(now + SimDuration::from_nanos(5), "later");
+            }
+        }
+    }
+
+    #[test]
+    fn arrivals_win_ties_with_queued_events() {
+        let mut sim = Echo::default();
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(10), "seeded");
+        let arrivals = [(10, "arrival-a"), (10, "arrival-b"), (15, "arrival-c")];
+        let mut cursor = arrivals
+            .into_iter()
+            .map(|(t, e)| (SimTime::from_nanos(t), e))
+            .peekable();
+        let (end, processed) = run(&mut sim, &mut q, &mut cursor, u64::MAX);
+        assert_eq!(
+            sim.0,
+            vec![
+                (10, "arrival-a"),
+                (10, "arrival-b"),
+                (10, "seeded"),
+                (10, "now"),
+                (10, "now"),
+                (15, "arrival-c"),
+                (15, "later"),
+                (15, "later"),
+                (15, "now"),
+                (20, "later"),
+            ]
+        );
+        assert_eq!((end, processed), (SimTime::from_nanos(20), 10));
+    }
+
+    #[test]
+    fn budget_leaves_unread_arrivals_in_the_cursor() {
+        let mut sim = Echo::default();
+        let mut q = EventQueue::new();
+        let mut cursor = (0..4u64)
+            .map(|t| (SimTime::from_nanos(100 * t), "arrival"))
+            .peekable();
+        let (_, processed) = run(&mut sim, &mut q, &mut cursor, 1);
+        assert_eq!(processed, 1);
+        assert_eq!(q.len(), 2);
+        assert_eq!(cursor.count(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "out-of-order event")]
+    fn driver_rejects_out_of_order_arrivals() {
+        let mut cursor = [(5, "arrival-a"), (3, "arrival-b")]
+            .into_iter()
+            .map(|(t, e)| (SimTime::from_nanos(t), e))
+            .peekable();
+        run(
+            &mut Echo::default(),
+            &mut EventQueue::new(),
+            &mut cursor,
+            u64::MAX,
+        );
+    }
+
     proptest! {
+        /// Interleaved push/pop programs pop the stream of a naive model:
+        /// a `Vec` in insertion order that pops the earliest time, the
+        /// first-inserted among ties. Times come from a tiny range so
+        /// equal-timestamp ties are dense.
+        #[test]
+        fn matches_naive_queue_model(
+            ops in proptest::collection::vec((0u64..16, proptest::bool::ANY), 1..300)
+        ) {
+            let mut q = EventQueue::new();
+            let mut model: Vec<(SimTime, u64)> = Vec::new();
+            let naive_pop = |model: &mut Vec<(SimTime, u64)>| {
+                let earliest = model.iter().map(|&(t, _)| t).min()?;
+                let first = model.iter().position(|&(t, _)| t == earliest)?;
+                Some(model.remove(first))
+            };
+            for (tag, &(t, is_pop)) in ops.iter().enumerate() {
+                if is_pop {
+                    prop_assert_eq!(q.pop(), naive_pop(&mut model));
+                } else {
+                    q.push(SimTime::from_nanos(t), tag as u64);
+                    model.push((SimTime::from_nanos(t), tag as u64));
+                }
+                prop_assert_eq!(q.peek_time(), model.iter().map(|&(t, _)| t).min());
+            }
+            while let Some(got) = q.pop() {
+                prop_assert_eq!(Some(got), naive_pop(&mut model));
+            }
+            prop_assert!(model.is_empty());
+        }
+
         #[test]
         fn always_nondecreasing(times in proptest::collection::vec(0u64..1_000_000, 1..200)) {
             let mut q = EventQueue::new();

@@ -12,12 +12,11 @@
 //!   and the hardware noise model need (exponential, log-normal, gamma).
 //!   Simulations are reproducible: the same seed always yields the same
 //!   trace and the same measurements.
-//! * [`event`] — a generic discrete-event queue ([`event::EventQueue`]) with
-//!   stable FIFO tie-breaking at equal timestamps, and a small driver loop
-//!   ([`event::Simulation`], [`event::run`]). The queue is a slab-backed
-//!   pairing heap ([`event::KeyedPairingHeap`]); the previous binary-heap
-//!   implementation, its differential oracle, lives in the dev-only
-//!   `vidur-oracle` crate.
+//! * [`event`] — a generic discrete-event queue ([`event::EventQueue`], a
+//!   binary heap) with stable FIFO tie-breaking at equal timestamps, and a
+//!   small driver loop ([`event::Simulation`], [`event::run`]) that merges
+//!   the queue with a cursor over time-ordered arrivals, so the queue holds
+//!   only in-flight events.
 //! * [`shard`] — shard-local event queues ([`shard::ShardQueue`]) whose pop
 //!   streams can be merged back into the exact sequential global order
 //!   ([`shard::ShardStamper`]), the foundation of the parallel simulator.
@@ -51,7 +50,7 @@ pub mod rng;
 pub mod shard;
 pub mod time;
 
-pub use event::{EventPush, EventQueue, KeyedPairingHeap, Simulation};
+pub use event::{EventPush, EventQueue, Simulation};
 pub use mergeable::TDigest;
 pub use metrics::{QuantileDigest, QuantileMode};
 pub use rng::SimRng;

@@ -9,10 +9,11 @@
 //! counter, and the sharded run can reconstruct every event's global `seq`
 //! after the fact:
 //!
-//! * **Arrivals** are pushed up front, in trace order, before any event is
-//!   handled — so arrival `i`'s global seq is simply `i`, and every dynamic
-//!   event's seq is `>= N` (the arrival count). Arrivals carry their global
-//!   seq directly ([`ShardQueue::push_arrival`]).
+//! * **Arrivals** precede every same-instant queued event, in trace order
+//!   (the sequential driver merges them from a cursor over the trace) — so
+//!   arrival `i` sorts as if its global seq were simply `i`, and every
+//!   dynamic event as if its seq were `>= N` (the arrival count). Arrivals
+//!   carry that global seq directly ([`ShardQueue::push_arrival`]).
 //! * **Dynamic events** (wakeups, completions) get a per-shard local counter
 //!   ([`ShardQueue::push`]). Within one shard the local-counter order equals
 //!   the global-seq order restricted to that shard: a shard handles its
@@ -30,7 +31,7 @@
 //! The merge itself is then trivial: repeatedly commit the shard head with
 //! the lowest `(time, global_seq)`.
 
-use crate::event::{EventPush, KeyedPairingHeap};
+use crate::event::{EventPush, KeyedHeap};
 use crate::time::SimTime;
 use std::collections::HashMap;
 use std::fmt;
@@ -40,22 +41,19 @@ use std::fmt;
 /// `Arrival` carries the event's *global* sequence number (its trace index);
 /// `Local` carries a per-shard push counter. The derived `Ord` puts every
 /// `Arrival` before every `Local`, which matches the sequential engine:
-/// arrivals are pushed before the run starts, so their seqs are smaller than
-/// any dynamic event's.
+/// arrivals precede every same-instant queued event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ShardKey {
-    /// Pre-pushed arrival with its global sequence number.
+    /// Routed arrival with its global sequence number (its trace index).
     Arrival(u64),
     /// Dynamic event with its shard-local push counter.
     Local(u64),
 }
 
-/// A shard-local event queue ordered by `(time, ShardKey)`.
-///
-/// Built on the same slab-backed pairing heap as the sequential queue, so
-/// steady-state churn is allocation-free.
+/// A shard-local event queue ordered by `(time, ShardKey)`, on the same
+/// keyed binary heap as the sequential queue.
 pub struct ShardQueue<E> {
-    heap: KeyedPairingHeap<(SimTime, ShardKey), E>,
+    heap: KeyedHeap<(SimTime, ShardKey), E>,
     local_pushes: u64,
 }
 
@@ -78,16 +76,15 @@ impl<E> ShardQueue<E> {
     /// Creates an empty shard queue.
     pub fn new() -> Self {
         ShardQueue {
-            heap: KeyedPairingHeap::new(),
+            heap: KeyedHeap::new(),
             local_pushes: 0,
         }
     }
 
     /// Pushes a routed arrival carrying its global sequence number (= its
     /// trace index). The shard must not have popped anything ordered after
-    /// the arrival yet: the streaming runner pushes every arrival up front,
-    /// the barrier runner pushes each one while its shard waits at that
-    /// arrival's barrier.
+    /// the arrival yet: the barrier runner pushes each one while its shard
+    /// waits at that arrival's barrier.
     pub fn push_arrival(&mut self, time: SimTime, global_seq: u64, payload: E) {
         self.heap
             .push((time, ShardKey::Arrival(global_seq)), payload);
@@ -126,7 +123,7 @@ impl<E> ShardQueue<E> {
 
     /// Returns `true` if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.len() == 0
     }
 }
 
@@ -193,7 +190,7 @@ impl ShardStamper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventQueue;
+    use crate::event::{run, EventQueue, Simulation};
     use proptest::prelude::*;
 
     /// Deterministic toy handler: how many children does event `id` at
@@ -214,23 +211,41 @@ mod tests {
         id.wrapping_mul(1_000_003).wrapping_add(j + 1)
     }
 
-    /// Sequential oracle: one global queue, arrivals pushed in index order.
+    /// Sequential oracle: one global queue driven by [`run`], with the
+    /// arrivals (sorted by time, index order among ties) read from a cursor.
     fn run_sequential(arrivals: &[(u64, usize)]) -> Vec<(SimTime, u64)> {
-        let mut q = EventQueue::new();
-        for (i, &(t, _shard)) in arrivals.iter().enumerate() {
-            q.push(SimTime::from_nanos(t), (i as u64, 0u32));
-        }
-        let mut order = Vec::new();
-        while let Some((time, (id, depth))) = q.pop() {
-            order.push((time, id));
-            for (j, delay) in spawn_plan(id, depth).into_iter().enumerate() {
-                q.push(
-                    time + crate::time::SimDuration::from_nanos(delay),
-                    (child_id(id, j as u64), depth + 1),
-                );
+        struct Log(Vec<(SimTime, u64)>);
+        impl Simulation for Log {
+            type Event = (u64, u32);
+            fn handle(
+                &mut self,
+                time: SimTime,
+                (id, depth): (u64, u32),
+                q: &mut EventQueue<(u64, u32)>,
+            ) {
+                self.0.push((time, id));
+                for (j, delay) in spawn_plan(id, depth).into_iter().enumerate() {
+                    q.push(
+                        time + crate::time::SimDuration::from_nanos(delay),
+                        (child_id(id, j as u64), depth + 1),
+                    );
+                }
             }
         }
-        order
+        let mut sorted: Vec<(SimTime, (u64, u32))> = arrivals
+            .iter()
+            .enumerate()
+            .map(|(i, &(t, _shard))| (SimTime::from_nanos(t), (i as u64, 0u32)))
+            .collect();
+        sorted.sort_by_key(|&(t, _)| t);
+        let mut log = Log(Vec::new());
+        run(
+            &mut log,
+            &mut EventQueue::new(),
+            &mut sorted.into_iter().peekable(),
+            u64::MAX,
+        );
+        log.0
     }
 
     /// Sharded run: each shard runs its whole stream independently and logs

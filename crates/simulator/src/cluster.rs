@@ -14,6 +14,7 @@ use crate::engine::{self, BatchEngine, EngineReplica};
 use crate::faults::{AutoscalerSpec, FleetObservation, ScaleDecision};
 use crate::metrics::{FleetStats, SimulationReport, TenantRoutingStats};
 use std::collections::HashSet;
+use std::sync::Arc;
 use vidur_core::event::{EventQueue, Simulation};
 use vidur_core::time::{SimDuration, SimTime};
 use vidur_model::batch::BatchComposition;
@@ -197,7 +198,9 @@ pub struct RunStats {
 /// [`ClusterSimulator::run`].
 pub struct ClusterSimulator {
     pub(crate) config: ClusterConfig,
-    pub(crate) trace: Trace,
+    /// Shared so the sequential driver can read arrivals by cursor while
+    /// the handlers read the same requests.
+    pub(crate) trace: Arc<Trace>,
     pub(crate) engine: BatchEngine,
     pub(crate) replicas: Vec<EngineReplica>,
     /// The global scheduling tier: routing policy, live replica view, and
@@ -295,10 +298,23 @@ impl ClusterSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration cannot host the model.
+    /// Panics if the configuration cannot host the model, or if the trace's
+    /// arrivals are not non-decreasing (the panic names the first
+    /// out-of-order request index).
     pub fn with_timer(
         config: ClusterConfig,
         trace: Trace,
+        timer: crate::timing::StageTimer,
+        seed: u64,
+    ) -> Self {
+        engine::check_trace(&trace);
+        ClusterSimulator::build(config, Arc::new(trace), timer, seed)
+    }
+
+    /// [`ClusterSimulator::with_timer`] over an already-checked trace.
+    fn build(
+        config: ClusterConfig,
+        trace: Arc<Trace>,
         timer: crate::timing::StageTimer,
         seed: u64,
     ) -> Self {
@@ -384,33 +400,39 @@ impl ClusterSimulator {
                     // Mid-run abort (a stateful policy actually deferred a
                     // request — an inherently cross-shard bind): throw the
                     // half-run state away, rebuild from scratch on the same
-                    // timer (the shape cache stays warm), and run the whole
-                    // trace sequentially.
+                    // timer (the shape cache stays warm) with the config and
+                    // trace moved out of the torn simulator, and run the
+                    // whole trace sequentially.
                     stats.fallback_reason = Some(reason);
-                    self = ClusterSimulator::with_timer(
-                        self.config.clone(),
-                        self.trace.clone(),
-                        self.engine.timer().clone(),
-                        self.seed,
-                    );
+                    let ClusterSimulator {
+                        config,
+                        trace,
+                        engine,
+                        seed,
+                        ..
+                    } = self;
+                    self = ClusterSimulator::build(config, trace, engine.timer().clone(), seed);
                 }
             }
         }
         if stats.shards <= 1 {
             stats.shards = 1;
-            let mut arrivals = engine::trace_arrivals(&self.trace, SimEvent::Arrival);
+            let mut queue = EventQueue::new();
             if let Some(el) = self.elastic.as_deref() {
                 for (i, rec) in el.records.iter().enumerate() {
-                    arrivals.push((rec.at, SimEvent::Fault(i as u32)));
+                    queue.push(rec.at, SimEvent::Fault(i as u32));
                 }
                 if let Some(autoscaler) = &el.autoscaler {
-                    arrivals.push((
+                    queue.push(
                         SimTime::from_secs_f64(autoscaler.interval_secs),
                         SimEvent::AutoscaleTick,
-                    ));
+                    );
                 }
             }
-            let (end, _) = engine::drive(&mut self, arrivals, engine::MAX_EVENTS);
+            let trace = Arc::clone(&self.trace);
+            let arrivals = (trace.requests.iter().enumerate())
+                .map(|(i, req)| (req.arrival, SimEvent::Arrival(i as u32)));
+            let (end, _) = engine::drive(&mut self, queue, arrivals, engine::MAX_EVENTS);
             if let Some(el) = self.elastic.take() {
                 self.engine.metrics.set_fleet(el.into_fleet_stats(end));
             }
@@ -874,6 +896,14 @@ mod tests {
 
     fn oracle_source() -> RuntimeSource {
         RuntimeSource::Oracle(KernelOracle::new(GpuSku::a100_80g()))
+    }
+
+    #[test]
+    #[should_panic(expected = "request index 4 arrives at")]
+    fn out_of_order_trace_is_rejected_at_construction() {
+        let mut trace = small_trace(8, 2.0, 1);
+        trace.requests.swap(3, 4);
+        ClusterSimulator::new(config(BatchPolicyKind::Vllm), trace, oracle_source(), 1);
     }
 
     #[test]

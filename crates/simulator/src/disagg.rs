@@ -26,6 +26,7 @@ use crate::config::ClusterConfig;
 use crate::engine::{self, BatchEngine, EngineReplica, RuntimeSource};
 use crate::metrics::SimulationReport;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use vidur_core::event::{EventQueue, Simulation};
 use vidur_core::time::{SimDuration, SimTime};
 use vidur_scheduler::{GlobalPolicyKind, Request, RouteRequest, RoutingTier};
@@ -144,7 +145,9 @@ fn pool_mut<'a>(
 /// Event-driven simulator for a disaggregated deployment.
 pub struct DisaggSimulator {
     config: DisaggConfig,
-    trace: Trace,
+    /// Shared so the driver can read arrivals by cursor while the handlers
+    /// read the same requests.
+    trace: Arc<Trace>,
     engine: BatchEngine,
     prefill: Vec<EngineReplica>,
     decode: Vec<EngineReplica>,
@@ -169,8 +172,11 @@ impl DisaggSimulator {
     ///
     /// # Panics
     ///
-    /// Panics if the base configuration cannot host the model.
+    /// Panics if the base configuration cannot host the model, or if the
+    /// trace's arrivals are not non-decreasing (the panic names the first
+    /// out-of-order request index).
     pub fn new(config: DisaggConfig, trace: Trace, source: RuntimeSource, seed: u64) -> Self {
+        engine::check_trace(&trace);
         let plan = config
             .base
             .memory_plan()
@@ -213,7 +219,7 @@ impl DisaggSimulator {
         }
         DisaggSimulator {
             config,
-            trace,
+            trace: Arc::new(trace),
             engine,
             prefill,
             decode,
@@ -224,8 +230,10 @@ impl DisaggSimulator {
 
     /// Runs to completion and returns the report.
     pub fn run(mut self) -> SimulationReport {
-        let arrivals = engine::trace_arrivals(&self.trace, DisaggEvent::Arrival);
-        engine::drive(&mut self, arrivals, engine::MAX_EVENTS);
+        let trace = Arc::clone(&self.trace);
+        let arrivals = (trace.requests.iter().enumerate())
+            .map(|(i, req)| (req.arrival, DisaggEvent::Arrival(i as u32)));
+        engine::drive(&mut self, EventQueue::new(), arrivals, engine::MAX_EVENTS);
         // Routing columns merge both tiers: `routed` counts arrivals (the
         // prefill tier — counting the decode tier's KV handoffs too would
         // double-count requests), `deferred` sums holds in either tier,
@@ -469,6 +477,14 @@ mod tests {
 
     fn oracle() -> RuntimeSource {
         RuntimeSource::Oracle(KernelOracle::new(GpuSku::a100_80g()))
+    }
+
+    #[test]
+    #[should_panic(expected = "request index 6 arrives at")]
+    fn out_of_order_trace_is_rejected_at_construction() {
+        let mut trace = trace(8, 2.0, 1);
+        trace.requests.swap(5, 6);
+        DisaggSimulator::new(DisaggConfig::new(base(), 1, 1), trace, oracle(), 1);
     }
 
     #[test]

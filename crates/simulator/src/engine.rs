@@ -41,6 +41,7 @@ use vidur_model::memory::MemoryPlan;
 use vidur_model::shape::PlanTiming;
 use vidur_scheduler::replica::CompletionEvent;
 use vidur_scheduler::{PipelineTracker, ReplicaScheduler};
+use vidur_workload::Trace;
 
 pub use crate::timing::RuntimeSource;
 
@@ -580,54 +581,65 @@ impl BatchEngine {
     }
 }
 
-/// Translates a trace into arrival events via `mk` (taking the trace index).
+/// Checks what both simulators rely on a trace for: its indices fit the
+/// `u32` event payloads, and its arrivals are non-decreasing, as
+/// [`Trace::requests`] documents (the engines read arrivals by cursor, in
+/// index order).
 ///
 /// # Panics
 ///
-/// Panics if the trace holds more than `u32::MAX` requests — event payloads
-/// carry `u32` indices, and silently truncating would alias requests.
-pub fn trace_arrivals<E>(
-    trace: &vidur_workload::Trace,
-    mk: impl Fn(u32) -> E,
-) -> Vec<(SimTime, E)> {
+/// Panics if the trace holds more than `u32::MAX` requests (silently
+/// truncating would alias requests), or names the first request index
+/// whose arrival precedes its predecessor's.
+pub(crate) fn check_trace(trace: &Trace) {
     assert!(
         u32::try_from(trace.requests.len()).is_ok(),
         "trace of {} requests exceeds the u32 event-index range",
         trace.requests.len()
     );
-    trace
+    if let Some(i) = trace
         .requests
-        .iter()
-        .enumerate()
-        .map(|(i, req)| (req.arrival, mk(i as u32)))
-        .collect()
+        .windows(2)
+        .position(|w| w[1].arrival < w[0].arrival)
+    {
+        panic!(
+            "trace arrivals must be non-decreasing: request index {} arrives at {}, \
+             before index {} at {}",
+            i + 1,
+            trace.requests[i + 1].arrival,
+            i,
+            trace.requests[i].arrival
+        );
+    }
 }
 
-/// Seeds an event queue with `arrivals` and runs `sim` to completion through
-/// the shared [`vidur_core::event::run`] driver, handling at most `budget`
-/// events (the simulators pass [`MAX_EVENTS`]). Returns the last processed
+/// Runs `sim` to completion through the shared [`vidur_core::event::run`]
+/// driver, handling at most `budget` events (the simulators pass
+/// [`MAX_EVENTS`]). `arrivals` is a cursor over the trace's arrival events
+/// in index order; `queue` holds the events known before the run that are
+/// not arrivals (the fault schedule, the first autoscale tick). An arrival
+/// precedes every same-instant queued event. Returns the last processed
 /// timestamp and the number of events processed.
 ///
 /// # Panics
 ///
-/// Panics if the run exhausts `budget` with events still queued and the
-/// simulation not done: its report would be a truncated run that looks
-/// complete.
+/// Panics if the run exhausts `budget` with events still queued or arrivals
+/// still unread and the simulation not done: its report would be a
+/// truncated run that looks complete.
 pub fn drive<S: Simulation>(
     sim: &mut S,
-    arrivals: Vec<(SimTime, S::Event)>,
+    mut queue: EventQueue<S::Event>,
+    arrivals: impl Iterator<Item = (SimTime, S::Event)>,
     budget: u64,
 ) -> (SimTime, u64) {
-    let mut queue = EventQueue::new();
-    for (time, event) in arrivals {
-        queue.push(time, event);
-    }
-    let (end, processed) = event::run(sim, &mut queue, budget);
+    let mut arrivals = arrivals.peekable();
+    let (end, processed) = event::run(sim, &mut queue, &mut arrivals, budget);
     assert!(
-        processed < budget || queue.is_empty() || sim.is_done(),
+        processed < budget || (queue.is_empty() && arrivals.peek().is_none()) || sim.is_done(),
         "simulation exhausted its event budget of {budget} events at {end} \
-         with {} still queued: the run would be truncated",
-        queue.len()
+         with {} still queued and {} arrivals unread: the run would be truncated",
+        queue.len(),
+        arrivals.count()
     );
     (end, processed)
 }
@@ -646,9 +658,34 @@ mod tests {
         }
     }
 
+    fn arrivals(n: u64) -> impl Iterator<Item = (SimTime, ())> {
+        (0..n).map(|t| (SimTime::from_nanos(t), ()))
+    }
+
     #[test]
     #[should_panic(expected = "event budget of 10 events")]
     fn drive_panics_when_budget_truncates_the_run() {
-        drive(&mut Endless, vec![(SimTime::ZERO, ())], 10);
+        drive(&mut Endless, EventQueue::new(), arrivals(1), 10);
+    }
+
+    /// Handles every event and schedules nothing.
+    struct Sink;
+
+    impl Simulation for Sink {
+        type Event = ();
+        fn handle(&mut self, _now: SimTime, _event: (), _queue: &mut EventQueue<()>) {}
+    }
+
+    /// Only unread arrivals remain when the budget runs out: the queue is
+    /// empty, but the run is still truncated.
+    #[test]
+    #[should_panic(expected = "0 still queued and 5 arrivals unread")]
+    fn drive_panics_when_budget_leaves_arrivals_unread() {
+        drive(&mut Sink, EventQueue::new(), arrivals(15), 10);
+    }
+
+    #[test]
+    fn drive_accepts_a_budget_that_exactly_covers_the_run() {
+        assert_eq!(drive(&mut Sink, EventQueue::new(), arrivals(10), 10).1, 10);
     }
 }

@@ -54,18 +54,21 @@
 //!
 //! # Determinism argument
 //!
-//! The sequential engine's event order is exactly `(time, seq)` with `seq`
-//! the global insertion counter, and its report is a fold of metric effects
-//! in that order. The sharded run reproduces that fold bit for bit:
+//! The sequential engine's event order is exactly `(time, seq)`: arrivals
+//! precede every same-instant queued event, in trace order, and queued
+//! events follow their global insertion counter. Its report is a fold of
+//! metric effects in that order. The sharded run reproduces that fold bit
+//! for bit:
 //!
-//! * Each arrival's global `seq` is its trace index. Within a shard, events
-//!   are ordered by `(time, arrival-seq | local push counter)`, which equals
-//!   the sequential order restricted to the shard (see
-//!   [`vidur_core::shard`]).
+//! * Each arrival's global `seq` is its trace index, and every dynamic
+//!   event's exceeds them all. Within a shard, events are ordered by
+//!   `(time, arrival-seq | local push counter)`, which equals the
+//!   sequential order restricted to the shard (see [`vidur_core::shard`]).
 //! * The barrier cut is exact: at the barrier's instant every local event
 //!   sorts after the arrival, and dynamic global seqs exceed every arrival
 //!   seq, so "before the barrier in shard order" equals "before it in global
-//!   order".
+//!   order". The trace's arrivals are non-decreasing (checked when the
+//!   simulator is built), so the barriers advance in trace-index order.
 //! * At merge time a [`ShardStamper`] per shard, persisting across rounds,
 //!   re-derives true global seqs: a committed handler's children claim the
 //!   next counter values in push order. The merger commits the lowest
@@ -309,12 +312,6 @@ pub(crate) fn run_sharded(
         seed,
     } = *sim;
 
-    // Sequential pop order for the pre-pushed arrival set: (arrival time,
-    // trace index) — the stable sort keeps equal-time arrivals in trace
-    // (= seq) order, matching the global queue.
-    let mut order: Vec<u32> = (0..trace.requests.len() as u32).collect();
-    order.sort_by_key(|&i| trace.requests[i as usize].arrival);
-
     let timer = engine.timer().clone();
     let mut shards: Vec<BarrierShard> = (0..num_shards)
         .map(|_| BarrierShard {
@@ -329,14 +326,7 @@ pub(crate) fn run_sharded(
     for (r, replica) in std::mem::take(replicas).into_iter().enumerate() {
         shards[r % num_shards].replicas.push(replica);
     }
-    let stats = run_barriers(
-        config,
-        trace,
-        &mut engine.metrics,
-        tier,
-        &mut shards,
-        &order,
-    )?;
+    let stats = run_barriers(config, trace, &mut engine.metrics, tier, &mut shards)?;
     // Put the replicas back in global order (global replica `r` was dealt
     // to shard `r % k` at local index `r / k`).
     let mut slots: Vec<Option<EngineReplica>> = (0..config.num_replicas).map(|_| None).collect();
@@ -616,15 +606,16 @@ fn run_barriers(
     metrics: &mut MetricsCollector,
     tier: &mut RoutingTier,
     shards: &mut [BarrierShard],
-    order: &[u32],
 ) -> Result<RunStats, &'static str> {
     let num_shards = shards.len();
     let deadline = config.max_sim_time;
-    let arrival = |i: usize| trace.requests[order[i] as usize].arrival;
+    // The trace is checked non-decreasing at construction, so trace-index
+    // order is the sequential arrival order.
+    let requests = &trace.requests;
     // The sequential engine stops before popping any past-deadline event,
     // so arrivals past the deadline are never routed.
-    let routable = deadline.map_or(order.len(), |d| {
-        order.partition_point(|&i| trace.requests[i as usize].arrival <= d)
+    let routable = deadline.map_or(requests.len(), |d| {
+        requests.partition_point(|req| req.arrival <= d)
     });
     // Stateless policies never read the live view (see the module doc).
     let route_ahead = matches!(
@@ -669,19 +660,20 @@ fn run_barriers(
             let end = if route_ahead {
                 routable.min(next + ROUTE_AHEAD)
             } else if next < routable {
-                let instant = arrival(next);
-                next + order[next..routable]
-                    .partition_point(|&i| trace.requests[i as usize].arrival == instant)
+                let instant = requests[next].arrival;
+                next + requests[next..routable].partition_point(|req| req.arrival == instant)
             } else {
                 next
             };
-            for &idx in &order[next..end] {
-                let target = route(tier, trace, idx)?;
-                rounds[target % num_shards].admit.push((idx, target as u32));
+            for idx in next..end {
+                let target = route(tier, trace, idx as u32)?;
+                rounds[target % num_shards]
+                    .admit
+                    .push((idx as u32, target as u32));
             }
             next = end;
             let barrier =
-                (next < routable).then(|| (arrival(next), ShardKey::Arrival(order[next] as u64)));
+                (next < routable).then(|| (requests[next].arrival, ShardKey::Arrival(next as u64)));
 
             // Advance every shard with work before the barrier: wake the
             // workers first, then run shard 0 here while they simulate.

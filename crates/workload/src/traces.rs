@@ -442,7 +442,11 @@ pub struct Trace {
     /// Declared shared prefixes; [`TraceRequest::prefix_id`] indexes this
     /// list. Empty for prefix-free traces (written as format v1).
     pub prefixes: Vec<TracePrefix>,
-    /// Requests ordered by arrival.
+    /// Requests ordered by arrival: arrivals are non-decreasing in index
+    /// order. Every generator and the trace reader produce such traces;
+    /// the simulators read arrivals in index order and panic at
+    /// construction, naming the first out-of-order index, on a trace that
+    /// breaks the order.
     pub requests: Vec<TraceRequest>,
 }
 
