@@ -1,7 +1,7 @@
-//! Criterion micro-benchmark for the batch-shape stage-time cache: an
+//! Micro-benchmark for the batch-shape stage-time cache: an
 //! estimator-sourced capacity search over `chat_1m` — the inner loop of
 //! Vidur-Search, where the ~10⁵-config sweeps of the paper spend their
-//! time — timed from a cold shape cache, plus a hit-rate report.
+//! time — timed best-of-3 from a cold shape cache, plus a hit-rate report.
 //!
 //! The searched slice of the grid is one parallelism point (llama2-7B,
 //! TP1-PP4) across twelve scheduler variants (four policies × three
@@ -13,8 +13,9 @@
 //!
 //! `CostLedger` surfaces the hit/miss counters; the report also checks
 //! that a pre-warmed cache changes no capacity bit.
+//!
+//! Run with `cargo bench -p vidur-bench --bench plan_cache`.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 use vidur_core::rng::SimRng;
 use vidur_estimator::EstimatorKind;
@@ -88,29 +89,16 @@ fn run_grid(timer: &StageTimer, ledger: &mut CostLedger, base: &Trace) -> f64 {
     acc
 }
 
-fn bench_capacity_search(c: &mut Criterion) {
-    let base = base_trace();
-    // Warm the process-wide estimator cache so onboarding cost stays out of
-    // the measurement.
-    let _ = fresh_timer();
-    let mut group = c.benchmark_group("capacity_search_chat1m");
-    group.bench_function("cache_on", |b| {
-        b.iter(|| {
-            let timer = fresh_timer();
-            let mut ledger = CostLedger::new();
-            black_box(run_grid(&timer, &mut ledger, &base))
-        });
-    });
-    group.finish();
-}
-
 /// Prints the cold-cache search time and the ledger-surfaced hit/miss
 /// counters, and cross-checks that a timer pre-warmed by one full grid pass
 /// finds capacities bit-identical to a cold one: every shape the warm pass
 /// replays from the cache must price exactly as it did on its miss.
-fn report_hit_rate(_c: &mut Criterion) {
+fn main() {
     let base = base_trace();
-    // Best-of-3 cold runs, matching the shim's measurement loop.
+    // Warm the process-wide estimator cache so onboarding cost stays out of
+    // the measurement.
+    let _ = fresh_timer();
+    // Best-of-3 cold runs.
     let mut cold_secs = f64::INFINITY;
     let mut cold = (0.0, CostLedger::new());
     for _ in 0..3 {
@@ -139,6 +127,3 @@ fn report_hit_rate(_c: &mut Criterion) {
         ledger.cache_hit_rate() * 100.0
     );
 }
-
-criterion_group!(benches, bench_capacity_search, report_hit_rate);
-criterion_main!(benches);

@@ -33,7 +33,8 @@ pub struct OfflineEvaluation {
 }
 
 /// Evaluates every configuration on the batch job (static arrivals) and
-/// returns evaluations sorted by makespan, plus the cost ledger.
+/// returns evaluations sorted by makespan (a NaN makespan ranks last), plus
+/// the cost ledger.
 pub fn run_offline_search(
     configs: &[ClusterConfig],
     job: &Trace,
@@ -80,21 +81,24 @@ pub fn run_offline_search(
             evals.push(e);
         }
     }
-    evals.sort_by(|a, b| {
-        a.makespan_secs
-            .partial_cmp(&b.makespan_secs)
-            .expect("no NaN makespan")
-    });
+    rank_by_makespan(&mut evals);
     (evals, ledger)
 }
 
-/// The cheapest-total-cost evaluation, if any.
+/// Sorts `evals` fastest first. A NaN makespan ranks after every number.
+fn rank_by_makespan(evals: &mut [OfflineEvaluation]) {
+    evals.sort_by(|a, b| {
+        let (a, b) = (a.makespan_secs, b.makespan_secs);
+        a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
+    });
+}
+
+/// The cheapest-total-cost evaluation, if any. A NaN cost never wins.
 pub fn best_by_cost(evals: &[OfflineEvaluation]) -> Option<&OfflineEvaluation> {
-    evals.iter().min_by(|a, b| {
-        a.cost_dollars
-            .partial_cmp(&b.cost_dollars)
-            .expect("no NaN cost")
-    })
+    evals
+        .iter()
+        .filter(|e| !e.cost_dollars.is_nan())
+        .min_by(|a, b| a.cost_dollars.total_cmp(&b.cost_dollars))
 }
 
 #[cfg(test)]
@@ -161,6 +165,34 @@ mod tests {
         // Both selections exist; cost ranking may differ from speed ranking
         // (2 replicas halve time but double $/hr).
         assert!(cheapest.cost_dollars <= fastest.cost_dollars + 1e-9);
+    }
+
+    /// An evaluation with every objective set to `value`.
+    fn eval(label: &str, value: f64) -> OfflineEvaluation {
+        OfflineEvaluation {
+            config: configs()[0].clone(),
+            label: label.to_string(),
+            makespan_secs: value,
+            cost_dollars: value,
+            mfu: 0.3,
+            energy_kwh: 1.0,
+        }
+    }
+
+    #[test]
+    fn nan_makespan_ranks_last() {
+        let mut evals = vec![eval("nan", f64::NAN), eval("slow", 2.0), eval("fast", 1.0)];
+        evals.push(eval("neg-nan", -f64::NAN));
+        rank_by_makespan(&mut evals);
+        let labels: Vec<&str> = evals.iter().map(|e| e.label.as_str()).collect();
+        assert_eq!(labels, ["fast", "slow", "neg-nan", "nan"]);
+    }
+
+    #[test]
+    fn nan_cost_never_wins() {
+        let evals = [eval("nan", f64::NAN), eval("dear", 2.0), eval("cheap", 1.0)];
+        assert_eq!(best_by_cost(&evals).unwrap().label, "cheap");
+        assert!(best_by_cost(&[eval("nan", -f64::NAN)]).is_none());
     }
 
     #[test]

@@ -31,18 +31,17 @@ impl SloConstraints {
 
 /// Computes the Pareto frontier over (latency, QPS/$): evaluations not
 /// dominated by any other with both lower `latency_of` and higher QPS/$.
+/// An evaluation with a NaN latency or QPS/$ is never on the frontier.
 ///
 /// Returns indices into `evals`, sorted by latency ascending.
 pub fn pareto_frontier(
     evals: &[ConfigEvaluation],
     latency_of: impl Fn(&ConfigEvaluation) -> f64,
 ) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..evals.len()).collect();
-    order.sort_by(|&a, &b| {
-        latency_of(&evals[a])
-            .partial_cmp(&latency_of(&evals[b]))
-            .expect("no NaN latency")
-    });
+    let mut order: Vec<usize> = (0..evals.len())
+        .filter(|&i| !latency_of(&evals[i]).is_nan())
+        .collect();
+    order.sort_by(|&a, &b| latency_of(&evals[a]).total_cmp(&latency_of(&evals[b])));
     let mut frontier = Vec::new();
     let mut best_qpd = f64::NEG_INFINITY;
     for idx in order {
@@ -94,6 +93,19 @@ mod tests {
         let f = pareto_frontier(&evals, |e| e.ttft_p90);
         let labels: Vec<&str> = f.iter().map(|&i| evals[i].label.as_str()).collect();
         assert_eq!(labels, vec!["a", "b", "d"]);
+    }
+
+    #[test]
+    fn frontier_skips_nan() {
+        let evals = vec![
+            eval("a", 1.0, 1.0, 0.1),
+            eval("nan-latency", 9.0, f64::NAN, 0.1),
+            eval("nan-qpd", f64::NAN, 0.5, 0.1),
+            eval("b", 2.0, 2.0, 0.1),
+        ];
+        let f = pareto_frontier(&evals, |e| e.ttft_p90);
+        let labels: Vec<&str> = f.iter().map(|&i| evals[i].label.as_str()).collect();
+        assert_eq!(labels, vec!["a", "b"]);
     }
 
     #[test]

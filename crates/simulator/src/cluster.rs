@@ -11,7 +11,7 @@
 
 use crate::config::ClusterConfig;
 use crate::engine::{self, BatchEngine, EngineReplica};
-use crate::faults::{AutoscalerSpec, FleetObservation, ScaleDecision};
+use crate::faults::{FleetObservation, ScaleDecision};
 use crate::metrics::{FleetStats, SimulationReport, TenantRoutingStats};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -19,7 +19,7 @@ use vidur_core::event::{EventQueue, Simulation};
 use vidur_core::time::{SimDuration, SimTime};
 use vidur_model::batch::BatchComposition;
 use vidur_scheduler::{ReplicaHealth, Request, RequestId, RouteRequest, RoutingTier};
-use vidur_workload::faults::{FaultAction, FaultRecord};
+use vidur_workload::faults::FaultAction;
 use vidur_workload::Trace;
 
 pub use crate::engine::RuntimeSource;
@@ -40,28 +40,23 @@ pub enum SimEvent {
     Fault(u32),
     /// The autoscaler evaluates one observation window (elastic runs only).
     AutoscaleTick,
-    /// Replica finished warming up and becomes routable (elastic runs only).
-    WarmupDone(u32),
+    /// Replica finished warming up and becomes routable (elastic runs only);
+    /// the second field is the replica's crash epoch when the warm-up began.
+    WarmupDone(u32, u32),
 }
 
-/// Per-run elastic-fleet state: the armed fault schedule, warm-up pricing,
-/// autoscaler, retry/requeue accounting, and per-replica uptime intervals.
-/// `None` on non-elastic runs, so the fixed-fleet hot path pays nothing and
-/// stays bit-identical.
+/// Per-run elastic-fleet state: warm-up pricing, per-tenant retry/requeue
+/// accounting, and per-replica uptime intervals. The fault schedule and the
+/// autoscaler are read from the [`ClusterConfig`]. `None` on non-elastic
+/// runs, so the fixed-fleet hot path pays nothing and stays bit-identical.
 pub(crate) struct ElasticState {
-    /// Time-ordered fault records of the armed plan.
-    records: Vec<FaultRecord>,
     /// Warm-up delay priced once from the warm-up model and the replica's
     /// total weight bytes.
     warmup_delay: SimDuration,
-    /// The armed autoscaler (bounds, thresholds and policy), if any.
-    autoscaler: Option<AutoscalerSpec>,
     /// Trace indices requeued but not yet re-dispatched: their next
     /// dispatch is a retry. Only membership is read, never the order.
     awaiting_retry: HashSet<u32>,
-    retries: u64,
-    requeued: u64,
-    evicted_by_crash: u64,
+    /// Per-tenant counts; the report's fleet totals are their sums.
     tenant_retries: Vec<u64>,
     tenant_requeued: Vec<u64>,
     tenant_evicted: Vec<u64>,
@@ -69,10 +64,6 @@ pub(crate) struct ElasticState {
     up_since: Vec<Option<SimTime>>,
     /// Closed uptime accumulated per replica slot, seconds.
     up_secs: Vec<f64>,
-    /// Pending warm-up completion per replica slot; a `WarmupDone` event is
-    /// only honored if it matches (a crash during warm-up clears it, so the
-    /// stale event is dropped).
-    warmup_due: Vec<Option<SimTime>>,
     /// Windowed TTFT counters the autoscaler observes.
     window_prefills: u64,
     window_slo_ok: u64,
@@ -88,19 +79,13 @@ impl ElasticState {
             *slot = Some(SimTime::ZERO);
         }
         ElasticState {
-            records: config.faults.schedule.records.clone(),
             warmup_delay: SimDuration::from_secs_f64(warmup_delay_secs),
-            autoscaler: config.autoscaler,
             awaiting_retry: HashSet::new(),
-            retries: 0,
-            requeued: 0,
-            evicted_by_crash: 0,
             tenant_retries: Vec::new(),
             tenant_requeued: Vec::new(),
             tenant_evicted: Vec::new(),
             up_since,
             up_secs: vec![0.0; fleet],
-            warmup_due: vec![None; fleet],
             window_prefills: 0,
             window_slo_ok: 0,
             evict_scratch: Vec::new(),
@@ -137,9 +122,9 @@ impl ElasticState {
         }
         let horizon = end.as_secs_f64();
         FleetStats {
-            retries: self.retries,
-            requeued: self.requeued,
-            evicted_by_crash: self.evicted_by_crash,
+            retries: self.tenant_retries.iter().sum(),
+            requeued: self.tenant_requeued.iter().sum(),
+            evicted_by_crash: self.tenant_evicted.iter().sum(),
             replica_hours: self.up_secs.iter().sum::<f64>() / 3600.0,
             replica_availability: self
                 .up_secs
@@ -324,7 +309,7 @@ impl ClusterSimulator {
         // Elastic runs pre-allocate the autoscaler's `max_replicas` ceiling;
         // fixed fleets allocate exactly `num_replicas` (fleet_size == that).
         let fleet = config.fleet_size();
-        let mut replicas = EngineReplica::pool(&config, &plan, 0, fleet);
+        let mut replicas = EngineReplica::pool(&config, &plan, fleet);
         if let Some(quota) = config.tenant_quota_blocks(plan.num_kv_blocks) {
             for replica in &mut replicas {
                 replica.scheduler.set_tenant_quotas(&quota);
@@ -418,11 +403,11 @@ impl ClusterSimulator {
         if stats.shards <= 1 {
             stats.shards = 1;
             let mut queue = EventQueue::new();
-            if let Some(el) = self.elastic.as_deref() {
-                for (i, rec) in el.records.iter().enumerate() {
+            if self.elastic.is_some() {
+                for (i, rec) in self.config.faults.schedule.records.iter().enumerate() {
                     queue.push(rec.at, SimEvent::Fault(i as u32));
                 }
-                if let Some(autoscaler) = &el.autoscaler {
+                if let Some(autoscaler) = &self.config.autoscaler {
                     queue.push(
                         SimTime::from_secs_f64(autoscaler.interval_secs),
                         SimEvent::AutoscaleTick,
@@ -491,7 +476,6 @@ impl ClusterSimulator {
         let tr = self.trace.requests[idx as usize];
         if let Some(el) = self.elastic.as_deref_mut() {
             if el.awaiting_retry.remove(&idx) {
-                el.retries += 1;
                 ElasticState::bump(&mut el.tenant_retries, tr.tenant);
             }
         }
@@ -557,7 +541,7 @@ impl ClusterSimulator {
 
     /// Applies fault record `i` of the armed plan.
     fn apply_fault(&mut self, i: u32, now: SimTime, queue: &mut EventQueue<SimEvent>) {
-        let rec = self.elastic.as_deref().expect("elastic armed").records[i as usize];
+        let rec = self.config.faults.schedule.records[i as usize];
         let r = rec.replica as usize;
         assert!(
             r < self.replicas.len(),
@@ -565,90 +549,61 @@ impl ClusterSimulator {
             self.replicas.len()
         );
         match rec.action {
-            FaultAction::Crash => self.crash_replica(r, now, queue),
+            FaultAction::Crash => self.evacuate(r, true, now, queue),
             FaultAction::Recover => self.begin_warmup(r, now, queue),
             FaultAction::Slow(mult) => self.replicas[r].set_stage_multiplier(mult),
             FaultAction::Restore => self.replicas[r].set_stage_multiplier(1.0),
-            FaultAction::Drain => self.drain_replica(r, now, queue),
+            FaultAction::Drain => self.evacuate(r, false, now, queue),
         }
     }
 
-    /// Hard-crashes replica `r`: cancels its in-flight batches and bumps its
-    /// epoch (their already-queued completion events become stale and are
-    /// dropped), evicts every request with KV reclaimed, and requeues the
-    /// evicted work through the routing tier. No-op if the replica is
-    /// already down.
-    fn crash_replica(&mut self, r: usize, now: SimTime, queue: &mut EventQueue<SimEvent>) {
-        if self.tier.health(r) == ReplicaHealth::Down {
+    /// Takes work off replica `r` and requeues it through the routing tier.
+    ///
+    /// A crash (`crash == true`; no-op if the replica is already down)
+    /// cancels its in-flight batches and bumps its epoch, so their
+    /// already-queued completions and any pending warm-up completion
+    /// become stale and are dropped; every request is evicted with its KV
+    /// reclaimed. A graceful drain (no-op unless the replica is live) stops
+    /// the router placing new work on it and closes admissions: running
+    /// work executes to completion, and only the not-yet-started queue
+    /// migrates.
+    fn evacuate(&mut self, r: usize, crash: bool, now: SimTime, queue: &mut EventQueue<SimEvent>) {
+        let health = self.tier.health(r);
+        if (crash && health == ReplicaHealth::Down) || (!crash && health != ReplicaHealth::Live) {
             return;
         }
-        let mut evicted = {
-            let el = self.elastic.as_deref_mut().expect("elastic armed");
+        let el = self.elastic.as_deref_mut().expect("elastic armed");
+        let mut ids = std::mem::take(&mut el.evict_scratch);
+        if crash {
             el.close_up_interval(r, now);
-            el.warmup_due[r] = None;
-            std::mem::take(&mut el.evict_scratch)
-        };
-        evicted.clear();
-        self.tier.set_health(r, ReplicaHealth::Down);
-        self.replicas[r].crash();
-        self.replicas[r].scheduler.evict_all(&mut evicted);
-        self.tier
-            .set_free_kv_blocks(r, self.replicas[r].scheduler.blocks().free_blocks());
-        {
-            let el = self.elastic.as_deref_mut().expect("elastic armed");
-            let trace = &self.trace;
-            let tier = &mut self.tier;
-            el.evicted_by_crash += evicted.len() as u64;
-            el.requeued += evicted.len() as u64;
-            for &id in &evicted {
-                let tr = trace.requests[id as usize];
+            self.tier.set_health(r, ReplicaHealth::Down);
+            self.replicas[r].crash();
+            self.replicas[r].scheduler.evict_all(&mut ids);
+            self.tier
+                .set_free_kv_blocks(r, self.replicas[r].scheduler.blocks().free_blocks());
+        } else {
+            self.tier.set_health(r, ReplicaHealth::Draining);
+            self.replicas[r].scheduler.drain_queued(&mut ids);
+        }
+        for &id in &ids {
+            let tr = self.trace.requests[id as usize];
+            if crash {
                 ElasticState::bump(&mut el.tenant_evicted, tr.tenant);
-                ElasticState::bump(&mut el.tenant_requeued, tr.tenant);
-                // Balance the tier's dispatch accounting before re-routing.
-                tier.on_finished(r, tr.tenant, tr.prefill_tokens + tr.decode_tokens);
             }
+            ElasticState::bump(&mut el.tenant_requeued, tr.tenant);
+            // Balance the tier's dispatch accounting before re-routing.
+            self.tier
+                .on_finished(r, tr.tenant, tr.prefill_tokens + tr.decode_tokens);
         }
-        self.requeue(&evicted, now, queue);
-        evicted.clear();
+        self.requeue(&ids, now, queue);
+        ids.clear();
         self.elastic
             .as_deref_mut()
             .expect("elastic armed")
-            .evict_scratch = evicted;
-    }
-
-    /// Gracefully drains replica `r`: the router stops placing new work on
-    /// it, admissions close (running work executes to completion), and the
-    /// not-yet-started queue migrates through the routing tier. No-op
-    /// unless the replica is live.
-    fn drain_replica(&mut self, r: usize, now: SimTime, queue: &mut EventQueue<SimEvent>) {
-        if self.tier.health(r) != ReplicaHealth::Live {
-            return;
+            .evict_scratch = ids;
+        if !crash {
+            self.maybe_finish_drain(r, now);
         }
-        self.tier.set_health(r, ReplicaHealth::Draining);
-        let mut migrated = {
-            let el = self.elastic.as_deref_mut().expect("elastic armed");
-            std::mem::take(&mut el.evict_scratch)
-        };
-        migrated.clear();
-        self.replicas[r].scheduler.drain_queued(&mut migrated);
-        {
-            let el = self.elastic.as_deref_mut().expect("elastic armed");
-            let trace = &self.trace;
-            let tier = &mut self.tier;
-            el.requeued += migrated.len() as u64;
-            for &id in &migrated {
-                let tr = trace.requests[id as usize];
-                ElasticState::bump(&mut el.tenant_requeued, tr.tenant);
-                tier.on_finished(r, tr.tenant, tr.prefill_tokens + tr.decode_tokens);
-            }
-        }
-        self.requeue(&migrated, now, queue);
-        migrated.clear();
-        self.elastic
-            .as_deref_mut()
-            .expect("elastic armed")
-            .evict_scratch = migrated;
-        self.maybe_finish_drain(r, now);
     }
 
     /// Sends evicted/migrated requests back through the routing tier. The
@@ -688,25 +643,28 @@ impl ClusterSimulator {
         }
         self.tier.set_health(r, ReplicaHealth::Warming);
         let el = self.elastic.as_deref_mut().expect("elastic armed");
-        let due = now + el.warmup_delay;
-        el.warmup_due[r] = Some(due);
         // A warming replica occupies its GPUs: uptime (and replica-hours)
         // start at warm-up, not at readiness.
         el.open_up_interval(r, now);
-        queue.push(due, SimEvent::WarmupDone(r as u32));
+        let epoch = self.replicas[r].epoch();
+        queue.push(now + el.warmup_delay, SimEvent::WarmupDone(r as u32, epoch));
     }
 
-    /// Replica `r` finished warming up: it becomes routable and the tier's
-    /// deferred queue drains onto it. Stale events (the replica crashed
-    /// mid-warm-up) are dropped via the `warmup_due` match.
-    fn warmup_done(&mut self, r: usize, now: SimTime, queue: &mut EventQueue<SimEvent>) {
-        {
-            let el = self.elastic.as_deref_mut().expect("elastic armed");
-            if self.tier.health(r) != ReplicaHealth::Warming || el.warmup_due[r] != Some(now) {
-                return;
-            }
-            el.warmup_due[r] = None;
+    /// Replica `r` finished the warm-up it began in crash epoch `epoch`: it
+    /// becomes routable and the tier's deferred queue drains onto it. A
+    /// crash during the warm-up bumped the epoch, so its event is stale and
+    /// dropped.
+    fn warmup_done(
+        &mut self,
+        r: usize,
+        epoch: u32,
+        now: SimTime,
+        queue: &mut EventQueue<SimEvent>,
+    ) {
+        if epoch != self.replicas[r].epoch() {
+            return;
         }
+        debug_assert_eq!(self.tier.health(r), ReplicaHealth::Warming);
         self.replicas[r].scheduler.reopen_admissions();
         self.tier.set_health(r, ReplicaHealth::Live);
         self.tier
@@ -731,11 +689,12 @@ impl ClusterSimulator {
                 ReplicaHealth::Down => {}
             }
         }
-        let (spec, decision) = {
+        let spec = self
+            .config
+            .autoscaler
+            .expect("tick only fires with an armed autoscaler");
+        let decision = {
             let el = self.elastic.as_deref_mut().expect("elastic armed");
-            let autoscaler = el
-                .autoscaler
-                .expect("tick only fires with an armed autoscaler");
             let obs = FleetObservation {
                 live,
                 warming,
@@ -747,7 +706,7 @@ impl ClusterSimulator {
             };
             el.window_prefills = 0;
             el.window_slo_ok = 0;
-            (autoscaler, autoscaler.decide(&obs))
+            spec.decide(&obs)
         };
         match decision {
             ScaleDecision::Hold => {}
@@ -771,7 +730,7 @@ impl ClusterSimulator {
                         break;
                     }
                     if self.tier.health(r) == ReplicaHealth::Live {
-                        self.drain_replica(r, now, queue);
+                        self.evacuate(r, false, now, queue);
                         budget -= 1;
                     }
                 }
@@ -818,6 +777,7 @@ impl Simulation for ClusterSimulator {
                 }
                 let trace = &self.trace;
                 let tier = &mut self.tier;
+                let autoscaler = self.config.autoscaler.as_ref();
                 let mut elastic = self.elastic.as_deref_mut();
                 self.engine.retire_batch(
                     &mut self.replicas[r],
@@ -832,7 +792,7 @@ impl Simulation for ClusterSimulator {
                         }
                         if let Some(el) = elastic.as_deref_mut() {
                             if ev.prefill_completed {
-                                if let Some(autoscaler) = &el.autoscaler {
+                                if let Some(autoscaler) = autoscaler {
                                     let tr = trace.requests[ev.id as usize];
                                     el.window_prefills += 1;
                                     let ttft =
@@ -855,7 +815,7 @@ impl Simulation for ClusterSimulator {
             }
             SimEvent::Fault(i) => self.apply_fault(i, now, queue),
             SimEvent::AutoscaleTick => self.autoscale_tick(now, queue),
-            SimEvent::WarmupDone(r) => self.warmup_done(r as usize, now, queue),
+            SimEvent::WarmupDone(r, epoch) => self.warmup_done(r as usize, epoch, now, queue),
         }
     }
 

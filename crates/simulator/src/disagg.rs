@@ -10,15 +10,16 @@
 //! decode batches are never paused or diluted by incoming prompts — at the
 //! price of the transfer latency and a static pool split.
 //!
-//! Batch formation and stage timing come from the shared
-//! [`engine`]; this module contributes only the disaggregated
-//! policy: pool topology, per-pool global routing through the shared
-//! [`RoutingTier`] (defaults reproduce the original round-robin prefill
-//! placement and least-loaded decode admission byte-for-byte), and the KV
-//! transfer hop. Both pools reuse the ordinary
-//! [`vidur_scheduler::ReplicaScheduler`]; the prefill pool registers
-//! requests with `decode_tokens = 1` (the prefill iteration produces the
-//! first token, as in Splitwise), and the decode pool admits them via
+//! Batch formation and stage timing come from the shared [`engine`]; this
+//! module contributes only the disaggregated policy: pool topology (one
+//! replica table in metrics order, the prefill pool first, then the decode
+//! pool), per-pool global routing through the shared [`RoutingTier`]
+//! (defaults reproduce the original round-robin prefill placement and
+//! least-loaded decode admission byte-for-byte), and the KV transfer hop.
+//! Both pools reuse the ordinary [`vidur_scheduler::ReplicaScheduler`]; the
+//! prefill pool registers requests with `decode_tokens = 1` (the prefill
+//! iteration produces the first token, as in Splitwise), and the decode
+//! pool admits them via
 //! [`vidur_scheduler::ReplicaScheduler::add_remote_prefilled`].
 
 use crate::cluster::routing_stats;
@@ -111,35 +112,13 @@ pub enum DisaggEvent {
     /// Trace request `idx` arrives at the prefill pool.
     #[doc(hidden)]
     Arrival(u32),
-    /// A pool replica may schedule (`pool`, replica).
-    Wakeup(Pool, u32),
-    /// A pool replica's oldest in-flight batch finished (`pool`, replica).
-    BatchComplete(Pool, u32),
+    /// Replica may schedule (index into the replica table).
+    Wakeup(u32),
+    /// Replica's oldest in-flight batch finished (index into the replica
+    /// table).
+    BatchComplete(u32),
     /// Request `idx`'s KV finished transferring to the decode pool.
     KvArrived(u32),
-}
-
-/// Which pool an event refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Pool {
-    /// The prompt-processing pool.
-    Prefill,
-    /// The token-generation pool.
-    Decode,
-}
-
-/// Selects the replica vector for `pool`. A free function over the two
-/// fields (rather than a `&mut self` method) so the engine borrow stays
-/// split from the pool borrow at call sites.
-fn pool_mut<'a>(
-    prefill: &'a mut Vec<EngineReplica>,
-    decode: &'a mut Vec<EngineReplica>,
-    pool: Pool,
-) -> &'a mut Vec<EngineReplica> {
-    match pool {
-        Pool::Prefill => prefill,
-        Pool::Decode => decode,
-    }
 }
 
 /// Event-driven simulator for a disaggregated deployment.
@@ -149,8 +128,9 @@ pub struct DisaggSimulator {
     /// read the same requests.
     trace: Arc<Trace>,
     engine: BatchEngine,
-    prefill: Vec<EngineReplica>,
-    decode: Vec<EngineReplica>,
+    /// Both pools in metrics order: prefill replicas `0..prefill_replicas`,
+    /// then the decode replicas. Each tier indexes its own pool from 0.
+    replicas: Vec<EngineReplica>,
     /// Global scheduling tier of the prefill pool (routes arrivals).
     prefill_tier: RoutingTier,
     /// Global scheduling tier of the decode pool (routes KV handoffs).
@@ -161,8 +141,8 @@ impl std::fmt::Debug for DisaggSimulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DisaggSimulator")
             .field("config", &self.config.base.label())
-            .field("prefill_replicas", &self.prefill.len())
-            .field("decode_replicas", &self.decode.len())
+            .field("prefill_replicas", &self.config.prefill_replicas)
+            .field("decode_replicas", &self.config.decode_replicas)
             .finish()
     }
 }
@@ -181,16 +161,10 @@ impl DisaggSimulator {
             .base
             .memory_plan()
             .expect("configuration cannot host the model");
-        // Metrics series: the prefill pool first, then the decode pool.
-        let mut prefill = EngineReplica::pool(&config.base, &plan, 0, config.prefill_replicas);
-        let mut decode = EngineReplica::pool(
-            &config.base,
-            &plan,
-            config.prefill_replicas,
-            config.decode_replicas,
-        );
+        let fleet = config.prefill_replicas + config.decode_replicas;
+        let mut replicas = EngineReplica::pool(&config.base, &plan, fleet);
         if let Some(quota) = config.base.tenant_quota_blocks(plan.num_kv_blocks) {
-            for replica in prefill.iter_mut().chain(decode.iter_mut()) {
+            for replica in &mut replicas {
                 replica.scheduler.set_tenant_quotas(&quota);
             }
         }
@@ -206,12 +180,7 @@ impl DisaggSimulator {
             seed ^ 0xD155,
             &config.base.tenant_weights,
         );
-        let mut engine = BatchEngine::new(
-            &config.base,
-            source,
-            seed,
-            config.prefill_replicas + config.decode_replicas,
-        );
+        let mut engine = BatchEngine::new(&config.base, source, seed, fleet);
         if !trace.tenants.is_empty() {
             engine
                 .metrics
@@ -221,8 +190,7 @@ impl DisaggSimulator {
             config,
             trace: Arc::new(trace),
             engine,
-            prefill,
-            decode,
+            replicas,
             prefill_tier,
             decode_tier,
         }
@@ -240,10 +208,7 @@ impl DisaggSimulator {
         // fair-share attainment comes from whichever tier runs fair-share
         // (decode preferred — it owns the long decode phase), and quota
         // denials sum over both pools' schedulers.
-        let mut routing = routing_stats(
-            &self.prefill_tier,
-            self.prefill.iter().chain(self.decode.iter()),
-        );
+        let mut routing = routing_stats(&self.prefill_tier, &self.replicas);
         for (t, s) in self.decode_tier.tenant_stats().iter().enumerate() {
             if t >= routing.len() {
                 routing.resize(t + 1, crate::metrics::TenantRoutingStats::default());
@@ -258,7 +223,7 @@ impl DisaggSimulator {
             self.trace.len(),
             &self.config.base.sku,
             self.config.total_gpus(),
-            self.prefill.iter().chain(self.decode.iter()),
+            self.replicas.iter(),
         )
     }
 
@@ -272,16 +237,16 @@ impl DisaggSimulator {
         queue: &mut EventQueue<DisaggEvent>,
     ) {
         let tr = self.trace.requests[idx as usize];
-        self.prefill[target].scheduler.add_request(
+        self.replicas[target].scheduler.add_request(
             Request::new(idx.into(), now, tr.prefill_tokens, 1)
                 .with_tenant(tr.tenant)
                 .with_priority(tr.priority),
         );
-        self.try_schedule(Pool::Prefill, target as u32, now, queue);
+        self.try_schedule(target as u32, now, queue);
     }
 
     /// Joins trace request `idx` (KV transferred) to the decode pool's
-    /// `target` replica.
+    /// `target` replica (an index into the decode pool).
     fn dispatch_decode(
         &mut self,
         idx: u32,
@@ -290,50 +255,41 @@ impl DisaggSimulator {
         queue: &mut EventQueue<DisaggEvent>,
     ) {
         let tr = self.trace.requests[idx as usize];
-        self.decode[target].scheduler.add_remote_prefilled(
+        let replica = self.config.prefill_replicas + target;
+        self.replicas[replica].scheduler.add_remote_prefilled(
             Request::new(idx.into(), tr.arrival, tr.prefill_tokens, tr.decode_tokens)
                 .with_tenant(tr.tenant)
                 .with_priority(tr.priority),
             1,
         );
-        self.try_schedule(Pool::Decode, target as u32, now, queue);
+        self.try_schedule(replica as u32, now, queue);
     }
 
-    /// Binds deferred requests while `pool`'s tier will place them.
-    fn drain_pool(&mut self, pool: Pool, now: SimTime, queue: &mut EventQueue<DisaggEvent>) {
-        loop {
-            let next = match pool {
-                Pool::Prefill => self.prefill_tier.next_ready(),
-                Pool::Decode => self.decode_tier.next_ready(),
-            };
-            let Some((req, target)) = next else {
-                break;
-            };
-            match pool {
-                Pool::Prefill => self.dispatch_prefill(req.key as u32, target, now, queue),
-                Pool::Decode => self.dispatch_decode(req.key as u32, target, now, queue),
+    /// Binds deferred requests while the prefill (or, with `decode`, the
+    /// decode) pool's tier will place them.
+    fn drain_pool(&mut self, decode: bool, now: SimTime, queue: &mut EventQueue<DisaggEvent>) {
+        if decode {
+            while let Some((req, target)) = self.decode_tier.next_ready() {
+                self.dispatch_decode(req.key as u32, target, now, queue);
+            }
+        } else {
+            while let Some((req, target)) = self.prefill_tier.next_ready() {
+                self.dispatch_prefill(req.key as u32, target, now, queue);
             }
         }
     }
 
-    fn try_schedule(
-        &mut self,
-        pool: Pool,
-        replica: u32,
-        now: SimTime,
-        queue: &mut EventQueue<DisaggEvent>,
-    ) {
-        let pool_replicas = pool_mut(&mut self.prefill, &mut self.decode, pool);
+    fn try_schedule(&mut self, replica: u32, now: SimTime, queue: &mut EventQueue<DisaggEvent>) {
         self.engine.try_schedule(
-            &mut pool_replicas[replica as usize],
+            &mut self.replicas[replica as usize],
             now,
             queue,
             // Disaggregated MBU accounting is not modeled yet; batches carry
             // no HBM-traffic estimate (matches the pre-engine behavior).
             |_batch| 0.0,
-            || DisaggEvent::Wakeup(pool, replica),
+            || DisaggEvent::Wakeup(replica),
             // Replicas never crash here, so the epoch stays 0.
-            |_epoch| DisaggEvent::BatchComplete(pool, replica),
+            |_epoch| DisaggEvent::BatchComplete(replica),
         );
     }
 }
@@ -378,21 +334,27 @@ impl Simulation for DisaggSimulator {
                     self.dispatch_decode(idx, target, now, queue);
                 }
             }
-            DisaggEvent::Wakeup(pool, replica) => {
-                pool_mut(&mut self.prefill, &mut self.decode, pool)[replica as usize]
-                    .clear_wakeup();
-                self.try_schedule(pool, replica, now, queue);
+            DisaggEvent::Wakeup(replica) => {
+                self.replicas[replica as usize].clear_wakeup();
+                self.try_schedule(replica, now, queue);
             }
-            DisaggEvent::BatchComplete(pool, replica) => {
+            DisaggEvent::BatchComplete(replica) => {
                 let r = replica as usize;
                 let trace = &self.trace;
                 let config = &self.config;
                 let kv_per_token = config.base.model.kv_bytes_per_token();
+                // The decode pool follows the prefill pool in the table;
+                // `local` indexes the replica within its pool's tier.
+                let decode = r >= config.prefill_replicas;
+                let local = if decode {
+                    r - config.prefill_replicas
+                } else {
+                    r
+                };
                 let prefill_tier = &mut self.prefill_tier;
                 let decode_tier = &mut self.decode_tier;
-                let pool_replicas = pool_mut(&mut self.prefill, &mut self.decode, pool);
                 self.engine.retire_batch(
-                    &mut pool_replicas[r],
+                    &mut self.replicas[r],
                     now,
                     queue,
                     // Prefill-pool completions map to the request's real
@@ -409,38 +371,34 @@ impl Simulation for DisaggSimulator {
                         if !ev.finished {
                             return;
                         }
-                        match pool {
-                            Pool::Prefill => {
-                                prefill_tier.on_finished(r, tr.tenant, tr.prefill_tokens + 1);
-                                if tr.decode_tokens > 1 {
-                                    // Not actually finished: the decode pool
-                                    // takes over once the KV transfer lands.
-                                    ev.finished = false;
-                                    let bytes = tr.prefill_tokens * kv_per_token;
-                                    let arrive = now + config.transfer_time(bytes);
-                                    queue.push(arrive, DisaggEvent::KvArrived(ev.id as u32));
-                                }
-                            }
-                            Pool::Decode => {
-                                decode_tier.on_finished(
-                                    r,
-                                    tr.tenant,
-                                    tr.prefill_tokens + tr.decode_tokens,
-                                );
-                            }
+                        if decode {
+                            decode_tier.on_finished(
+                                local,
+                                tr.tenant,
+                                tr.prefill_tokens + tr.decode_tokens,
+                            );
+                            return;
+                        }
+                        prefill_tier.on_finished(local, tr.tenant, tr.prefill_tokens + 1);
+                        if tr.decode_tokens > 1 {
+                            // Not actually finished: the decode pool takes
+                            // over once the KV transfer lands.
+                            ev.finished = false;
+                            let bytes = tr.prefill_tokens * kv_per_token;
+                            let arrive = now + config.transfer_time(bytes);
+                            queue.push(arrive, DisaggEvent::KvArrived(ev.id as u32));
                         }
                     },
                 );
-                let free = pool_mut(&mut self.prefill, &mut self.decode, pool)[r]
-                    .scheduler
-                    .blocks()
-                    .free_blocks();
-                match pool {
-                    Pool::Prefill => self.prefill_tier.set_free_kv_blocks(r, free),
-                    Pool::Decode => self.decode_tier.set_free_kv_blocks(r, free),
-                }
-                self.drain_pool(pool, now, queue);
-                self.try_schedule(pool, replica, now, queue);
+                let free = self.replicas[r].scheduler.blocks().free_blocks();
+                let tier = if decode {
+                    &mut self.decode_tier
+                } else {
+                    &mut self.prefill_tier
+                };
+                tier.set_free_kv_blocks(local, free);
+                self.drain_pool(decode, now, queue);
+                self.try_schedule(replica, now, queue);
             }
         }
     }

@@ -93,15 +93,10 @@ impl EngineReplica {
         }
     }
 
-    /// Builds a pool of `n` identical replicas whose metrics indices start
-    /// at `first_metrics_idx`.
-    pub fn pool(
-        config: &ClusterConfig,
-        plan: &MemoryPlan,
-        first_metrics_idx: usize,
-        n: usize,
-    ) -> Vec<Self> {
-        (first_metrics_idx..first_metrics_idx + n)
+    /// Builds `n` identical replicas; replica `i` records into the
+    /// collector's per-replica series `i`.
+    pub fn pool(config: &ClusterConfig, plan: &MemoryPlan, n: usize) -> Vec<Self> {
+        (0..n)
             .map(|idx| EngineReplica::new(config, plan, idx))
             .collect()
     }
@@ -117,8 +112,10 @@ impl EngineReplica {
         self.inflight.len()
     }
 
-    /// The replica's crash epoch. A completion event whose epoch differs
-    /// belongs to a batch that a crash cancelled; drop it.
+    /// The replica's crash epoch. Batch completions and warm-up
+    /// completions carry the epoch at which they were scheduled; one whose
+    /// epoch differs belongs to a batch or a warm-up that a crash
+    /// cancelled, so drop it.
     pub fn epoch(&self) -> u32 {
         self.epoch
     }
@@ -139,8 +136,9 @@ impl EngineReplica {
 
     /// Crash semantics: cancels every in-flight batch (recycling its slice
     /// storage) and bumps the epoch, so the batches' already-queued
-    /// completion events read as stale. The pipeline tracker and wake-up
-    /// marker reset; the straggler multiplier survives. The scheduler still
+    /// completion events, and the completion of a warm-up in progress, read
+    /// as stale. The pipeline tracker and wake-up marker reset; the
+    /// straggler multiplier survives. The scheduler still
     /// holds the evicted requests; call
     /// [`ReplicaScheduler::evict_all`](vidur_scheduler::ReplicaScheduler::evict_all)
     /// after this to requeue them.
@@ -554,24 +552,12 @@ impl BatchEngine {
         total_gpus: u32,
         replicas: impl Iterator<Item = &'r EngineReplica>,
     ) -> SimulationReport {
-        let preemptions = replicas.map(|r| r.scheduler.preemptions()).sum();
-        self.into_report(trace_len, sku, total_gpus, preemptions)
-    }
-
-    /// Consumes the engine and assembles the final [`SimulationReport`].
-    pub fn into_report(
-        self,
-        trace_len: usize,
-        sku: &GpuSku,
-        total_gpus: u32,
-        preemptions: u64,
-    ) -> SimulationReport {
         let gpus = total_gpus as f64;
         self.metrics.into_report(
             trace_len,
             sku.peak_fp16_flops * gpus,
             sku.mem_bandwidth * gpus,
-            preemptions,
+            replicas.map(|r| r.scheduler.preemptions()).sum(),
             PowerSpec {
                 tdp_watts: sku.tdp_watts,
                 idle_watts: sku.idle_watts,

@@ -72,9 +72,9 @@ pub fn onboard(
     Arc::clone(cache.entry(key).or_insert(est))
 }
 
-/// Uncached onboarding (used by ablation benches that sweep profiling
-/// parameters).
-pub fn onboard_uncached(
+/// Uncached onboarding: profiles and trains the estimator [`onboard`]
+/// caches.
+fn onboard_uncached(
     model: &ModelSpec,
     par: &ParallelismConfig,
     sku: &GpuSku,

@@ -113,6 +113,7 @@ use crate::cluster::{batch_bytes, ClusterSimulator, RunStats, SimEvent};
 use crate::config::ClusterConfig;
 use crate::engine::{EngineCore, EngineReplica, EngineSink, MAX_EVENTS};
 use crate::metrics::MetricsCollector;
+use std::collections::VecDeque;
 use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use vidur_core::shard::{ShardKey, ShardQueue, ShardStamper};
@@ -319,7 +320,7 @@ pub(crate) fn run_sharded(
             core: EngineCore::with_timer(config, timer.clone(), seed),
             replicas: Vec::new(),
             queue: ShardQueue::new(),
-            targets: vec![0; trace.requests.len()],
+            targets: VecDeque::new(),
             processed: 0,
         })
         .collect();
@@ -445,9 +446,11 @@ struct BarrierShard {
     core: EngineCore,
     replicas: Vec<EngineReplica>,
     queue: ShardQueue<SimEvent>,
-    /// Placement of every arrival admitted here (trace idx → global
-    /// replica), read by the arrival handler.
-    targets: Vec<u32>,
+    /// Arrivals admitted here but not yet handled, as `(trace idx, global
+    /// replica)` in admission order. Routing runs in trace-index order and
+    /// the queue pops arrivals in that order too, so the arrival handler
+    /// always takes the front entry.
+    targets: VecDeque<(u32, u32)>,
     /// Events handled so far (the [`MAX_EVENTS`] backstop is per shard).
     processed: u64,
 }
@@ -489,7 +492,7 @@ impl BarrierShard {
         round: &mut Round,
     ) {
         for (idx, target) in round.admit.drain(..) {
-            self.targets[idx as usize] = target;
+            self.targets.push_back((idx, target));
             self.queue.push_arrival(
                 trace.requests[idx as usize].arrival,
                 idx as u64,
@@ -539,7 +542,8 @@ impl BarrierShard {
                     decode_tokens: tr.decode_tokens,
                     tenant: tr.tenant,
                 });
-                let target = self.targets[idx as usize];
+                let (admitted, target) = self.targets.pop_front().expect("admitted arrival");
+                debug_assert_eq!(admitted, idx, "arrivals pop in admission order");
                 self.replicas[target as usize / self.num_shards]
                     .scheduler
                     .add_request(
@@ -571,7 +575,7 @@ impl BarrierShard {
                 });
                 self.try_schedule(config, replica, now, log);
             }
-            SimEvent::Fault(_) | SimEvent::AutoscaleTick | SimEvent::WarmupDone(_) => {
+            SimEvent::Fault(_) | SimEvent::AutoscaleTick | SimEvent::WarmupDone(..) => {
                 unreachable!("elastic runs are rejected by the fast-path eligibility check")
             }
         }

@@ -18,21 +18,19 @@
 //!    per round on the live tier — assert both reports are byte-identical
 //!    to the sequential engine's, and print each run's round count and any
 //!    fallback reason.
-//! 6. With `VIDUR_MERGEABLE=1`, rerun the sharded replay in the mergeable
-//!    metrics mode — the merger replays every effect in sequential order,
-//!    as it does in exact mode — assert the report is invariant across
-//!    shard counts, and print the per-minute time-series table.
-//! 7. With `VIDUR_FAULTS=1`, replay once more under an elastic fleet: a
-//!    fault plan crashes and recovers one replica mid-run, degrades another
-//!    into a straggler, and gracefully drains a third, while the SLO/queue
-//!    autoscaler resizes the fleet — every displaced request requeues
-//!    through the routing tier, and the report's churn/availability columns
-//!    are printed.
-//! 8. With `VIDUR_PREFIX=1`, synthesize a shared-prefix mix (two tenants
-//!    reusing system prompts), arm the per-replica prefix-cache tier, and
-//!    replay under KV-aware routing — the report's prefix hit-rate and
-//!    per-tenant tokens-saved columns are printed and their accounting
-//!    checked.
+//! 6. Rerun the sharded replay in the mergeable metrics mode — the merger
+//!    replays every effect in sequential order, as it does in exact mode —
+//!    assert the report is invariant across shard counts, and print the
+//!    per-minute time-series table.
+//! 7. Replay once more under an elastic fleet: a fault plan crashes and
+//!    recovers one replica mid-run, degrades another into a straggler, and
+//!    gracefully drains a third, while the SLO/queue autoscaler resizes the
+//!    fleet — every displaced request requeues through the routing tier,
+//!    and the report's churn/availability columns are printed.
+//! 8. Synthesize a shared-prefix mix (two tenants reusing system prompts),
+//!    arm the per-replica prefix-cache tier, and replay under KV-aware
+//!    routing — the report's prefix hit-rate and per-tenant tokens-saved
+//!    columns are printed and their accounting checked.
 //!
 //! Run with: `cargo run --release --example multi_tenant_replay`
 //! (2 000 requests by default; set `VIDUR_FULL=1` for the 1M-request run,
@@ -253,163 +251,155 @@ fn main() {
     // merger replays every effect into one collector in sequential order,
     // so reports are invariant under the shard count (byte-identical to a
     // one-shard run) and carry the windowed time series.
-    if std::env::var("VIDUR_MERGEABLE").as_deref() == Ok("1") {
-        let mut mergeable_config = sharded_config.clone();
-        mergeable_config.quantile_mode = QuantileMode::Mergeable;
-        mergeable_config.timeseries = Some(TimeseriesConfig::per_minute());
-        let timed_mergeable = |shards: usize| {
-            let mut cfg = mergeable_config.clone();
-            cfg.shards = shards;
-            let started = std::time::Instant::now();
-            let (report, stats) =
-                ClusterSimulator::new(cfg, trace.clone(), est_source.clone(), 42).run_with_stats();
-            (report, stats, started.elapsed())
-        };
-        let (one_shard, _, _) = timed_mergeable(1);
-        let (mergeable_report, mergeable_stats, mergeable_wall) = timed_mergeable(shards);
-        assert_eq!(
-            one_shard, mergeable_report,
-            "mergeable reports must be invariant across shard counts"
-        );
-        println!();
+    let mut mergeable_config = sharded_config.clone();
+    mergeable_config.quantile_mode = QuantileMode::Mergeable;
+    mergeable_config.timeseries = Some(TimeseriesConfig::per_minute());
+    let timed_mergeable = |shards: usize| {
+        let mut cfg = mergeable_config.clone();
+        cfg.shards = shards;
+        let started = std::time::Instant::now();
+        let (report, stats) =
+            ClusterSimulator::new(cfg, trace.clone(), est_source.clone(), 42).run_with_stats();
+        (report, stats, started.elapsed())
+    };
+    let (one_shard, _, _) = timed_mergeable(1);
+    let (mergeable_report, mergeable_stats, mergeable_wall) = timed_mergeable(shards);
+    assert_eq!(
+        one_shard, mergeable_report,
+        "mergeable reports must be invariant across shard counts"
+    );
+    println!();
+    println!(
+        "mergeable  : {} shards in {:.0} ms, {} effects replayed",
+        mergeable_stats.shards,
+        mergeable_wall.as_secs_f64() * 1e3,
+        mergeable_stats.streamed_effects,
+    );
+    println!();
+    println!("window (min)  completed  throughput (QPS)  TTFT p99 (s)  KV occupancy");
+    for row in &mergeable_report.timeseries {
         println!(
-            "mergeable  : {} shards in {:.0} ms, {} effects replayed",
-            mergeable_stats.shards,
-            mergeable_wall.as_secs_f64() * 1e3,
-            mergeable_stats.streamed_effects,
+            "{:>12.0}  {:>9}  {:>16.2}  {:>12.2}  {:>11.1}%",
+            row.window_start_secs / 60.0,
+            row.completed,
+            row.throughput_qps,
+            row.ttft_p99,
+            row.kv_occupancy * 100.0,
         );
-        println!();
-        println!("window (min)  completed  throughput (QPS)  TTFT p99 (s)  KV occupancy");
-        for row in &mergeable_report.timeseries {
-            println!(
-                "{:>12.0}  {:>9}  {:>16.2}  {:>12.2}  {:>11.1}%",
-                row.window_start_secs / 60.0,
-                row.completed,
-                row.throughput_qps,
-                row.ttft_p99,
-                row.kv_occupancy * 100.0,
-            );
-        }
     }
 
     // 7. Elastic fleet: the same replay surviving crashes, a straggler
     // episode, a graceful drain, and autoscaler-driven resizing. Nothing is
     // lost — displaced work requeues through the routing tier.
-    if std::env::var("VIDUR_FAULTS").as_deref() == Ok("1") {
-        let mut elastic_config = sharded_config.clone();
-        elastic_config.faults.schedule = FaultSchedule::parse(
-            "#vidur-faults v1\n\
-             # replica 1 hard-crashes, replica 2 throttles to 2.5x slow,\n\
-             # replica 3 is gracefully drained for maintenance; all recover.\n\
-             20 crash 1\n\
-             40 slow 2 2.5\n\
-             60 drain 3\n\
-             120 recover 1\n\
-             160 restore 2\n\
-             200 recover 3\n",
-        )
-        .expect("fault schedule parses");
-        let mut spec = AutoscalerSpec::new(2, 8);
-        spec.interval_secs = 15.0;
-        elastic_config.autoscaler = Some(spec);
-        let started = std::time::Instant::now();
-        let report =
-            ClusterSimulator::new(elastic_config, trace.clone(), est_source.clone(), 42).run();
-        assert_eq!(
-            report.completed, report.num_requests,
-            "crashes and drains must not lose work"
-        );
-        println!();
-        println!(
-            "elastic    : {}/{} completed through the churn in {:.0} s simulated ({:.0} ms wall)",
-            report.completed,
-            report.num_requests,
-            report.makespan_secs,
-            started.elapsed().as_secs_f64() * 1e3,
-        );
-        println!(
-            "churn      : {} crash-evicted, {} requeued, {} retries, {:.3} replica-hours",
-            report.evicted_by_crash, report.requeued, report.retries, report.replica_hours,
-        );
-        let availability: Vec<String> = report
-            .replica_availability
-            .iter()
-            .map(|a| format!("{:.2}", a))
-            .collect();
-        println!(
-            "uptime     : [{}] per replica slot",
-            availability.join(", ")
-        );
-    }
+    let mut elastic_config = sharded_config.clone();
+    elastic_config.faults.schedule = FaultSchedule::parse(
+        "#vidur-faults v1\n\
+         # replica 1 hard-crashes, replica 2 throttles to 2.5x slow,\n\
+         # replica 3 is gracefully drained for maintenance; all recover.\n\
+         20 crash 1\n\
+         40 slow 2 2.5\n\
+         60 drain 3\n\
+         120 recover 1\n\
+         160 restore 2\n\
+         200 recover 3\n",
+    )
+    .expect("fault schedule parses");
+    let mut spec = AutoscalerSpec::new(2, 8);
+    spec.interval_secs = 15.0;
+    elastic_config.autoscaler = Some(spec);
+    let started = std::time::Instant::now();
+    let report = ClusterSimulator::new(elastic_config, trace.clone(), est_source.clone(), 42).run();
+    assert_eq!(
+        report.completed, report.num_requests,
+        "crashes and drains must not lose work"
+    );
+    println!();
+    println!(
+        "elastic    : {}/{} completed through the churn in {:.0} s simulated ({:.0} ms wall)",
+        report.completed,
+        report.num_requests,
+        report.makespan_secs,
+        started.elapsed().as_secs_f64() * 1e3,
+    );
+    println!(
+        "churn      : {} crash-evicted, {} requeued, {} retries, {:.3} replica-hours",
+        report.evicted_by_crash, report.requeued, report.retries, report.replica_hours,
+    );
+    let availability: Vec<String> = report
+        .replica_availability
+        .iter()
+        .map(|a| format!("{:.2}", a))
+        .collect();
+    println!(
+        "uptime     : [{}] per replica slot",
+        availability.join(", ")
+    );
 
     // 8. Prefix caching + KV-aware routing: two tenants keep reusing their
     // system prompts, each replica caches the shared prefix blocks, and the
     // router steers repeats toward replicas that already hold them. The
     // report grows hit-rate / tokens-saved columns whose per-tenant splits
     // must sum to the totals.
-    if std::env::var("VIDUR_PREFIX").as_deref() == Ok("1") {
-        let prefix_mix = MultiTenantWorkload::new(
-            "prefix-mix",
-            vec![
-                TenantStream {
-                    tenant: "assistants".into(),
-                    priority: 0,
-                    workload: TraceWorkload::chat_1m(),
-                    arrivals: ArrivalProcess::Poisson { qps: 3.0 },
-                    prefix: Some(TenantPrefixConfig {
-                        share_ratio: 0.9,
-                        prefix_tokens: 256,
-                        num_prefixes: 2,
-                    }),
-                },
-                TenantStream {
-                    tenant: "rag".into(),
-                    priority: 1,
-                    workload: TraceWorkload::bwb_4k(),
-                    arrivals: ArrivalProcess::Poisson { qps: 1.5 },
-                    prefix: Some(TenantPrefixConfig {
-                        share_ratio: 1.0,
-                        prefix_tokens: 512,
-                        num_prefixes: 1,
-                    }),
-                },
-            ],
-        );
-        let prefix_trace = prefix_mix.generate(n.min(2_000), &mut SimRng::new(7));
-        let mut prefix_config = sharded_config.clone();
-        prefix_config.global_policy = GlobalPolicyKind::KvAware;
-        prefix_config.prefix_cache = Some(PrefixCacheConfig::default());
-        let started = std::time::Instant::now();
-        let report =
-            ClusterSimulator::new(prefix_config, prefix_trace, est_source.clone(), 7).run();
-        assert!(
-            report.prefix_hit_rate > 0.0,
-            "shared-prefix traffic must hit the cache"
-        );
-        let tenant_hits: u64 = report.per_tenant.iter().map(|t| t.prefix_hits).sum();
-        let tenant_saved: u64 = report
-            .per_tenant
-            .iter()
-            .map(|t| t.prefix_tokens_saved)
-            .sum();
-        assert_eq!(tenant_hits, report.prefix_hits, "hit splits sum to total");
-        assert_eq!(
-            tenant_saved, report.prefix_tokens_saved,
-            "tokens-saved splits sum to total"
-        );
-        println!();
+    let prefix_mix = MultiTenantWorkload::new(
+        "prefix-mix",
+        vec![
+            TenantStream {
+                tenant: "assistants".into(),
+                priority: 0,
+                workload: TraceWorkload::chat_1m(),
+                arrivals: ArrivalProcess::Poisson { qps: 3.0 },
+                prefix: Some(TenantPrefixConfig {
+                    share_ratio: 0.9,
+                    prefix_tokens: 256,
+                    num_prefixes: 2,
+                }),
+            },
+            TenantStream {
+                tenant: "rag".into(),
+                priority: 1,
+                workload: TraceWorkload::bwb_4k(),
+                arrivals: ArrivalProcess::Poisson { qps: 1.5 },
+                prefix: Some(TenantPrefixConfig {
+                    share_ratio: 1.0,
+                    prefix_tokens: 512,
+                    num_prefixes: 1,
+                }),
+            },
+        ],
+    );
+    let prefix_trace = prefix_mix.generate(n.min(2_000), &mut SimRng::new(7));
+    let mut prefix_config = sharded_config.clone();
+    prefix_config.global_policy = GlobalPolicyKind::KvAware;
+    prefix_config.prefix_cache = Some(PrefixCacheConfig::default());
+    let started = std::time::Instant::now();
+    let report = ClusterSimulator::new(prefix_config, prefix_trace, est_source.clone(), 7).run();
+    assert!(
+        report.prefix_hit_rate > 0.0,
+        "shared-prefix traffic must hit the cache"
+    );
+    let tenant_hits: u64 = report.per_tenant.iter().map(|t| t.prefix_hits).sum();
+    let tenant_saved: u64 = report
+        .per_tenant
+        .iter()
+        .map(|t| t.prefix_tokens_saved)
+        .sum();
+    assert_eq!(tenant_hits, report.prefix_hits, "hit splits sum to total");
+    assert_eq!(
+        tenant_saved, report.prefix_tokens_saved,
+        "tokens-saved splits sum to total"
+    );
+    println!();
+    println!(
+        "prefix     : {:.1}% hit rate, {} hits, {} prefill tokens skipped ({:.0} ms wall)",
+        report.prefix_hit_rate * 100.0,
+        report.prefix_hits,
+        report.prefix_tokens_saved,
+        started.elapsed().as_secs_f64() * 1e3,
+    );
+    for t in &report.per_tenant {
         println!(
-            "prefix     : {:.1}% hit rate, {} hits, {} prefill tokens skipped ({:.0} ms wall)",
-            report.prefix_hit_rate * 100.0,
-            report.prefix_hits,
-            report.prefix_tokens_saved,
-            started.elapsed().as_secs_f64() * 1e3,
+            "             {:<12} {:>6} hits  {:>8} tokens saved",
+            t.tenant, t.prefix_hits, t.prefix_tokens_saved
         );
-        for t in &report.per_tenant {
-            println!(
-                "             {:<12} {:>6} hits  {:>8} tokens saved",
-                t.tenant, t.prefix_hits, t.prefix_tokens_saved
-            );
-        }
     }
 }

@@ -312,8 +312,13 @@ fn cmd_search(args: &[String]) -> ExitCode {
             "{:<62} {:>9} {:>9} {:>9}",
             "config", "QPS/$", "TTFT p90", "TBT p99"
         );
-        let mut ranked: Vec<&ConfigEvaluation> = outcome.evaluations.iter().collect();
-        ranked.sort_by(|a, b| b.qps_per_dollar.partial_cmp(&a.qps_per_dollar).unwrap());
+        // The same rule as `SearchOutcome::best`: a NaN QPS/$ never ranks.
+        let mut ranked: Vec<&ConfigEvaluation> = outcome
+            .evaluations
+            .iter()
+            .filter(|e| !e.qps_per_dollar.is_nan())
+            .collect();
+        ranked.sort_by(|a, b| b.qps_per_dollar.total_cmp(&a.qps_per_dollar));
         for e in ranked.iter().take(10) {
             println!(
                 "{:<62} {:>9.4} {:>7.2} s {:>7.0} ms",

@@ -1,11 +1,13 @@
-//! Gates the bounded-memory promise of the sequential engine: under
-//! mergeable metrics, a fixed fleet below capacity needs working memory
-//! sized to the work in flight, not to the trace. Running 4× the requests
-//! may not raise the run's peak live heap by more than a small constant.
+//! Gates the bounded-memory promise of the sequential and sharded engines:
+//! under mergeable metrics, a fixed fleet below capacity needs working
+//! memory sized to the work in flight, not to the trace. Running 4× the
+//! requests may not raise the run's peak live heap by more than a small
+//! constant.
 //!
 //! The counting allocator wraps the system allocator and tracks live bytes
 //! and their peak **per thread**, so the test-harness helper threads cannot
-//! pollute the measured window. Both traces are built, and every batch
+//! pollute the measured window. A sharded run counts what the calling
+//! thread allocates: the merger, shard 0, and every shard's set-up. Both traces are built, and every batch
 //! shape both runs price is cached, before the window opens: the trace is
 //! the caller's input, and the stage timer's shape cache is capped by its
 //! own bound, not by the run.
@@ -66,12 +68,12 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Peak live bytes of this thread while `sim` runs, above the live bytes
 /// when the run starts.
-fn run_peak(sim: ClusterSimulator) -> (usize, SimulationReport) {
+fn run_peak(sim: ClusterSimulator) -> (usize, SimulationReport, RunStats) {
     let start = LIVE.with(Cell::get);
     PEAK.with(|peak| peak.set(start));
-    let report = sim.run();
+    let (report, stats) = sim.run_with_stats();
     let peak = PEAK.with(Cell::get) - start;
-    (peak as usize, report)
+    (peak as usize, report, stats)
 }
 
 /// Requests in the smaller run; the larger one replays 4× as many.
@@ -79,26 +81,28 @@ const N: usize = 2_000;
 /// Allowed growth of the run's peak live heap from `N` to `4 * N`.
 const ALLOWANCE_BYTES: usize = 64 * 1024;
 
-#[test]
-fn mergeable_run_peak_memory_is_flat_in_trace_length() {
+/// One llama2-7B A100 replica per `replicas`, Sarathi-Serve, mergeable
+/// metrics.
+fn mergeable_config(replicas: usize) -> ClusterConfig {
     let mut config = ClusterConfig::new(
         ModelSpec::llama2_7b(),
         GpuSku::a100_80g(),
         ParallelismConfig::serial(),
-        1,
+        replicas,
         SchedulerConfig::new(BatchPolicyKind::SarathiServe { chunk_size: 512 }, 64),
     );
     config.quantile_mode = QuantileMode::Mergeable;
-    let source = RuntimeSource::Oracle(KernelOracle::new(GpuSku::a100_80g()));
+    config
+}
+
+/// Replays `N` and `4 * N` Poisson `chat_1m` requests at `qps` through
+/// `config` and asserts that the larger run's peak live heap exceeds the
+/// smaller one's by at most [`ALLOWANCE_BYTES`], and that both runs used
+/// `config.shards` event-loop shards.
+fn assert_peak_flat(config: ClusterConfig, source: RuntimeSource, qps: f64) {
     let timer = StageTimer::for_config(&config, source);
-    // Below capacity: one replica serves 3 requests/s with p99 scheduling
-    // delay under a quarter second, so the work in flight stays small.
     let trace = |n: usize| {
-        TraceWorkload::chat_1m().generate(
-            n,
-            &ArrivalProcess::Poisson { qps: 3.0 },
-            &mut SimRng::new(3),
-        )
+        TraceWorkload::chat_1m().generate(n, &ArrivalProcess::Poisson { qps }, &mut SimRng::new(3))
     };
     let (small, large) = (trace(N), trace(4 * N));
     let sim = |trace: &Trace| {
@@ -110,8 +114,8 @@ fn mergeable_run_peak_memory_is_flat_in_trace_length() {
     }
     let shapes = timer.cached_shapes();
 
-    let (peak_small, report_small) = run_peak(sim(&small));
-    let (peak_large, report_large) = run_peak(sim(&large));
+    let (peak_small, report_small, stats_small) = run_peak(sim(&small));
+    let (peak_large, report_large, stats_large) = run_peak(sim(&large));
     assert_eq!(
         timer.cached_shapes(),
         shapes,
@@ -119,8 +123,12 @@ fn mergeable_run_peak_memory_is_flat_in_trace_length() {
     );
     assert_eq!(report_small.completed, N);
     assert_eq!(report_large.completed, 4 * N);
+    for stats in [stats_small, stats_large] {
+        assert_eq!(stats.shards, config.shards, "{:?}", stats.fallback_reason);
+    }
     println!(
-        "peak live bytes above run start: {peak_small} at {N}, {peak_large} at {}",
+        "peak live bytes above run start ({} shards): {peak_small} at {N}, {peak_large} at {}",
+        config.shards,
         4 * N
     );
     assert!(
@@ -129,4 +137,30 @@ fn mergeable_run_peak_memory_is_flat_in_trace_length() {
          (allowance {ALLOWANCE_BYTES} B): some state is sized to the trace",
         4 * N
     );
+}
+
+/// The sequential engine: one replica at 3 requests/s, below capacity (p99
+/// scheduling delay under a quarter second), so the work in flight stays
+/// small.
+#[test]
+fn mergeable_run_peak_memory_is_flat_in_trace_length() {
+    let source = RuntimeSource::Oracle(KernelOracle::new(GpuSku::a100_80g()));
+    assert_peak_flat(mergeable_config(1), source, 3.0);
+}
+
+/// The sharded engine: four replicas on four shards at the same per-replica
+/// load. Estimator runtimes keep the run on the sharded path (oracle jitter
+/// forces the sequential fallback); the test fails if a shard keeps state
+/// sized to the trace.
+#[test]
+fn sharded_run_peak_memory_is_flat_in_trace_length() {
+    let mut config = mergeable_config(4);
+    config.shards = 4;
+    let est = vidur::simulator::onboard(
+        &config.model,
+        &config.parallelism,
+        &config.sku,
+        EstimatorKind::default(),
+    );
+    assert_peak_flat(config, RuntimeSource::Estimator((*est).clone()), 12.0);
 }

@@ -1039,6 +1039,60 @@ fn fault_plan_report_bits_pinned() {
     assert_eq!(tenant(|t| t.evicted_by_crash), [18, 3, 16]);
 }
 
+/// Bit-exact pin of a crash during warm-up, the only path that leaves a
+/// stale warm-up completion queued. Replica 0 crashes, starts warming up at
+/// 20 s (≈ 11 s warm-up, due ≈ 31 s), crashes again at 25 s and restarts
+/// its warm-up at 28 s. The first warm-up's completion fires mid-way
+/// through the second and must be dropped: honoring it would make the
+/// replica routable 8 s early.
+#[test]
+fn crash_during_warmup_report_bits_pinned() {
+    let mut cfg = base_config();
+    cfg.num_replicas = 2;
+    let record = |secs, action| FaultRecord {
+        at: SimTime::from_secs_f64(secs),
+        replica: 0,
+        action,
+    };
+    cfg.faults.schedule = FaultSchedule {
+        records: vec![
+            record(8.0, FaultAction::Crash),
+            record(20.0, FaultAction::Recover),
+            record(25.0, FaultAction::Crash),
+            record(28.0, FaultAction::Recover),
+        ],
+    };
+    let report = ClusterSimulator::new(cfg, fixed_trace(300, 6.0, 41), oracle(), 41).run();
+    assert_fingerprint(
+        "crash_during_warmup_seed41",
+        &report,
+        0x4050a6299983969a,
+        0x3ff5e0aaf32aa6de,
+        0x3f9483a3db5e5771,
+        0x40148f6b80b7a9cc,
+        0x3fb91a1572040bd3,
+        5686,
+        301964,
+        0,
+    );
+    assert_eq!(
+        report.completed, 300,
+        "no request may be lost to the crashes"
+    );
+    // Only the first crash catches work: the second hits a warming replica.
+    assert_eq!(
+        (report.retries, report.requeued, report.evicted_by_crash),
+        (5, 5, 5)
+    );
+    // Uptime counts from the start of each warm-up: down 8–20 s and 25–28 s.
+    let availability: Vec<u64> = report
+        .replica_availability
+        .iter()
+        .map(|a| a.to_bits())
+        .collect();
+    assert_eq!(availability, [0x3fe8cada260db15f, 0x3ff0000000000000]);
+}
+
 // ---- prefix cache / KV-aware routing ------------------------------------
 
 /// High-share multi-tenant trace: nearly every request carries one of a
