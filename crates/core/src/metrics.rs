@@ -107,10 +107,16 @@ impl QuantileDigest {
     /// Sorts the backing storage so `quantile` reads are valid. A no-op when
     /// the digest is already sorted (monotone record streams, fresh
     /// collects). Called by the report builders before summarizing.
+    ///
+    /// The sort is unstable and orders by [`f64::total_cmp`]. `record`
+    /// rejects NaN, so the only samples it can order differently from a
+    /// stable numeric sort are zeros of both signs: `-0.0` now sorts before
+    /// `+0.0`. The simulator's collectors never record `-0.0` (their
+    /// durations come from integer `SimTime`), so their quantiles keep
+    /// their bits.
     pub fn seal(&mut self) {
         if !self.sorted {
-            self.samples
-                .sort_by(|a, b| a.partial_cmp(b).expect("no NaN in digest"));
+            self.samples.sort_unstable_by(f64::total_cmp);
             self.sorted = true;
         }
     }
@@ -271,6 +277,29 @@ mod tests {
             }
             prop_assert_eq!(d.quantile(0.0).unwrap(), d.min().unwrap());
             prop_assert_eq!(d.quantile(1.0).unwrap(), d.max().unwrap());
+        }
+
+        #[test]
+        fn seal_matches_stable_sort(
+            ints in proptest::collection::vec(0u32..50, 2..400),
+            scale in 1e-3f64..1e3,
+        ) {
+            // Few distinct values, so most samples have duplicates.
+            let xs: Vec<f64> = ints.iter().map(|&i| i as f64 * scale).collect();
+            let mut d = QuantileDigest::new();
+            for &x in &xs {
+                d.record(x);
+            }
+            d.seal();
+            let mut stable = xs;
+            stable.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+            let old: QuantileDigest = stable.into_iter().collect();
+            for q in [0.5, 0.9, 0.95, 0.99] {
+                prop_assert_eq!(
+                    d.quantile(q).unwrap().to_bits(),
+                    old.quantile(q).unwrap().to_bits()
+                );
+            }
         }
 
         #[test]

@@ -74,9 +74,13 @@ impl OpModel {
     }
 }
 
-/// Grid on which a trained forest is compiled into its lookup table: every
-/// integer for small feature ranges, 0.4%-geometric steps for large (byte-
-/// sized) ranges, capped to keep tables compact.
+/// Grid on which a trained forest is compiled into its lookup table, in
+/// non-decreasing order. Spans up to 8192 step uniformly by
+/// `max(span / 4096, 1)`: every integer up to a span of 4096, and at most
+/// 4,097 points.
+/// Wider (byte-sized) spans step geometrically by 0.4 % from `max(lo, 1)`,
+/// and nothing caps them: the grid grows as log(hi/lo)/log(1.004) points,
+/// 3,475 for llama2-7b's `attn_decode` range.
 fn compile_grid(lo: f64, hi: f64) -> Vec<f64> {
     let lo = lo.max(0.0);
     if hi <= lo {
@@ -155,9 +159,10 @@ impl RuntimeEstimator {
                     let mut op_rng = rng.fork(op as u64);
                     let forest = RandomForest::fit(&xs, &ys, cfg, &mut op_rng);
                     let grid = compile_grid(lo, hi);
-                    let table: Vec<(f64, f64)> =
-                        grid.iter().map(|&x| (x, forest.predict(x))).collect();
-                    OpModel::CompiledForest(LookupTable::new(table))
+                    let values = forest.predict_ascending(&grid);
+                    OpModel::CompiledForest(LookupTable::new(
+                        grid.into_iter().zip(values).collect(),
+                    ))
                 }
                 EstimatorKind::Polynomial { degree, ridge } => {
                     OpModel::Poly(PolynomialRegressor::fit(&xs, &ys, degree, ridge))

@@ -79,6 +79,63 @@ impl RandomForest {
         sum / self.trees.len() as f64
     }
 
+    /// Predicts every point of the non-decreasing inputs `xs` in one sweep:
+    /// bit-identical to calling [`predict`](Self::predict) at each point.
+    ///
+    /// A tree over one scalar feature is a step function, so each tree is
+    /// flattened once into its in-order steps and walked with a cursor
+    /// that only moves forward, advancing while `x` exceeds the step's
+    /// threshold (the comparison `predict` makes at each split). The
+    /// trees' values are then summed in tree order, as `predict` sums them.
+    /// One call costs O(trees × (points + leaves)) instead of
+    /// O(trees × points × depth) — this is how the runtime estimator
+    /// compiles a forest into its lookup table.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use vidur_core::rng::SimRng;
+    /// use vidur_estimator::{ForestConfig, RandomForest};
+    ///
+    /// let xs: Vec<f64> = (0..64).map(|i| (i * i) as f64).collect();
+    /// let ys: Vec<f64> = xs.iter().map(|&x| x.sqrt()).collect();
+    /// let forest = RandomForest::fit(&xs, &ys, ForestConfig::default(), &mut SimRng::new(1));
+    /// let grid: Vec<f64> = (0..5000).map(|i| i as f64).collect();
+    /// let swept = forest.predict_ascending(&grid);
+    /// for (&x, y) in grid.iter().zip(swept) {
+    ///     assert_eq!(y.to_bits(), forest.predict(x).to_bits());
+    /// }
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, panics if `xs` is not in non-decreasing order (NaN
+    /// included).
+    pub fn predict_ascending(&self, xs: &[f64]) -> Vec<f64> {
+        debug_assert!(
+            xs.windows(2).all(|w| w[0] <= w[1]),
+            "predict_ascending needs non-decreasing inputs"
+        );
+        let steps: Vec<Vec<(f64, f64)>> = self.trees.iter().map(RegressionTree::steps).collect();
+        let mut cursors = vec![0usize; steps.len()];
+        xs.iter()
+            .map(|&x| {
+                let sum: f64 = steps
+                    .iter()
+                    .zip(&mut cursors)
+                    .map(|(tree, cursor)| {
+                        // The last step's threshold is +inf, so this stops.
+                        while x > tree[*cursor].0 {
+                            *cursor += 1;
+                        }
+                        tree[*cursor].1
+                    })
+                    .sum();
+                sum / self.trees.len() as f64
+            })
+            .collect()
+    }
+
     /// Number of trees.
     pub fn num_trees(&self) -> usize {
         self.trees.len()
@@ -155,6 +212,40 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn sweep_matches_pointwise_predict(
+            pts in proptest::collection::vec((0u32..40, -5.0f64..5.0), 1..80),
+            num_trees in 1u32..6,
+            max_depth in 0u32..8,
+            seed in 0u64..1000,
+        ) {
+            // Features from a small integer set, so most repeat.
+            let xs: Vec<f64> = pts.iter().map(|p| p.0 as f64 * 2.5).collect();
+            let ys: Vec<f64> = pts.iter().map(|p| p.1).collect();
+            let cfg = ForestConfig {
+                num_trees,
+                tree: TreeConfig { max_depth, min_samples_leaf: 1 },
+            };
+            let f = RandomForest::fit(&xs, &ys, cfg, &mut SimRng::new(seed));
+            // Every split threshold exactly, the training features, and
+            // points below and above the range, with repeats.
+            let mut grid: Vec<f64> = f
+                .trees
+                .iter()
+                .flat_map(|t| t.steps())
+                .map(|(threshold, _)| threshold)
+                .filter(|t| t.is_finite())
+                .chain(xs.iter().copied())
+                .chain([-1e9, -1.0, 0.0, 1.25, 99.0, 200.0, 1e12])
+                .collect();
+            grid.sort_by(f64::total_cmp);
+            let swept = f.predict_ascending(&grid);
+            prop_assert_eq!(swept.len(), grid.len());
+            for (&x, y) in grid.iter().zip(&swept) {
+                prop_assert_eq!(y.to_bits(), f.predict(x).to_bits(), "x={}", x);
+            }
+        }
+
         #[test]
         fn predictions_bounded_by_targets(
             pts in proptest::collection::vec((0.0f64..1e4, 0.1f64..10.0), 2..48),

@@ -85,7 +85,6 @@ impl RegressionTree {
         }
         let mut nodes = Vec::new();
         build(&sx, &pre_y, &pre_y2, 0, sx.len(), 0, config, &mut nodes);
-        let _ = sy; // targets are fully captured by the prefix sums
         RegressionTree { nodes }
     }
 
@@ -106,6 +105,32 @@ impl RegressionTree {
                         right as usize
                     };
                 }
+            }
+        }
+    }
+
+    /// The tree as a step function over `x`: its leaves in order, each
+    /// paired with the split threshold that follows it in an in-order walk
+    /// (`+∞` after the last leaf). Thresholds never decrease, because every
+    /// left subtree's splits lie at or below its parent's and every right
+    /// subtree's at or above, so `predict(x)` is the value of the first step
+    /// whose threshold is `>= x`.
+    pub(crate) fn steps(&self) -> Vec<(f64, f64)> {
+        let mut steps = Vec::with_capacity(self.leaf_count());
+        self.push_steps(0, f64::INFINITY, &mut steps);
+        steps
+    }
+
+    fn push_steps(&self, idx: usize, upper: f64, steps: &mut Vec<(f64, f64)>) {
+        match self.nodes[idx] {
+            Node::Leaf { value } => steps.push((upper, value)),
+            Node::Split {
+                threshold,
+                left,
+                right,
+            } => {
+                self.push_steps(left as usize, threshold, steps);
+                self.push_steps(right as usize, upper, steps);
             }
         }
     }
