@@ -105,12 +105,10 @@ impl Operator {
     ];
 
     /// Position of this operator in [`Operator::ALL`] (stable array index
-    /// for per-operator accumulators).
+    /// for per-operator accumulators): its discriminant, since `ALL` lists
+    /// the variants in declaration order.
     pub fn index(self) -> usize {
-        Operator::ALL
-            .iter()
-            .position(|o| *o == self)
-            .expect("ALL covers every operator")
+        self as usize
     }
 
     /// Triage class (paper §4.3).

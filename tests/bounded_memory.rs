@@ -164,3 +164,49 @@ fn sharded_run_peak_memory_is_flat_in_trace_length() {
     );
     assert_peak_flat(config, RuntimeSource::Estimator((*est).clone()), 12.0);
 }
+
+/// Allowed live-heap growth for building, onboarding and cloning the
+/// estimator-backed timers of one triple after it was onboarded.
+const SHARED_ALLOWANCE_BYTES: isize = 64 * 1024;
+
+/// Estimator clones share the onboarded tables (about 1.1 MB for llama2-7B
+/// on one A100), so stage timers and their clones cost a few hundred bytes
+/// each, not a private copy of every table.
+#[test]
+fn estimator_timers_share_the_onboarded_tables() {
+    let config = mergeable_config(1);
+    let est = vidur::simulator::onboard(
+        &config.model,
+        &config.parallelism,
+        &config.sku,
+        EstimatorKind::default(),
+    );
+    let start = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(start));
+
+    let mut timers: Vec<StageTimer> = (0..8)
+        .map(|_| StageTimer::for_config(&config, RuntimeSource::Estimator((*est).clone())))
+        .collect();
+    for pp in [1, 2] {
+        let mut staged = config.clone();
+        staged.parallelism = ParallelismConfig::new(1, pp);
+        timers.push(vidur::simulator::onboard_timer(
+            &staged,
+            EstimatorKind::default(),
+        ));
+    }
+    let _clones: Vec<StageTimer> = timers.iter().map(StageTimer::clone).collect();
+
+    let grown = LIVE.with(Cell::get) - start;
+    let peak = PEAK.with(Cell::get) - start;
+    println!(
+        "{} timers and clones: live heap +{grown} B, peak +{peak} B",
+        timers.len()
+    );
+    assert!(
+        peak < SHARED_ALLOWANCE_BYTES,
+        "building, onboarding and cloning {} timers raised this thread's live heap by up to \
+         {peak} B (allowance {SHARED_ALLOWANCE_BYTES} B): timers copy the estimator's tables",
+        timers.len()
+    );
+}
