@@ -266,6 +266,173 @@ fn multi_tenant_bursty_report_bits_pinned() {
     }
 }
 
+/// Bit-exact pin of every routing policy on one 4-replica bursty
+/// multi-tenant run. Round-robin is the default everywhere else; this pins
+/// each policy's placements, its deferred-queue discipline (the capped
+/// policies hold a third or more of each tenant's requests), fair-share's
+/// weighted virtual time and attainment, and affinity's sticky homes.
+#[test]
+fn routing_policy_report_bits_pinned() {
+    struct Pin {
+        policy: GlobalPolicyKind,
+        bits: [u64; 5],
+        batches: u64,
+        deferred: [u64; 3],
+    }
+    let pins = [
+        Pin {
+            policy: GlobalPolicyKind::RoundRobin,
+            bits: [
+                0x405bf4799754b4a7,
+                0x3fd32a8f25e1e1be,
+                0x3f9139ae2190f45a,
+                0x4024c9e0a0cd1d31,
+                0x3fb4a3b34293d1fc,
+            ],
+            batches: 24400,
+            deferred: [0, 0, 0],
+        },
+        Pin {
+            policy: GlobalPolicyKind::LeastOutstanding,
+            bits: [
+                0x405bc5fc08fec608,
+                0x3fd699759e89b8bc,
+                0x3f9072b54b9e307a,
+                0x4024375421bb8ab1,
+                0x3fb4c63fc270d593,
+            ],
+            batches: 24754,
+            deferred: [0, 0, 0],
+        },
+        Pin {
+            policy: GlobalPolicyKind::Random,
+            bits: [
+                0x405c75209f9394d9,
+                0x3fddef311a6b9c70,
+                0x3f91718a7e401942,
+                0x402544537aa78d2e,
+                0x3fb4466465c64ea2,
+            ],
+            batches: 24965,
+            deferred: [0, 0, 0],
+        },
+        Pin {
+            policy: GlobalPolicyKind::Deferred { max_outstanding: 8 },
+            bits: [
+                0x405fc0f096197638,
+                0x4038cdce199dffbe,
+                0x3f8f323c1aebf235,
+                0x402ee280d4740221,
+                0x3fb22b9c8051498f,
+            ],
+            batches: 28070,
+            deferred: [133, 67, 122],
+        },
+        Pin {
+            policy: GlobalPolicyKind::PriorityAware { max_outstanding: 8 },
+            bits: [
+                0x405ddc6f0677573e,
+                0x404ad3fc85824289,
+                0x3f8eebe8239df277,
+                0x402f76e0dee84f51,
+                0x3fb3526e7df7b546,
+            ],
+            batches: 28440,
+            deferred: [136, 66, 122],
+        },
+        Pin {
+            policy: GlobalPolicyKind::FairShare { max_outstanding: 8 },
+            bits: [
+                0x405dc53805c17135,
+                0x404ac2e4b25aa75f,
+                0x3f8eeefb0ec3561a,
+                0x402f79db280ac738,
+                0x3fb3617fb43d9731,
+            ],
+            batches: 28440,
+            deferred: [136, 66, 122],
+        },
+        Pin {
+            policy: GlobalPolicyKind::Affinity { spill_margin: 4 },
+            bits: [
+                0x405ddf7eed0f2652,
+                0x3fe63b07557b5be4,
+                0x3f9187556322a8e6,
+                0x4024ed7470e01ae5,
+                0x3fb35073763b50de,
+            ],
+            batches: 22644,
+            deferred: [0, 0, 0],
+        },
+        Pin {
+            policy: GlobalPolicyKind::KvAware,
+            bits: [
+                0x405baecf30dedee2,
+                0x3fe8f155e89ecb3e,
+                0x3f903e58f88c0fbb,
+                0x4024481163e72e6d,
+                0x3fb4d7a405ec6066,
+            ],
+            batches: 24078,
+            deferred: [0, 0, 0],
+        },
+    ];
+    let trace = multi_tenant_bursty_trace(400, 17);
+    for pin in pins {
+        let mut cfg = base_config();
+        cfg.num_replicas = 4;
+        cfg.scheduler = SchedulerConfig::new(BatchPolicyKind::Vllm, 64);
+        cfg.global_policy = pin.policy;
+        cfg.tenant_weights = vec![2.0, 1.0, 1.0];
+        let report = ClusterSimulator::new(cfg, trace.clone(), oracle(), 17).run();
+        let label = pin.policy.to_string();
+        let [makespan, ttft_p99, tbt_p50, e2e_mean, mfu] = pin.bits;
+        assert_fingerprint(
+            &label,
+            &report,
+            makespan,
+            ttft_p99,
+            tbt_p50,
+            e2e_mean,
+            mfu,
+            pin.batches,
+            818668,
+            0,
+        );
+        assert_eq!(report.completed, 400, "{label}");
+        let tenant =
+            |f: fn(&TenantReport) -> u64| -> Vec<u64> { report.per_tenant.iter().map(f).collect() };
+        assert_eq!(tenant(|t| t.routed), [174, 80, 146], "{label}: routed");
+        assert_eq!(tenant(|t| t.deferred), pin.deferred, "{label}: deferred");
+        let capped = matches!(
+            pin.policy,
+            GlobalPolicyKind::Deferred { .. }
+                | GlobalPolicyKind::PriorityAware { .. }
+                | GlobalPolicyKind::FairShare { .. }
+        );
+        assert_eq!(
+            tenant(|t| t.deferred).iter().all(|&d| d > 0),
+            capped,
+            "{label}: only the capped policies defer, and they defer every tenant"
+        );
+        let attainment: Vec<Option<u64>> = report
+            .per_tenant
+            .iter()
+            .map(|t| t.fair_share_attainment.map(f64::to_bits))
+            .collect();
+        let expect_attainment = if matches!(pin.policy, GlobalPolicyKind::FairShare { .. }) {
+            vec![
+                Some(0x3fd8abfa4b48dd91),
+                Some(0x3ff0c2b0fdb36cd7),
+                Some(0x400173a8ee541230),
+            ]
+        } else {
+            vec![None; 3]
+        };
+        assert_eq!(attainment, expect_attainment, "{label}: attainment");
+    }
+}
+
 /// Decode-heavy replay must price almost every batch from the stage-time
 /// cache. Decode KV length grows every iteration, so a cache keyed by the
 /// full batch shape misses on almost every batch (hit rate ≈0.02 here, one
