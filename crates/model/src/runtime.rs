@@ -20,18 +20,6 @@ pub trait RuntimePredictor {
     }
 }
 
-impl<T: RuntimePredictor + ?Sized> RuntimePredictor for &T {
-    fn op_time(&self, inv: &OpInvocation) -> f64 {
-        (**self).op_time(inv)
-    }
-}
-
-impl<T: RuntimePredictor + ?Sized> RuntimePredictor for Box<T> {
-    fn op_time(&self, inv: &OpInvocation) -> f64 {
-        (**self).op_time(inv)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -146,7 +146,7 @@ fn drive(
         // The incremental view must always mirror the legacy vector.
         for r in 0..replicas {
             assert_eq!(
-                tier.view().outstanding(r),
+                tier.outstanding(r),
                 legacy.outstanding[r],
                 "outstanding count diverged on replica {r}"
             );

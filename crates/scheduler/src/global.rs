@@ -1,11 +1,10 @@
 //! Global (cluster-tier) request routing (paper §4.5, first tier).
 //!
-//! [`GlobalPolicyKind`] names every routing policy. The simulators route
-//! through the [`router`](crate::router) subsystem
-//! ([`RoutingTier`](crate::RoutingTier)), which runs each policy over an
-//! incrementally-maintained [`RouterView`](crate::RouterView). The seed's
-//! stateless router for the four original policies lives on as the
-//! differential oracle `GlobalPolicy` in the dev-only `vidur-oracle` crate.
+//! [`GlobalPolicyKind`] names every routing policy, and
+//! [`RoutingTier`](crate::RoutingTier) runs each of them over the replica
+//! state it maintains incrementally. The seed's stateless router for the
+//! four original policies lives on as the differential oracle
+//! `GlobalPolicy` in the dev-only `vidur-oracle` crate.
 
 use serde::{Deserialize, Serialize};
 

@@ -39,9 +39,6 @@ pub use global::GlobalPolicyKind;
 pub use memory::{BlockManager, KvHolding};
 pub use replica::ReplicaScheduler;
 pub use request::{Request, RequestId, RequestPhase, TrackedRequest, NO_PREFIX};
-pub use router::{
-    DeferredEntry, ReplicaHealth, ReplicaLoad, RouteRequest, Router, RouterView, RoutingTier,
-    TenantRouting,
-};
+pub use router::{ReplicaHealth, RouteRequest, RoutingTier, TenantRouting};
 pub use slab::IdSlab;
 pub use stage::PipelineTracker;

@@ -1,33 +1,27 @@
-//! The global routing tier (paper §4.5, first tier) as a real subsystem.
+//! The global routing tier (paper §4.5, first tier).
 //!
-//! The seed's stateless enum-match router survives as the executable spec
-//! `GlobalPolicy` in the dev-only `vidur-oracle` crate, whose
-//! `crates/oracle/tests/routing_equivalence.rs` pins the two against each
-//! other. This module is what the simulators actually run:
+//! [`RoutingTier`] runs every policy [`GlobalPolicyKind`] names over a view
+//! of replica state that it maintains **incrementally** as requests
+//! arrive, dispatch and finish: outstanding requests, free KV blocks and
+//! health per replica, in-system requests per tenant, and the prefix hits
+//! published for the request being routed. Routing a request never
+//! rebuilds a load vector. The tier also owns the deferred queue and
+//! per-tenant routing statistics. The aggregated cluster runs one tier; a
+//! disaggregated deployment runs one per pool.
 //!
-//! * [`RouterView`] — live replica state (outstanding requests, in-system
-//!   tokens, free KV blocks, per-tenant in-system counts), maintained
-//!   **incrementally** by the tier as requests dispatch and finish. Routing
-//!   a request never rebuilds a load vector.
-//! * [`Router`] — the policy trait: placement decisions plus the deferred
-//!   queue discipline, both driven purely by the view and the request. In
-//!   the spirit of KML-style kernel policies, a router is a pluggable
-//!   heuristic over observable system state, not a branch in the simulator.
-//! * [`RoutingTier`] — owns the view, the deferred-queue bookkeeping the
-//!   cluster simulator used to hand-roll, and per-tenant routing statistics.
-//!   Both the aggregated cluster and each pool of a disaggregated deployment
-//!   dispatch through one of these.
-//!
-//! Seven policies ship: the four seed policies (round-robin,
+//! Eight policies ship: the four seed policies (round-robin,
 //! least-outstanding, random, deferred — byte-identical decisions to the
-//! seed's `GlobalPolicy`), plus the stateful tier policies
-//! the seed could not express: priority-aware deferred routing, weighted
-//! fair-share (WFQ-style virtual time per tenant), and sticky tenant
-//! affinity with load-aware spill.
+//! seed's `GlobalPolicy`), plus the stateful policies the seed could not
+//! express: priority-aware deferred routing, weighted fair-share (WFQ-style
+//! virtual time per tenant), sticky tenant affinity with load-aware spill,
+//! and KV-aware placement. The seed's stateless router survives as the
+//! executable spec `GlobalPolicy` in the dev-only `vidur-oracle` crate,
+//! whose `crates/oracle/tests/routing_equivalence.rs` pins the two against
+//! each other.
 
 use crate::global::GlobalPolicyKind;
+use std::cmp::Reverse;
 use std::collections::VecDeque;
-use std::fmt;
 use vidur_core::rng::SimRng;
 
 /// What the routing tier knows about one arriving request — the routing key
@@ -64,159 +58,55 @@ pub enum ReplicaHealth {
     Down,
 }
 
-/// Live load state of one replica, maintained incrementally by the tier.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct ReplicaLoad {
+/// Live load of one replica.
+#[derive(Debug, Clone, Copy, Default)]
+struct ReplicaLoad {
     /// Requests dispatched to the replica and not yet finished (equals the
     /// replica scheduler's `outstanding()` — waiting, parked, or running).
-    pub outstanding: usize,
-    /// Total tokens (prompt + output) of those outstanding requests.
-    pub outstanding_tokens: u64,
-    /// Free KV blocks, as last published by the driver via
-    /// [`RoutingTier::set_free_kv_blocks`] (0 until first published).
-    pub free_kv_blocks: u64,
+    outstanding: usize,
+    /// Free KV blocks, as last published by the driver (0 until then).
+    free_kv_blocks: u64,
 }
 
-/// The incrementally-maintained view of cluster state a [`Router`] decides
-/// on. Replica loads update on dispatch/finish; per-tenant in-system counts
-/// update on arrival/finish; nothing is rebuilt per arrival.
-#[derive(Debug, Clone)]
-pub struct RouterView {
+/// The replica and tenant state every policy decides on. Replica loads
+/// update on dispatch/finish, per-tenant in-system counts on
+/// arrival/finish; nothing is rebuilt per arrival.
+#[derive(Debug)]
+struct RouterView {
     replicas: Vec<ReplicaLoad>,
-    /// Membership state per replica; all [`ReplicaHealth::Live`] in a
-    /// static fleet.
+    /// Membership state per replica; all `Live` in a static fleet.
     health: Vec<ReplicaHealth>,
-    /// Replicas whose health is not `Live` (0 in a static fleet — the
-    /// routable-only scans reduce to the classic whole-fleet scans then).
+    /// Replicas whose health is not `Live` (0 in a static fleet).
     non_live: usize,
-    /// Requests currently in the system (deferred or dispatched, unfinished)
-    /// per tenant. Grown on first sight of a tenant.
+    /// Requests currently in the system (deferred or dispatched,
+    /// unfinished) per tenant. Grown on first sight of a tenant.
     tenant_in_system: Vec<usize>,
     /// Expected prefix-cache hit tokens per replica *for the request being
-    /// routed*, published per arrival via
-    /// [`RoutingTier::set_route_prefix_hits`] (all zero until then, and in
-    /// every run without a prefix cache).
+    /// routed* (all zero unless the driver published hits for it).
     prefix_hits: Vec<u64>,
     /// Per-tenant fair-share weights (index = tenant id), as configured.
     weights: Vec<f64>,
 }
 
 impl RouterView {
-    fn new(num_replicas: usize, weights: &[f64]) -> Self {
-        RouterView {
-            replicas: vec![ReplicaLoad::default(); num_replicas],
-            health: vec![ReplicaHealth::Live; num_replicas],
-            non_live: 0,
-            tenant_in_system: Vec::new(),
-            prefix_hits: vec![0; num_replicas],
-            weights: weights.to_vec(),
-        }
-    }
-
-    /// Number of replicas behind this tier.
-    pub fn num_replicas(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// All replica loads, index-ordered.
-    pub fn replicas(&self) -> &[ReplicaLoad] {
-        &self.replicas
-    }
-
-    /// One replica's load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is out of range.
-    pub fn replica(&self, replica: usize) -> &ReplicaLoad {
-        &self.replicas[replica]
-    }
-
-    /// Outstanding requests on `replica`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is out of range.
-    pub fn outstanding(&self, replica: usize) -> usize {
-        self.replicas[replica].outstanding
-    }
-
-    /// Membership state of `replica`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is out of range.
-    pub fn health(&self, replica: usize) -> ReplicaHealth {
-        self.health[replica]
-    }
-
-    /// True when `replica` accepts new dispatches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is out of range.
-    pub fn is_routable(&self, replica: usize) -> bool {
+    fn is_routable(&self, replica: usize) -> bool {
         self.health[replica] == ReplicaHealth::Live
     }
 
-    /// Number of routable (live) replicas.
-    pub fn num_routable(&self) -> usize {
+    fn num_routable(&self) -> usize {
         self.replicas.len() - self.non_live
     }
 
-    fn set_health(&mut self, replica: usize, health: ReplicaHealth) -> bool {
-        let old = self.health[replica];
-        if old == health {
-            return false;
-        }
-        self.non_live -= usize::from(old != ReplicaHealth::Live);
-        self.non_live += usize::from(health != ReplicaHealth::Live);
-        self.health[replica] = health;
-        true
-    }
-
-    /// The routable replica with the fewest outstanding requests (lowest
-    /// index on ties — the same tie-break as the seed's `min_by_key`), or
-    /// `None` when no replica is routable.
-    pub fn try_least_outstanding(&self) -> Option<usize> {
+    /// The routable replica with the fewest outstanding requests, among
+    /// those strictly below `cap` (lowest index on ties — the seed's
+    /// `min_by_key` tie-break), or `None` when there is none (defer).
+    fn least_outstanding_below(&self, cap: usize) -> Option<usize> {
         self.replicas
             .iter()
             .enumerate()
-            .filter(|&(i, _)| self.health[i] == ReplicaHealth::Live)
+            .filter(|&(i, l)| l.outstanding < cap && self.is_routable(i))
             .min_by_key(|&(_, l)| l.outstanding)
             .map(|(i, _)| i)
-    }
-
-    /// The least-outstanding routable replica whose count is strictly below
-    /// `cap`, or `None` when every routable replica is at or over it
-    /// (defer).
-    pub fn least_outstanding_below(&self, cap: usize) -> Option<usize> {
-        self.replicas
-            .iter()
-            .enumerate()
-            .filter(|&(i, l)| l.outstanding < cap && self.health[i] == ReplicaHealth::Live)
-            .min_by_key(|&(_, l)| l.outstanding)
-            .map(|(i, _)| i)
-    }
-
-    /// Expected prefix-cache hit tokens on `replica` for the request
-    /// currently being routed (0 unless the driver published hits for this
-    /// arrival).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `replica` is out of range.
-    pub fn prefix_hit(&self, replica: usize) -> u64 {
-        self.prefix_hits[replica]
-    }
-
-    /// Requests in the system (deferred or dispatched, unfinished) for
-    /// `tenant`.
-    pub fn tenant_in_system(&self, tenant: u32) -> usize {
-        self.tenant_in_system
-            .get(tenant as usize)
-            .copied()
-            .unwrap_or(0)
     }
 
     /// `tenant`'s fair-share weight: a missing or non-positive weight
@@ -227,325 +117,44 @@ impl RouterView {
             _ => 1.0,
         }
     }
+}
 
-    fn tenant_entry(&mut self, tenant: u32) -> &mut usize {
-        let idx = tenant as usize;
-        if idx >= self.tenant_in_system.len() {
-            self.tenant_in_system.resize(idx + 1, 0);
-        }
-        &mut self.tenant_in_system[idx]
+/// `v[idx]`, growing `v` with `fill` on first sight of `idx`.
+fn slot<T: Clone>(v: &mut Vec<T>, idx: u32, fill: T) -> &mut T {
+    let idx = idx as usize;
+    if idx >= v.len() {
+        v.resize(idx + 1, fill);
     }
-}
-
-/// One request held back by a deferring policy, in arrival order.
-#[derive(Debug, Clone, Copy)]
-pub struct DeferredEntry {
-    /// The deferred request.
-    pub req: RouteRequest,
-    /// Tier-wide arrival sequence number (FIFO tie-break).
-    pub seq: u64,
-}
-
-/// A global routing policy: decides replica placement (or deferral) for each
-/// request and, for deferring policies, which held request binds next.
-///
-/// Implementations must be deterministic functions of their own state, the
-/// request, and the [`RouterView`]; the tier guarantees the view is
-/// up to date at every call.
-pub trait Router: fmt::Debug + Send {
-    /// Called once per arriving request *before* it is counted in the view
-    /// (fair-share uses this for idle-tenant virtual-time catch-up).
-    fn on_arrival(&mut self, _req: &RouteRequest, _view: &RouterView) {}
-
-    /// Picks a replica for `req`, or `None` to defer it into the tier's
-    /// held queue.
-    fn try_place(&mut self, req: &RouteRequest, view: &RouterView) -> Option<usize>;
-
-    /// Which deferred entry should bind next (an index into `deferred`).
-    /// The default is FIFO. Returning `None` holds everything.
-    fn select_deferred(&mut self, deferred: &[DeferredEntry], _view: &RouterView) -> Option<usize> {
-        if deferred.is_empty() {
-            None
-        } else {
-            Some(0)
-        }
-    }
-
-    /// Accounts a successful dispatch (called for immediate and deferred
-    /// binds alike, after the view reflects the dispatch).
-    fn on_dispatch(&mut self, _req: &RouteRequest, _target: usize, _view: &RouterView) {}
-
-    /// Called after a replica's health changes (membership churn). Policies
-    /// holding replica references migrate them here — affinity re-homes
-    /// tenants whose home left the routable set.
-    fn on_membership_change(&mut self, _view: &RouterView) {}
-}
-
-// ---- the four seed policies, re-expressed --------------------------------
-
-/// Cycle through replicas (the seed's `RoundRobin`).
-#[derive(Debug)]
-struct RoundRobinRouter {
-    next: usize,
-}
-
-impl Router for RoundRobinRouter {
-    fn try_place(&mut self, _req: &RouteRequest, view: &RouterView) -> Option<usize> {
-        if view.num_routable() == 0 {
-            return None;
-        }
-        // With the whole fleet live this is the classic one-step modulo
-        // cursor; with churn the cursor walks past non-routable replicas.
-        let n = view.num_replicas();
-        for _ in 0..n {
-            let r = self.next;
-            self.next = (self.next + 1) % n;
-            if view.is_routable(r) {
-                return Some(r);
-            }
-        }
-        unreachable!("num_routable() > 0 guarantees a live replica in the walk")
-    }
-}
-
-/// Fewest unfinished requests (the seed's `LeastOutstanding`).
-#[derive(Debug)]
-struct LeastOutstandingRouter;
-
-impl Router for LeastOutstandingRouter {
-    fn try_place(&mut self, _req: &RouteRequest, view: &RouterView) -> Option<usize> {
-        view.try_least_outstanding()
-    }
-}
-
-/// Uniform random choice (the seed's `Random`; same RNG stream).
-#[derive(Debug)]
-struct RandomRouter {
-    rng: SimRng,
-}
-
-impl Router for RandomRouter {
-    fn try_place(&mut self, _req: &RouteRequest, view: &RouterView) -> Option<usize> {
-        let routable = view.num_routable();
-        if routable == 0 {
-            return None;
-        }
-        let draw = self.rng.next_below(routable as u64) as usize;
-        if routable == view.num_replicas() {
-            // Whole fleet live: identical RNG stream and placement to the
-            // seed policy.
-            return Some(draw);
-        }
-        // Map the draw onto the draw-th routable replica, index order.
-        let mut seen = 0;
-        for r in 0..view.num_replicas() {
-            if view.is_routable(r) {
-                if seen == draw {
-                    return Some(r);
-                }
-                seen += 1;
-            }
-        }
-        unreachable!("draw < num_routable()")
-    }
-}
-
-/// Hold requests centrally until some replica is below `max_outstanding`
-/// (the seed's stateful `Deferred`, paper §4.5).
-#[derive(Debug)]
-struct DeferredRouter {
-    max_outstanding: usize,
-}
-
-impl Router for DeferredRouter {
-    fn try_place(&mut self, _req: &RouteRequest, view: &RouterView) -> Option<usize> {
-        view.least_outstanding_below(self.max_outstanding)
-    }
-}
-
-// ---- the stateful tier policies ------------------------------------------
-
-/// Deferred routing that binds the most urgent waiting tier first: the held
-/// queue is drained in (priority, arrival) order, and each bind spreads onto
-/// the least-loaded replica below the outstanding cap.
-#[derive(Debug)]
-struct PriorityAwareRouter {
-    max_outstanding: usize,
-}
-
-impl Router for PriorityAwareRouter {
-    fn try_place(&mut self, _req: &RouteRequest, view: &RouterView) -> Option<usize> {
-        view.least_outstanding_below(self.max_outstanding)
-    }
-
-    fn select_deferred(&mut self, deferred: &[DeferredEntry], _view: &RouterView) -> Option<usize> {
-        deferred
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, e)| (e.req.priority, e.seq))
-            .map(|(i, _)| i)
-    }
-}
-
-/// Weighted fair-share admission (WFQ-style): each tenant accumulates
-/// virtual time at `tokens / weight` per dispatched request, and under
-/// contention the held queue binds the tenant with the smallest virtual
-/// time first. An idle tenant's clock catches up to the served floor on
-/// return, so sleeping never banks unbounded credit. Placement itself is
-/// load-aware below the outstanding cap, like [`GlobalPolicyKind::Deferred`].
-#[derive(Debug)]
-struct FairShareRouter {
-    max_outstanding: usize,
-    /// Per-tenant virtual time, grown on first sight.
-    vtime: Vec<f64>,
-    /// Virtual time of the last served request's start tag — the floor idle
-    /// tenants catch up to.
-    vfloor: f64,
-}
-
-impl FairShareRouter {
-    fn vtime_entry(&mut self, tenant: u32) -> &mut f64 {
-        let idx = tenant as usize;
-        if idx >= self.vtime.len() {
-            self.vtime.resize(idx + 1, 0.0);
-        }
-        &mut self.vtime[idx]
-    }
-}
-
-impl Router for FairShareRouter {
-    fn on_arrival(&mut self, req: &RouteRequest, view: &RouterView) {
-        if view.tenant_in_system(req.tenant) == 0 {
-            let floor = self.vfloor;
-            let v = self.vtime_entry(req.tenant);
-            *v = v.max(floor);
-        }
-    }
-
-    fn try_place(&mut self, _req: &RouteRequest, view: &RouterView) -> Option<usize> {
-        view.least_outstanding_below(self.max_outstanding)
-    }
-
-    fn select_deferred(&mut self, deferred: &[DeferredEntry], _view: &RouterView) -> Option<usize> {
-        deferred
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| {
-                let va = self
-                    .vtime
-                    .get(a.req.tenant as usize)
-                    .copied()
-                    .unwrap_or(0.0);
-                let vb = self
-                    .vtime
-                    .get(b.req.tenant as usize)
-                    .copied()
-                    .unwrap_or(0.0);
-                va.total_cmp(&vb).then(a.seq.cmp(&b.seq))
-            })
-            .map(|(i, _)| i)
-    }
-
-    fn on_dispatch(&mut self, req: &RouteRequest, _target: usize, view: &RouterView) {
-        let w = view.tenant_weight(req.tenant);
-        let v = self.vtime_entry(req.tenant);
-        let start = *v;
-        *v = start + req.tokens as f64 / w;
-        self.vfloor = self.vfloor.max(start);
-    }
+    &mut v[idx]
 }
 
 /// Sentinel for "tenant has no home replica yet".
 const NO_HOME: usize = usize::MAX;
 
-/// Sticky tenant→replica routing with load-aware spill: each tenant is
-/// pinned to the replica that was least loaded at its first request (the
-/// KV/prefix-reuse model — a tenant's context stays hot on its home), and a
-/// request only spills to the globally least-loaded replica when the home is
-/// more than `spill_margin` requests above it.
-#[derive(Debug)]
-struct AffinityRouter {
-    spill_margin: usize,
-    /// Per-tenant home replica, grown on first sight.
-    home: Vec<usize>,
-}
-
-impl Router for AffinityRouter {
-    fn try_place(&mut self, req: &RouteRequest, view: &RouterView) -> Option<usize> {
-        let least = view.try_least_outstanding()?;
-        let idx = req.tenant as usize;
-        if idx >= self.home.len() {
-            self.home.resize(idx + 1, NO_HOME);
-        }
-        if self.home[idx] == NO_HOME || !view.is_routable(self.home[idx]) {
-            self.home[idx] = least;
-        }
-        let home = self.home[idx];
-        // A known cache hit on the home replica overrides the spill margin:
-        // the recomputation a spill would cost is exactly what stickiness
-        // exists to avoid. Without a prefix cache the hit is always 0 and
-        // the classic margin rule below decides alone.
-        if view.prefix_hit(home) > 0 {
-            return Some(home);
-        }
-        if view.outstanding(home) <= view.outstanding(least) + self.spill_margin {
-            Some(home)
-        } else {
-            Some(least)
-        }
-    }
-
-    fn on_membership_change(&mut self, view: &RouterView) {
-        // A tenant whose home left the routable set re-homes (onto the then
-        // least-loaded live replica) at its next request.
-        for home in &mut self.home {
-            if *home != NO_HOME && !view.is_routable(*home) {
-                *home = NO_HOME;
-            }
-        }
-    }
-}
-
 /// How many outstanding requests above the least-loaded replica a
-/// [`KvAwareRouter`] candidate may carry and still attract work on a cache
-/// hit. A hit saves one prefix prefill — never worth an unbounded queue —
-/// so hot prefixes must not pile their whole arrival stream onto one
-/// replica while the rest of the fleet idles.
+/// [`GlobalPolicyKind::KvAware`] candidate may carry and still attract work
+/// on a cache hit. A hit saves one prefix prefill — never worth an
+/// unbounded queue — so hot prefixes must not pile their whole arrival
+/// stream onto one replica while the rest of the fleet idles.
 const KV_AWARE_LOAD_MARGIN: usize = 4;
 
-/// KV-aware placement over observed replica state: among the routable
-/// replicas within [`KV_AWARE_LOAD_MARGIN`] outstanding requests of the
-/// least-loaded one, the largest expected prefix-cache hit for the
-/// arriving request wins, ties broken toward the most free KV blocks, then
-/// the fewest outstanding requests, then the lowest index. Never defers
-/// while any replica is routable; with no published hits (or no prefix
-/// cache) it degrades to most-free-KV placement over the least-loaded
-/// band.
+/// What the stateful policies remember between requests.
 #[derive(Debug)]
-struct KvAwareRouter;
-
-impl Router for KvAwareRouter {
-    fn try_place(&mut self, _req: &RouteRequest, view: &RouterView) -> Option<usize> {
-        use std::cmp::Reverse;
-        let least = (0..view.num_replicas())
-            .filter(|&r| view.is_routable(r))
-            .map(|r| view.replica(r).outstanding)
-            .min()?;
-        (0..view.num_replicas())
-            .filter(|&r| view.is_routable(r))
-            .filter(|&r| view.replica(r).outstanding <= least + KV_AWARE_LOAD_MARGIN)
-            .min_by_key(|&r| {
-                let load = view.replica(r);
-                (
-                    Reverse(view.prefix_hit(r)),
-                    Reverse(load.free_kv_blocks),
-                    load.outstanding,
-                )
-            })
-    }
+enum PolicyState {
+    /// The policy decides on the view alone.
+    None,
+    /// The next replica in the cycle.
+    RoundRobin { next: usize },
+    /// The draw stream (the seed's `Random` stream).
+    Random { rng: SimRng },
+    /// Per-tenant virtual time, and the start tag of the last served
+    /// request: the floor an idle tenant's clock catches up to on return,
+    /// so sleeping never banks unbounded credit.
+    FairShare { vtime: Vec<f64>, vfloor: f64 },
+    /// Per-tenant home replica, [`NO_HOME`] until the tenant's first
+    /// request and after its home leaves the routable set.
+    Affinity { home: Vec<usize> },
 }
-
-// ---- the tier -------------------------------------------------------------
 
 /// Per-tenant routing statistics accumulated by a [`RoutingTier`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -559,10 +168,9 @@ pub struct TenantRouting {
     pub tokens: u64,
 }
 
-/// The shared global scheduling tier: one [`Router`] policy, the live
-/// [`RouterView`], the deferred-queue bookkeeping, and per-tenant routing
-/// statistics. The aggregated cluster runs one tier; a disaggregated
-/// deployment runs two (one per pool).
+/// The shared global scheduling tier: the policy a [`GlobalPolicyKind`]
+/// names, the live replica view it decides on, the deferred queue, and
+/// per-tenant routing statistics.
 ///
 /// # Example
 ///
@@ -578,12 +186,11 @@ pub struct TenantRouting {
 #[derive(Debug)]
 pub struct RoutingTier {
     kind: GlobalPolicyKind,
-    router: Box<dyn Router>,
+    state: PolicyState,
     view: RouterView,
-    deferred: VecDeque<DeferredEntry>,
-    seq: u64,
+    /// Requests the policy holds, in arrival order.
+    deferred: VecDeque<RouteRequest>,
     tenants: Vec<TenantRouting>,
-    total_routed_tokens: u64,
 }
 
 impl RoutingTier {
@@ -596,37 +203,31 @@ impl RoutingTier {
     /// Panics if `num_replicas == 0`.
     pub fn new(kind: GlobalPolicyKind, num_replicas: usize, seed: u64, weights: &[f64]) -> Self {
         assert!(num_replicas > 0, "need at least one replica");
-        let router: Box<dyn Router> = match kind {
-            GlobalPolicyKind::RoundRobin => Box::new(RoundRobinRouter { next: 0 }),
-            GlobalPolicyKind::LeastOutstanding => Box::new(LeastOutstandingRouter),
-            GlobalPolicyKind::Random => Box::new(RandomRouter {
+        let state = match kind {
+            GlobalPolicyKind::RoundRobin => PolicyState::RoundRobin { next: 0 },
+            GlobalPolicyKind::Random => PolicyState::Random {
                 rng: SimRng::new(seed),
-            }),
-            GlobalPolicyKind::Deferred { max_outstanding } => {
-                Box::new(DeferredRouter { max_outstanding })
-            }
-            GlobalPolicyKind::PriorityAware { max_outstanding } => {
-                Box::new(PriorityAwareRouter { max_outstanding })
-            }
-            GlobalPolicyKind::FairShare { max_outstanding } => Box::new(FairShareRouter {
-                max_outstanding,
+            },
+            GlobalPolicyKind::FairShare { .. } => PolicyState::FairShare {
                 vtime: Vec::new(),
                 vfloor: 0.0,
-            }),
-            GlobalPolicyKind::Affinity { spill_margin } => Box::new(AffinityRouter {
-                spill_margin,
-                home: Vec::new(),
-            }),
-            GlobalPolicyKind::KvAware => Box::new(KvAwareRouter),
+            },
+            GlobalPolicyKind::Affinity { .. } => PolicyState::Affinity { home: Vec::new() },
+            _ => PolicyState::None,
         };
         RoutingTier {
             kind,
-            router,
-            view: RouterView::new(num_replicas, weights),
+            state,
+            view: RouterView {
+                replicas: vec![ReplicaLoad::default(); num_replicas],
+                health: vec![ReplicaHealth::Live; num_replicas],
+                non_live: 0,
+                tenant_in_system: Vec::new(),
+                prefix_hits: vec![0; num_replicas],
+                weights: weights.to_vec(),
+            },
             deferred: VecDeque::new(),
-            seq: 0,
             tenants: Vec::new(),
-            total_routed_tokens: 0,
         }
     }
 
@@ -635,9 +236,13 @@ impl RoutingTier {
         self.kind
     }
 
-    /// The live replica-state view (read access for drivers and tests).
-    pub fn view(&self) -> &RouterView {
-        &self.view
+    /// Requests dispatched to `replica` and not yet finished.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `replica` is out of range.
+    pub fn outstanding(&self, replica: usize) -> usize {
+        self.view.replicas[replica].outstanding
     }
 
     /// Requests currently held by the deferring policy.
@@ -654,19 +259,22 @@ impl RoutingTier {
     /// dispatch it there now; `None` means the tier holds it — the caller
     /// re-polls via [`RoutingTier::next_ready`] whenever load drops.
     pub fn route(&mut self, req: RouteRequest) -> Option<usize> {
-        self.router.on_arrival(&req, &self.view);
-        *self.view.tenant_entry(req.tenant) += 1;
-        self.tenant_stats_entry(req.tenant);
-        match self.router.try_place(&req, &self.view) {
+        let in_system = slot(&mut self.view.tenant_in_system, req.tenant, 0);
+        if let PolicyState::FairShare { vtime, vfloor } = &mut self.state {
+            if *in_system == 0 {
+                let v = slot(vtime, req.tenant, 0.0);
+                *v = v.max(*vfloor);
+            }
+        }
+        *in_system += 1;
+        match self.try_place(&req) {
             Some(target) => {
                 self.commit(&req, target);
                 Some(target)
             }
             None => {
-                self.tenants[req.tenant as usize].deferred += 1;
-                self.deferred
-                    .push_back(DeferredEntry { req, seq: self.seq });
-                self.seq += 1;
+                slot(&mut self.tenants, req.tenant, TenantRouting::default()).deferred += 1;
+                self.deferred.push_back(req);
                 None
             }
         }
@@ -675,38 +283,46 @@ impl RoutingTier {
     /// Binds and returns the next deferred request the policy is willing to
     /// place, or `None` when the queue is empty or every held request must
     /// keep waiting. Call in a loop after completions free capacity.
+    ///
+    /// Priority-aware routing offers the most urgent held request first and
+    /// fair share the one whose tenant has the least virtual time; every
+    /// other policy offers the oldest. Ties go to the oldest.
     pub fn next_ready(&mut self) -> Option<(RouteRequest, usize)> {
-        if self.deferred.is_empty() {
-            return None;
-        }
-        let idx = {
-            let slice = self.deferred.make_contiguous();
-            self.router.select_deferred(slice, &self.view)?
-        };
-        let req = self.deferred[idx].req;
-        let target = self.router.try_place(&req, &self.view)?;
+        let mut held = self.deferred.iter().enumerate();
+        let (idx, _) = match (self.kind, &self.state) {
+            (GlobalPolicyKind::PriorityAware { .. }, _) => held.min_by_key(|(_, r)| r.priority),
+            (GlobalPolicyKind::FairShare { .. }, PolicyState::FairShare { vtime, .. }) => {
+                // A tenant's first arrival gave it a clock, so every held
+                // request's tenant has one.
+                let v = |r: &RouteRequest| vtime[r.tenant as usize];
+                held.min_by(|(_, a), (_, b)| v(a).total_cmp(&v(b)))
+            }
+            _ => held.next(),
+        }?;
+        let req = self.deferred[idx];
+        let target = self.try_place(&req)?;
         self.deferred.remove(idx);
         self.commit(&req, target);
         Some((req, target))
     }
 
-    /// Records that a previously dispatched request of `tenant` carrying
-    /// `tokens` total tokens finished on `replica`.
+    /// Records that a previously dispatched request of `tenant` finished on
+    /// `replica`. The request's total tokens are not needed: no policy
+    /// reads a replica's outstanding tokens.
     ///
     /// # Panics
     ///
-    /// Panics if the view never saw a dispatch to `replica` (a driver bug).
-    pub fn on_finished(&mut self, replica: usize, tenant: u32, tokens: u64) {
+    /// Panics if the tier never saw a dispatch to `replica` (a driver bug).
+    pub fn on_finished(&mut self, replica: usize, tenant: u32, _tokens: u64) {
         let load = &mut self.view.replicas[replica];
         assert!(load.outstanding > 0, "finish without dispatch on {replica}");
         load.outstanding -= 1;
-        load.outstanding_tokens = load.outstanding_tokens.saturating_sub(tokens);
-        let t = self.view.tenant_entry(tenant);
+        let t = slot(&mut self.view.tenant_in_system, tenant, 0);
         *t = t.saturating_sub(1);
     }
 
-    /// Publishes a replica's current free KV block count into the view
-    /// (an observable signal for KV-aware policies; optional).
+    /// Publishes a replica's current free KV block count (the signal
+    /// KV-aware routing breaks hit ties on; optional).
     ///
     /// # Panics
     ///
@@ -733,17 +349,30 @@ impl RoutingTier {
         self.view.prefix_hits.copy_from_slice(hits);
     }
 
-    /// Sets a replica's membership state and, on a change, notifies the
-    /// policy so it can migrate replica references (affinity homes). The
-    /// driver is responsible for evicting/requeueing the replica's work —
-    /// the tier only stops (or resumes) routing to it.
+    /// Sets a replica's membership state. Under affinity, tenants homed on
+    /// a replica that leaves the routable set re-home (onto the then
+    /// least-loaded live replica) at their next request. The driver is
+    /// responsible for evicting/requeueing the replica's work — the tier
+    /// only stops (or resumes) routing to it.
     ///
     /// # Panics
     ///
     /// Panics if `replica` is out of range.
     pub fn set_health(&mut self, replica: usize, health: ReplicaHealth) {
-        if self.view.set_health(replica, health) {
-            self.router.on_membership_change(&self.view);
+        let view = &mut self.view;
+        let old = view.health[replica];
+        if old == health {
+            return;
+        }
+        view.non_live -= usize::from(old != ReplicaHealth::Live);
+        view.non_live += usize::from(health != ReplicaHealth::Live);
+        view.health[replica] = health;
+        if let PolicyState::Affinity { home } = &mut self.state {
+            if health != ReplicaHealth::Live {
+                home.iter_mut()
+                    .filter(|h| **h == replica)
+                    .for_each(|h| *h = NO_HOME);
+            }
         }
     }
 
@@ -753,46 +382,129 @@ impl RoutingTier {
     ///
     /// Panics if `replica` is out of range.
     pub fn health(&self, replica: usize) -> ReplicaHealth {
-        self.view.health(replica)
+        self.view.health[replica]
     }
 
     /// Fraction of the weighted fair share `tenant` actually received:
-    /// `(tokens_t / total_tokens) / (w_t / Σ w)` over tenants that routed
-    /// anything. 1.0 is exact attainment; `None` for non-fair-share policies
+    /// `(tokens_t / Σ tokens) / (w_t / Σ w)`, both sums over the tenants
+    /// that took part (routed or deferred at least one request). A tenant
+    /// whose every request is still held takes part, so its backlog is not
+    /// hidden. 1.0 is exact attainment; `None` for non-fair-share policies
     /// or before any tokens routed.
     pub fn fair_share_attainment(&self, tenant: u32) -> Option<f64> {
         if !matches!(self.kind, GlobalPolicyKind::FairShare { .. }) {
             return None;
         }
-        if self.total_routed_tokens == 0 {
+        let (mut total_tokens, mut total_weight) = (0, 0.0);
+        for (t, s) in self.tenants.iter().enumerate() {
+            if s.routed + s.deferred > 0 {
+                total_tokens += s.tokens;
+                total_weight += self.view.tenant_weight(t as u32);
+            }
+        }
+        if total_tokens == 0 {
             return None;
         }
         let stat = self.tenants.get(tenant as usize)?;
-        let total_weight: f64 = (0..self.tenants.len() as u32)
-            .map(|t| self.view.tenant_weight(t))
-            .sum();
-        let share = stat.tokens as f64 / self.total_routed_tokens as f64;
+        let share = stat.tokens as f64 / total_tokens as f64;
         let entitled = self.view.tenant_weight(tenant) / total_weight;
         Some(share / entitled)
     }
 
-    fn tenant_stats_entry(&mut self, tenant: u32) -> &mut TenantRouting {
-        let idx = tenant as usize;
-        if idx >= self.tenants.len() {
-            self.tenants.resize(idx + 1, TenantRouting::default());
+    /// Picks a replica for `req` under the tier's policy, or `None` to hold
+    /// it.
+    fn try_place(&mut self, req: &RouteRequest) -> Option<usize> {
+        let view = &self.view;
+        match (self.kind, &mut self.state) {
+            (GlobalPolicyKind::RoundRobin, PolicyState::RoundRobin { next }) => {
+                if view.num_routable() == 0 {
+                    return None;
+                }
+                // With the whole fleet live this is the classic one-step
+                // modulo cursor; with churn it walks past non-routable
+                // replicas.
+                loop {
+                    let r = *next;
+                    *next = (r + 1) % view.replicas.len();
+                    if view.is_routable(r) {
+                        return Some(r);
+                    }
+                }
+            }
+            (GlobalPolicyKind::LeastOutstanding, _) => view.least_outstanding_below(usize::MAX),
+            (GlobalPolicyKind::Random, PolicyState::Random { rng }) => {
+                let routable = view.num_routable();
+                if routable == 0 {
+                    return None;
+                }
+                // The draw-th routable replica in index order: with the
+                // whole fleet live, the seed's stream and placement.
+                let draw = rng.next_below(routable as u64) as usize;
+                (0..view.replicas.len())
+                    .filter(|&r| view.is_routable(r))
+                    .nth(draw)
+            }
+            (
+                GlobalPolicyKind::Deferred { max_outstanding }
+                | GlobalPolicyKind::PriorityAware { max_outstanding }
+                | GlobalPolicyKind::FairShare { max_outstanding },
+                _,
+            ) => view.least_outstanding_below(max_outstanding),
+            (GlobalPolicyKind::Affinity { spill_margin }, PolicyState::Affinity { home }) => {
+                let least = view.least_outstanding_below(usize::MAX)?;
+                // A tenant homes on the replica least loaded at its first
+                // request; `set_health` clears homes that stop being
+                // routable, so a set home is always live.
+                let home = slot(home, req.tenant, NO_HOME);
+                if *home == NO_HOME {
+                    *home = least;
+                }
+                let home = *home;
+                // A known cache hit on the home overrides the spill margin:
+                // the recomputation a spill would cost is exactly what
+                // stickiness exists to avoid. Without a prefix cache the
+                // hit is always 0 and the margin decides alone.
+                let load = |r: usize| view.replicas[r].outstanding;
+                if view.prefix_hits[home] > 0 || load(home) <= load(least) + spill_margin {
+                    Some(home)
+                } else {
+                    Some(least)
+                }
+            }
+            (GlobalPolicyKind::KvAware, _) => {
+                // Among the routable replicas within the load margin of the
+                // least loaded: the largest hit, then the most free KV
+                // blocks, then the fewest outstanding, then the lowest index.
+                let least = view.replicas[view.least_outstanding_below(usize::MAX)?].outstanding;
+                (0..view.replicas.len())
+                    .filter(|&r| view.is_routable(r))
+                    .filter(|&r| view.replicas[r].outstanding <= least + KV_AWARE_LOAD_MARGIN)
+                    .min_by_key(|&r| {
+                        let load = view.replicas[r];
+                        (
+                            Reverse(view.prefix_hits[r]),
+                            Reverse(load.free_kv_blocks),
+                            load.outstanding,
+                        )
+                    })
+            }
+            (kind, state) => unreachable!("{kind:?} runs with {state:?}"),
         }
-        &mut self.tenants[idx]
     }
 
+    /// Accounts a dispatch of `req` to `target`: the replica's load, the
+    /// tenant's statistics and, under fair share, the tenant's virtual time.
     fn commit(&mut self, req: &RouteRequest, target: usize) {
-        let load = &mut self.view.replicas[target];
-        load.outstanding += 1;
-        load.outstanding_tokens += req.tokens;
-        let stat = self.tenant_stats_entry(req.tenant);
+        self.view.replicas[target].outstanding += 1;
+        let stat = slot(&mut self.tenants, req.tenant, TenantRouting::default());
         stat.routed += 1;
         stat.tokens += req.tokens;
-        self.total_routed_tokens += req.tokens;
-        self.router.on_dispatch(req, target, &self.view);
+        if let PolicyState::FairShare { vtime, vfloor } = &mut self.state {
+            let v = slot(vtime, req.tenant, 0.0);
+            let start = *v;
+            *v = start + req.tokens as f64 / self.view.tenant_weight(req.tenant);
+            *vfloor = vfloor.max(start);
+        }
     }
 }
 
@@ -827,8 +539,8 @@ mod tests {
         assert_eq!(tier.route(req(3, 0, 0, 10)), Some(0));
         tier.on_finished(2, 0, 10);
         assert_eq!(tier.route(req(4, 0, 0, 10)), Some(2));
-        assert_eq!(tier.view().outstanding(0), 2);
-        assert_eq!(tier.view().outstanding(2), 1);
+        assert_eq!(tier.outstanding(0), 2);
+        assert_eq!(tier.outstanding(2), 1);
     }
 
     #[test]
@@ -906,6 +618,25 @@ mod tests {
     }
 
     #[test]
+    fn fair_share_attainment_counts_only_tenants_that_took_part() {
+        let kind = GlobalPolicyKind::FairShare { max_outstanding: 4 };
+        // Tenant 1 never sends a request: it is owed nothing.
+        let mut tier = RoutingTier::new(kind, 2, 0, &[]);
+        assert!(tier.route(req(0, 0, 0, 100)).is_some());
+        assert!(tier.route(req(1, 2, 0, 100)).is_some());
+        assert_eq!(tier.fair_share_attainment(0), Some(1.0));
+        assert_eq!(tier.fair_share_attainment(2), Some(1.0));
+        // Tenant 1's only request is still held: it takes part, so the
+        // other tenant's surplus shows.
+        let kind = GlobalPolicyKind::FairShare { max_outstanding: 1 };
+        let mut tier = RoutingTier::new(kind, 1, 0, &[]);
+        assert_eq!(tier.route(req(0, 0, 0, 100)), Some(0));
+        assert_eq!(tier.route(req(1, 1, 0, 100)), None);
+        assert_eq!(tier.fair_share_attainment(0), Some(2.0));
+        assert_eq!(tier.fair_share_attainment(1), Some(0.0));
+    }
+
+    #[test]
     fn fair_share_idle_tenant_catches_up() {
         let kind = GlobalPolicyKind::FairShare { max_outstanding: 2 };
         let mut tier = RoutingTier::new(kind, 1, 0, &[]);
@@ -916,7 +647,7 @@ mod tests {
                 tier.next_ready();
             }
         }
-        while tier.view().outstanding(0) > 0 {
+        while tier.outstanding(0) > 0 {
             tier.on_finished(0, 0, 100);
             tier.next_ready();
         }

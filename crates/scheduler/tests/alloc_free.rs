@@ -99,8 +99,8 @@ fn steady_state_decode_loop_is_allocation_free() {
 /// The steady-state routing path is allocation-free: once the tier's view,
 /// stats table, and deferred ring have warmed up, a
 /// `route` / `on_finished` / `next_ready` cycle must not touch the heap —
-/// the `RouterView` replaced the seed's per-arrival outstanding-`Vec`
-/// rebuild, and this pins it.
+/// the tier's incrementally-maintained view replaced the seed's
+/// per-arrival outstanding-`Vec` rebuild, and this pins it.
 #[test]
 fn steady_state_routing_is_allocation_free() {
     for kind in [

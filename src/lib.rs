@@ -51,8 +51,8 @@ pub mod prelude {
         RuntimePredictor,
     };
     pub use vidur_scheduler::{
-        BatchPolicyKind, GlobalPolicyKind, ReplicaHealth, ReplicaLoad, ReplicaScheduler, Request,
-        RouteRequest, Router, RouterView, RoutingTier, SchedulerConfig, TenantRouting,
+        BatchPolicyKind, GlobalPolicyKind, ReplicaHealth, ReplicaScheduler, Request, RouteRequest,
+        RoutingTier, SchedulerConfig, TenantRouting,
     };
     pub use vidur_search::{
         find_capacity, find_capacity_with_timer, misconfiguration_matrix, pareto_frontier,
