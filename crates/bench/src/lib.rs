@@ -217,7 +217,6 @@ pub mod dynamic {
         let params = CapacityParams {
             bisect_iters: scale.bisect_iters,
             seed,
-            ..CapacityParams::default()
         };
         // Ground-truth capacity per (model, workload, seed) is reused across
         // load fractions (Figures 7/8 sweep five fractions per pair).
@@ -256,17 +255,26 @@ pub mod dynamic {
 /// Shared full-search machinery for Figures 1a/1b/5/6 and Table 2.
 ///
 /// The 12-way (model × trace) configuration search is the most expensive
-/// artifact; it is computed once and cached as
-/// `results/search_outcomes.json`, which the dependent binaries reuse.
+/// artifact; it is computed once per scale and cached as
+/// `results/search_outcomes_fast.json` or `results/search_outcomes_full.json`,
+/// which the dependent binaries reuse.
 pub mod searches {
     use super::{results_dir, Scale};
     use serde::{Deserialize, Serialize};
+    use std::path::PathBuf;
     use std::time::Instant;
     use vidur_core::rng::SimRng;
     use vidur_estimator::EstimatorKind;
     use vidur_model::ModelSpec;
     use vidur_search::{run_search, CapacityParams, SearchOutcome};
     use vidur_workload::{ArrivalProcess, TraceWorkload};
+
+    /// The cache file of the search at `scale`: one per scale, so a
+    /// `VIDUR_FULL=1` run never reuses the fast search or the reverse.
+    fn cache_path(scale: &Scale) -> PathBuf {
+        let name = if scale.full_grid { "full" } else { "fast" };
+        results_dir().join(format!("search_outcomes_{name}.json"))
+    }
 
     /// One (model, trace) search result plus its wall-clock cost.
     #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -279,9 +287,10 @@ pub mod searches {
         pub outcome: SearchOutcome,
     }
 
-    /// Loads the cached 12-pair search, or computes and caches it.
+    /// Loads the cached 12-pair search at `scale`, or computes and caches
+    /// it.
     pub fn search_outcomes(scale: &Scale) -> Vec<PairOutcome> {
-        let path = results_dir().join("search_outcomes.json");
+        let path = cache_path(scale);
         if let Ok(text) = std::fs::read_to_string(&path) {
             if let Ok(cached) = serde_json::from_str::<Vec<PairOutcome>>(&text) {
                 eprintln!("[reusing cached search: {}]", path.display());
@@ -325,5 +334,20 @@ pub mod searches {
         .expect("write search cache");
         eprintln!("[cached search: {}]", path.display());
         out
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+
+        #[test]
+        fn scales_never_share_a_cache() {
+            let scale = Scale::from_env();
+            let other = Scale {
+                full_grid: !scale.full_grid,
+                ..scale
+            };
+            assert_ne!(cache_path(&scale), cache_path(&other));
+        }
     }
 }

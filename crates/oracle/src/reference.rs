@@ -24,6 +24,7 @@
 
 use std::collections::VecDeque;
 use vidur_model::batch::{BatchComposition, RequestSlice};
+use vidur_scheduler::config::DEFAULT_WATERMARK_FRAC;
 use vidur_scheduler::replica::CompletionEvent;
 use vidur_scheduler::{
     BatchPolicyKind, BlockManager, IdSlab, Request, RequestId, RequestPhase, SchedulerConfig,
@@ -57,7 +58,7 @@ impl ReferenceScheduler {
     /// tokens.
     pub fn new(config: SchedulerConfig, total_blocks: u64, block_size: u32) -> Self {
         ReferenceScheduler {
-            blocks: BlockManager::new(total_blocks, block_size, config.watermark_frac),
+            blocks: BlockManager::new(total_blocks, block_size, DEFAULT_WATERMARK_FRAC),
             config,
             requests: IdSlab::new(),
             waiting: VecDeque::new(),

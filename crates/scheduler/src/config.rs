@@ -64,14 +64,10 @@ pub struct SchedulerConfig {
     pub policy: BatchPolicyKind,
     /// Maximum sequences per batch (paper sweeps 32..512).
     pub max_batch_size: usize,
-    /// Maximum tokens per iteration for prefill-admitting policies.
-    pub max_tokens_per_iter: u64,
-    /// KV watermark fraction kept free during admission.
-    pub watermark_frac: f64,
 }
 
 impl SchedulerConfig {
-    /// Creates a configuration with paper-default token caps.
+    /// Creates a configuration with the paper-default token cap.
     ///
     /// # Panics
     ///
@@ -81,17 +77,15 @@ impl SchedulerConfig {
         SchedulerConfig {
             policy,
             max_batch_size,
-            max_tokens_per_iter: DEFAULT_MAX_TOKENS_PER_ITER,
-            watermark_frac: DEFAULT_WATERMARK_FRAC,
         }
     }
 
     /// The per-iteration token budget this policy enforces: the chunk size
-    /// for Sarathi-Serve, the global cap otherwise.
+    /// for Sarathi-Serve, [`DEFAULT_MAX_TOKENS_PER_ITER`] otherwise.
     pub fn token_budget(&self) -> u64 {
         match self.policy {
             BatchPolicyKind::SarathiServe { chunk_size } => chunk_size,
-            _ => self.max_tokens_per_iter,
+            _ => DEFAULT_MAX_TOKENS_PER_ITER,
         }
     }
 }

@@ -31,7 +31,7 @@
 //! * LightLLM's projected-KV admission bound is a counter maintained on
 //!   admit/finish/preempt instead of a per-call re-sum over the running set.
 
-use crate::config::{BatchPolicyKind, SchedulerConfig};
+use crate::config::{BatchPolicyKind, SchedulerConfig, DEFAULT_WATERMARK_FRAC};
 use crate::memory::{BlockManager, KvHolding};
 use crate::request::{Request, RequestId, RequestPhase, TrackedRequest, NO_REQ};
 use crate::slab::IdSlab;
@@ -226,7 +226,7 @@ impl ReplicaScheduler {
     /// tokens.
     pub fn new(config: SchedulerConfig, total_blocks: u64, block_size: u32) -> Self {
         ReplicaScheduler {
-            blocks: BlockManager::new(total_blocks, block_size, config.watermark_frac),
+            blocks: BlockManager::new(total_blocks, block_size, DEFAULT_WATERMARK_FRAC),
             config,
             requests: IdSlab::new(),
             waiting: VecDeque::new(),

@@ -1,6 +1,6 @@
 //! Capacity binary search (paper §6 "Optimization objective"):
 //! the maximum QPS a configuration sustains with P99 scheduling delay under
-//! 5 seconds.
+//! [`SCHED_DELAY_P99_LIMIT_SECS`] (5 seconds).
 //!
 //! The search first runs the trace *statically* (every request at t = 0)
 //! and takes 1.25 × its drain throughput as a heuristic bracket top, then
@@ -19,11 +19,13 @@ use vidur_simulator::config::LateAbort;
 use vidur_simulator::{ClusterConfig, ClusterSimulator, SimulationReport, StageTimer};
 use vidur_workload::{ArrivalProcess, Trace};
 
+/// P99 scheduling-delay limit in seconds a feasible probe stays under
+/// (paper §6: 5 s).
+pub const SCHED_DELAY_P99_LIMIT_SECS: f64 = 5.0;
+
 /// Parameters of a capacity search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CapacityParams {
-    /// P99 scheduling-delay limit in seconds (paper: 5 s).
-    pub sched_delay_p99_limit: f64,
     /// Bisection iterations after bracketing.
     pub bisect_iters: u32,
     /// Simulation seed.
@@ -33,7 +35,6 @@ pub struct CapacityParams {
 impl Default for CapacityParams {
     fn default() -> Self {
         CapacityParams {
-            sched_delay_p99_limit: 5.0,
             bisect_iters: 7,
             seed: 0xCAFE,
         }
@@ -72,13 +73,13 @@ fn probe(
     // is provably blown, long before the queue explosion finishes playing
     // out.
     cfg.late_abort = Some(LateAbort {
-        delay_limit_secs: params.sched_delay_p99_limit,
+        delay_limit_secs: SCHED_DELAY_P99_LIMIT_SECS,
         max_late: trace.len() / 100,
     });
     let report = ClusterSimulator::with_timer(cfg, trace, timer.clone(), params.seed).run();
     ledger.record_run(&report, config);
     let feasible = report.completed == report.num_requests
-        && report.scheduling_delay.p99 < params.sched_delay_p99_limit;
+        && report.scheduling_delay.p99 < SCHED_DELAY_P99_LIMIT_SECS;
     (feasible, report)
 }
 

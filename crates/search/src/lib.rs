@@ -25,7 +25,10 @@ pub mod pareto;
 pub mod runner;
 pub mod space;
 
-pub use capacity::{find_capacity, find_capacity_with_timer, CapacityParams, CapacityResult};
+pub use capacity::{
+    find_capacity, find_capacity_with_timer, CapacityParams, CapacityResult,
+    SCHED_DELAY_P99_LIMIT_SECS,
+};
 pub use cost::CostLedger;
 pub use misconfig::misconfiguration_matrix;
 pub use offline::{best_by_cost, run_offline_search, OfflineEvaluation};

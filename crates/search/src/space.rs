@@ -1,10 +1,15 @@
 //! Deployment configuration space enumeration (paper §6 "Search space" and
 //! §7.3 "Deployment Configurations").
+//!
+//! Every enumerated configuration routes round-robin. A search over routing
+//! passes its own config list (copies with `ClusterConfig::global_policy`
+//! set) to [`crate::run_search`], which probes the full replica set for
+//! non-round-robin configs.
 
 use serde::{Deserialize, Serialize};
 use vidur_hardware::GpuSku;
 use vidur_model::{ModelSpec, ParallelismConfig};
-use vidur_scheduler::{BatchPolicyKind, GlobalPolicyKind, SchedulerConfig};
+use vidur_scheduler::{BatchPolicyKind, SchedulerConfig};
 use vidur_simulator::ClusterConfig;
 
 /// The knobs Vidur-Search sweeps.
@@ -20,10 +25,6 @@ pub struct SearchSpace {
     pub schedulers: Vec<BatchPolicyKind>,
     /// Candidate maximum batch sizes.
     pub batch_sizes: Vec<usize>,
-    /// Candidate global routing policies. Non-round-robin entries make the
-    /// capacity probe simulate the full replica set (the single-replica
-    /// scaling shortcut only holds for independent round-robin queues).
-    pub routing: Vec<GlobalPolicyKind>,
     /// GPU budget across all replicas (paper: 16).
     pub max_gpus: u32,
 }
@@ -44,7 +45,6 @@ impl SearchSpace {
                 BatchPolicyKind::SarathiServe { chunk_size: 2048 },
             ],
             batch_sizes: vec![32, 64, 128, 256, 512],
-            routing: vec![GlobalPolicyKind::RoundRobin],
             max_gpus: 16,
         }
     }
@@ -62,7 +62,6 @@ impl SearchSpace {
                 BatchPolicyKind::SarathiServe { chunk_size: 512 },
             ],
             batch_sizes: vec![64, 256],
-            routing: vec![GlobalPolicyKind::RoundRobin],
             max_gpus: 16,
         }
     }
@@ -86,21 +85,18 @@ impl SearchSpace {
                     let replicas = (self.max_gpus / gpus) as usize;
                     for &policy in &self.schedulers {
                         for &bs in &self.batch_sizes {
-                            for &routing in &self.routing {
-                                // Paper: "the batch size gets divided by
-                                // number of microbatches with PP".
-                                let effective_bs = (bs / pp as usize).max(1);
-                                let mut config = ClusterConfig::new(
-                                    model.clone(),
-                                    sku.clone(),
-                                    par,
-                                    replicas,
-                                    SchedulerConfig::new(policy, effective_bs),
-                                );
-                                config.global_policy = routing;
-                                if config.memory_plan().is_ok() {
-                                    out.push(config);
-                                }
+                            // Paper: "the batch size gets divided by number
+                            // of microbatches with PP".
+                            let effective_bs = (bs / pp as usize).max(1);
+                            let config = ClusterConfig::new(
+                                model.clone(),
+                                sku.clone(),
+                                par,
+                                replicas,
+                                SchedulerConfig::new(policy, effective_bs),
+                            );
+                            if config.memory_plan().is_ok() {
+                                out.push(config);
                             }
                         }
                     }
@@ -153,29 +149,6 @@ mod tests {
         for c in &configs {
             assert_eq!(c.scheduler.max_batch_size, 32);
         }
-    }
-
-    #[test]
-    fn routing_dimension_multiplies_space() {
-        let base = SearchSpace::reduced();
-        let n_base = base.enumerate(&ModelSpec::llama2_7b()).len();
-        let routed = SearchSpace {
-            routing: vec![
-                GlobalPolicyKind::RoundRobin,
-                GlobalPolicyKind::LeastOutstanding,
-                GlobalPolicyKind::FairShare {
-                    max_outstanding: 32,
-                },
-            ],
-            ..base
-        };
-        let configs = routed.enumerate(&ModelSpec::llama2_7b());
-        assert_eq!(configs.len(), 3 * n_base);
-        // Labels distinguish routing variants of the same deployment.
-        let mut labels: Vec<String> = configs.iter().map(|c| c.label()).collect();
-        labels.sort();
-        labels.dedup();
-        assert_eq!(labels.len(), configs.len(), "routing must show in labels");
     }
 
     #[test]

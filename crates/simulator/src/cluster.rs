@@ -11,7 +11,7 @@
 
 use crate::config::ClusterConfig;
 use crate::engine::{self, BatchEngine, EngineReplica};
-use crate::faults::{FleetObservation, ScaleDecision};
+use crate::faults::{warmup_delay_secs, FleetObservation, ScaleDecision, TTFT_SLO_SECS};
 use crate::metrics::{FleetStats, SimulationReport, TenantRoutingStats};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -50,8 +50,7 @@ pub enum SimEvent {
 /// autoscaler are read from the [`ClusterConfig`]. `None` on non-elastic
 /// runs, so the fixed-fleet hot path pays nothing and stays bit-identical.
 pub(crate) struct ElasticState {
-    /// Warm-up delay priced once from the warm-up model and the replica's
-    /// total weight bytes.
+    /// Warm-up delay priced once from the replica's total weight bytes.
     warmup_delay: SimDuration,
     /// Trace indices requeued but not yet re-dispatched: their next
     /// dispatch is a retry. Only membership is read, never the order.
@@ -72,14 +71,14 @@ pub(crate) struct ElasticState {
 }
 
 impl ElasticState {
-    fn new(config: &ClusterConfig, warmup_delay_secs: f64) -> Self {
+    fn new(config: &ClusterConfig, warmup_secs: f64) -> Self {
         let fleet = config.fleet_size();
         let mut up_since = vec![None; fleet];
         for slot in up_since.iter_mut().take(config.num_replicas) {
             *slot = Some(SimTime::ZERO);
         }
         ElasticState {
-            warmup_delay: SimDuration::from_secs_f64(warmup_delay_secs),
+            warmup_delay: SimDuration::from_secs_f64(warmup_secs),
             awaiting_retry: HashSet::new(),
             tenant_retries: Vec::new(),
             tenant_requeued: Vec::new(),
@@ -335,7 +334,7 @@ impl ClusterSimulator {
             }
             let weight_bytes_total =
                 plan.weight_bytes * config.parallelism.gpus_per_replica() as f64;
-            let delay = config.faults.warmup.delay_secs(weight_bytes_total);
+            let delay = warmup_delay_secs(weight_bytes_total);
             Box::new(ElasticState::new(&config, delay))
         });
         ClusterSimulator {
@@ -404,7 +403,7 @@ impl ClusterSimulator {
             stats.shards = 1;
             let mut queue = EventQueue::new();
             if self.elastic.is_some() {
-                for (i, rec) in self.config.faults.schedule.records.iter().enumerate() {
+                for (i, rec) in self.config.faults.records.iter().enumerate() {
                     queue.push(rec.at, SimEvent::Fault(i as u32));
                 }
                 if let Some(autoscaler) = &self.config.autoscaler {
@@ -541,7 +540,7 @@ impl ClusterSimulator {
 
     /// Applies fault record `i` of the armed plan.
     fn apply_fault(&mut self, i: u32, now: SimTime, queue: &mut EventQueue<SimEvent>) {
-        let rec = self.config.faults.schedule.records[i as usize];
+        let rec = self.config.faults.records[i as usize];
         let r = rec.replica as usize;
         assert!(
             r < self.replicas.len(),
@@ -634,7 +633,7 @@ impl ClusterSimulator {
         }
     }
 
-    /// Starts warming replica `r` up (fault-plan recovery or autoscaler
+    /// Starts warming replica `r` up (scheduled recovery or autoscaler
     /// scale-up): the replica pays the model-load + weight-transfer delay
     /// before becoming routable. No-op unless the replica is down.
     fn begin_warmup(&mut self, r: usize, now: SimTime, queue: &mut EventQueue<SimEvent>) {
@@ -777,7 +776,7 @@ impl Simulation for ClusterSimulator {
                 }
                 let trace = &self.trace;
                 let tier = &mut self.tier;
-                let autoscaler = self.config.autoscaler.as_ref();
+                let autoscaled = self.config.autoscaler.is_some();
                 let mut elastic = self.elastic.as_deref_mut();
                 self.engine.retire_batch(
                     &mut self.replicas[r],
@@ -791,15 +790,12 @@ impl Simulation for ClusterSimulator {
                             tier.on_finished(r, tr.tenant, tr.prefill_tokens + tr.decode_tokens);
                         }
                         if let Some(el) = elastic.as_deref_mut() {
-                            if ev.prefill_completed {
-                                if let Some(autoscaler) = autoscaler {
-                                    let tr = trace.requests[ev.id as usize];
-                                    el.window_prefills += 1;
-                                    let ttft =
-                                        now.saturating_duration_since(tr.arrival).as_secs_f64();
-                                    if ttft <= autoscaler.ttft_slo_secs {
-                                        el.window_slo_ok += 1;
-                                    }
+                            if ev.prefill_completed && autoscaled {
+                                let tr = trace.requests[ev.id as usize];
+                                el.window_prefills += 1;
+                                let ttft = now.saturating_duration_since(tr.arrival).as_secs_f64();
+                                if ttft <= TTFT_SLO_SECS {
+                                    el.window_slo_ok += 1;
                                 }
                             }
                         }

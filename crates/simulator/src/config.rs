@@ -1,6 +1,6 @@
 //! Cluster / deployment configuration — the "Simulation Spec" of Figure 2.
 
-use crate::faults::{AutoscalerSpec, FaultPlan};
+use crate::faults::AutoscalerSpec;
 use crate::metrics::{TenantSlo, TimeseriesConfig};
 use serde::{Deserialize, Serialize};
 use vidur_core::metrics::QuantileMode;
@@ -10,6 +10,7 @@ use vidur_model::memory::{MemoryPlan, DEFAULT_BLOCK_SIZE};
 use vidur_model::spec::SpecError;
 use vidur_model::{ModelSpec, ParallelismConfig};
 use vidur_scheduler::{GlobalPolicyKind, SchedulerConfig};
+use vidur_workload::faults::FaultSchedule;
 
 /// Mean per-iteration CPU/framework overhead in seconds (scheduler step,
 /// tokenization hand-off, kernel dispatch). The paper's vLLM fork uses CUDA
@@ -97,14 +98,14 @@ pub struct ClusterConfig {
     /// field carries one row per window of simulated time (throughput,
     /// TTFT p99, mean KV occupancy), in either [`QuantileMode`].
     pub timeseries: Option<TimeseriesConfig>,
-    /// Fault-injection plan: replica crashes (work requeues through the
-    /// routing tier), straggler episodes, and recoveries with warm-up. The
-    /// default (empty) plan is byte-identical to a run without the fault
-    /// layer. Arming a non-empty plan (or `autoscaler`) forces the
-    /// sequential engine — the sharded fast path falls back automatically.
-    /// Only the aggregated [`ClusterSimulator`](crate::ClusterSimulator)
+    /// Fault schedule: replica crashes (work requeues through the routing
+    /// tier), straggler episodes, and recoveries with a fixed warm-up. The
+    /// default (empty) schedule is byte-identical to a run without the
+    /// fault layer. Arming a non-empty schedule (or `autoscaler`) forces
+    /// the sequential engine — the sharded fast path falls back
+    /// automatically. Only [`ClusterSimulator`](crate::ClusterSimulator)
     /// injects faults; the disaggregated engine reports zero fault counters.
-    pub faults: FaultPlan,
+    pub faults: FaultSchedule,
     /// SLO/queue-driven autoscaler: when set, the fleet starts at
     /// `num_replicas` live replicas and the policy adds or drains replicas
     /// each interval within `[min_replicas, max_replicas]`; the engine
@@ -168,13 +169,13 @@ impl ClusterConfig {
             tenant_kv_quota: Vec::new(),
             shards: 1,
             timeseries: None,
-            faults: FaultPlan::none(),
+            faults: FaultSchedule::new(),
             autoscaler: None,
             prefix_cache: None,
         }
     }
 
-    /// True when the elastic-fleet layer (fault plan or autoscaler) is
+    /// True when the elastic-fleet layer (fault schedule or autoscaler) is
     /// armed. Elastic runs pre-allocate [`Self::fleet_size`] replicas and
     /// always use the sequential engine.
     pub fn elastic(&self) -> bool {
@@ -235,9 +236,9 @@ impl ClusterConfig {
     }
 
     /// Short human-readable label for reports,
-    /// e.g. `llama2-70b/a100-80g/TP4-PP1/vllm/bs64/r2`. Non-default routing
-    /// policies append a segment (e.g. `/fair-share(max=32)`) so search
-    /// results over the routing dimension stay distinguishable.
+    /// e.g. `llama2-70b/a100-80g/TP4-PP1/vllm/bs64/r2`. Non-round-robin
+    /// routing policies append a segment (e.g. `/fair-share(max=32)`) so
+    /// configs that differ only in routing stay distinguishable.
     pub fn label(&self) -> String {
         let base = format!(
             "{}/{}/{}/{}/bs{}/r{}",
@@ -298,5 +299,24 @@ mod tests {
         assert!(label.contains("llama2-70b"));
         assert!(label.contains("TP4-PP1"));
         assert!(label.contains("vllm"));
+        // Configs of one deployment that differ only in routing get
+        // distinct labels.
+        let mut labels: Vec<String> = [
+            GlobalPolicyKind::RoundRobin,
+            GlobalPolicyKind::LeastOutstanding,
+            GlobalPolicyKind::FairShare {
+                max_outstanding: 32,
+            },
+        ]
+        .into_iter()
+        .map(|policy| {
+            let mut c = base();
+            c.global_policy = policy;
+            c.label()
+        })
+        .collect();
+        labels.sort();
+        labels.dedup();
+        assert_eq!(labels.len(), 3, "routing must show in labels");
     }
 }

@@ -14,8 +14,8 @@
 //! module contributes only the disaggregated policy: pool topology (one
 //! replica table in metrics order, the prefill pool first, then the decode
 //! pool), per-pool global routing through the shared [`RoutingTier`]
-//! (defaults reproduce the original round-robin prefill placement and
-//! least-loaded decode admission byte-for-byte), and the KV transfer hop.
+//! (fixed round-robin prefill placement and least-outstanding decode
+//! admission), and the KV transfer hop over a 50 GB/s, 1 ms interconnect.
 //! Both pools reuse the ordinary [`vidur_scheduler::ReplicaScheduler`]; the
 //! prefill pool registers requests with `decode_tokens = 1` (the prefill
 //! iteration produces the first token, as in Splitwise), and the decode
@@ -32,6 +32,18 @@ use vidur_core::event::{EventQueue, Simulation};
 use vidur_core::time::{SimDuration, SimTime};
 use vidur_scheduler::{GlobalPolicyKind, Request, RouteRequest, RoutingTier};
 use vidur_workload::Trace;
+
+/// KV-cache transfer bandwidth between pools, bytes/s (Splitwise uses the
+/// back-end interconnect; 25–50 GB/s is typical for IB/NVLink bridges).
+const KV_TRANSFER_BANDWIDTH: f64 = 50e9;
+
+/// Fixed per-transfer latency in seconds.
+const KV_TRANSFER_LATENCY: f64 = 1e-3;
+
+/// Transfer time for one request's prompt KV of `kv_bytes`.
+fn transfer_time(kv_bytes: u64) -> SimDuration {
+    SimDuration::from_secs_f64(kv_bytes as f64 / KV_TRANSFER_BANDWIDTH + KV_TRANSFER_LATENCY)
+}
 
 /// Disaggregated deployment description.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -50,28 +62,10 @@ pub struct DisaggConfig {
     pub prefill_replicas: usize,
     /// Replicas dedicated to decode.
     pub decode_replicas: usize,
-    /// KV-cache transfer bandwidth between pools, bytes/s (Splitwise uses
-    /// the back-end interconnect; 25–50 GB/s is typical for IB/NVLink
-    /// bridges).
-    pub kv_transfer_bandwidth: f64,
-    /// Fixed per-transfer latency in seconds.
-    pub kv_transfer_latency: f64,
-    /// Routing policy of the prefill pool's tier (default
-    /// [`GlobalPolicyKind::RoundRobin`], the original hard-coded placement).
-    ///
-    /// The report's per-tenant `routed` counts follow this tier (one per
-    /// arrival); `deferred` sums holds across both pool tiers.
-    pub prefill_policy: GlobalPolicyKind,
-    /// Routing policy of the decode pool's tier (default
-    /// [`GlobalPolicyKind::LeastOutstanding`], the original hard-coded
-    /// admission). When this runs fair-share, the report's per-tenant
-    /// attainment column reflects it (taking precedence over a fair-share
-    /// prefill tier).
-    pub decode_policy: GlobalPolicyKind,
 }
 
 impl DisaggConfig {
-    /// Creates a disaggregated config with a 50 GB/s, 1 ms interconnect.
+    /// Creates a disaggregated config.
     ///
     /// # Panics
     ///
@@ -85,10 +79,6 @@ impl DisaggConfig {
             base,
             prefill_replicas,
             decode_replicas,
-            kv_transfer_bandwidth: 50e9,
-            kv_transfer_latency: 1e-3,
-            prefill_policy: GlobalPolicyKind::RoundRobin,
-            decode_policy: GlobalPolicyKind::LeastOutstanding,
         }
     }
 
@@ -96,13 +86,6 @@ impl DisaggConfig {
     pub fn total_gpus(&self) -> u32 {
         self.base.parallelism.gpus_per_replica()
             * (self.prefill_replicas + self.decode_replicas) as u32
-    }
-
-    /// Transfer time for one request's prompt KV.
-    pub fn transfer_time(&self, model_kv_bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(
-            model_kv_bytes as f64 / self.kv_transfer_bandwidth + self.kv_transfer_latency,
-        )
     }
 }
 
@@ -131,9 +114,10 @@ pub struct DisaggSimulator {
     /// Both pools in metrics order: prefill replicas `0..prefill_replicas`,
     /// then the decode replicas. Each tier indexes its own pool from 0.
     replicas: Vec<EngineReplica>,
-    /// Global scheduling tier of the prefill pool (routes arrivals).
+    /// Round-robin tier of the prefill pool (routes arrivals). The report's
+    /// per-tenant routing columns come from this tier.
     prefill_tier: RoutingTier,
-    /// Global scheduling tier of the decode pool (routes KV handoffs).
+    /// Least-outstanding tier of the decode pool (routes KV handoffs).
     decode_tier: RoutingTier,
 }
 
@@ -169,13 +153,13 @@ impl DisaggSimulator {
             }
         }
         let prefill_tier = RoutingTier::new(
-            config.prefill_policy,
+            GlobalPolicyKind::RoundRobin,
             config.prefill_replicas,
             seed ^ 0x9E37,
             &config.base.tenant_weights,
         );
         let decode_tier = RoutingTier::new(
-            config.decode_policy,
+            GlobalPolicyKind::LeastOutstanding,
             config.decode_replicas,
             seed ^ 0xD155,
             &config.base.tenant_weights,
@@ -202,22 +186,11 @@ impl DisaggSimulator {
         let arrivals = (trace.requests.iter().enumerate())
             .map(|(i, req)| (req.arrival, DisaggEvent::Arrival(i as u32)));
         engine::drive(&mut self, EventQueue::new(), arrivals, engine::MAX_EVENTS);
-        // Routing columns merge both tiers: `routed` counts arrivals (the
-        // prefill tier — counting the decode tier's KV handoffs too would
-        // double-count requests), `deferred` sums holds in either tier,
-        // fair-share attainment comes from whichever tier runs fair-share
-        // (decode preferred — it owns the long decode phase), and quota
-        // denials sum over both pools' schedulers.
-        let mut routing = routing_stats(&self.prefill_tier, &self.replicas);
-        for (t, s) in self.decode_tier.tenant_stats().iter().enumerate() {
-            if t >= routing.len() {
-                routing.resize(t + 1, crate::metrics::TenantRoutingStats::default());
-            }
-            routing[t].deferred += s.deferred;
-            if let Some(a) = self.decode_tier.fair_share_attainment(t as u32) {
-                routing[t].fair_share_attainment = Some(a);
-            }
-        }
+        // `routed` counts arrivals, so it comes from the prefill tier alone
+        // (the decode tier's KV handoffs would double-count requests).
+        // Neither tier ever defers, and quota denials sum over both pools'
+        // schedulers.
+        let routing = routing_stats(&self.prefill_tier, &self.replicas);
         self.engine.metrics.set_tenant_routing(routing);
         self.engine.finish(
             self.trace.len(),
@@ -265,20 +238,6 @@ impl DisaggSimulator {
         self.try_schedule(replica as u32, now, queue);
     }
 
-    /// Binds deferred requests while the prefill (or, with `decode`, the
-    /// decode) pool's tier will place them.
-    fn drain_pool(&mut self, decode: bool, now: SimTime, queue: &mut EventQueue<DisaggEvent>) {
-        if decode {
-            while let Some((req, target)) = self.decode_tier.next_ready() {
-                self.dispatch_decode(req.key as u32, target, now, queue);
-            }
-        } else {
-            while let Some((req, target)) = self.prefill_tier.next_ready() {
-                self.dispatch_prefill(req.key as u32, target, now, queue);
-            }
-        }
-    }
-
     fn try_schedule(&mut self, replica: u32, now: SimTime, queue: &mut EventQueue<DisaggEvent>) {
         self.engine.try_schedule(
             &mut self.replicas[replica as usize],
@@ -307,32 +266,35 @@ impl Simulation for DisaggSimulator {
                 self.engine
                     .metrics
                     .on_arrival(idx.into(), now, tr.decode_tokens, tr.tenant);
-                // The prefill tier places the request (round-robin by
-                // default); the request "finishes" there after one output
-                // token.
+                // The round-robin prefill tier places the request; it
+                // "finishes" there after one output token.
                 let req = RouteRequest {
                     key: idx as u64,
                     tenant: tr.tenant,
                     priority: tr.priority,
                     tokens: tr.prefill_tokens + 1,
                 };
-                if let Some(target) = self.prefill_tier.route(req) {
-                    self.dispatch_prefill(idx, target, now, queue);
-                }
+                let target = self
+                    .prefill_tier
+                    .route(req)
+                    .expect("round-robin never defers");
+                self.dispatch_prefill(idx, target, now, queue);
             }
             DisaggEvent::KvArrived(idx) => {
                 let tr = self.trace.requests[idx as usize];
-                // The decode tier admits the transferred KV (least-loaded
-                // by default).
+                // The least-outstanding decode tier admits the transferred
+                // KV.
                 let req = RouteRequest {
                     key: idx as u64,
                     tenant: tr.tenant,
                     priority: tr.priority,
                     tokens: tr.prefill_tokens + tr.decode_tokens,
                 };
-                if let Some(target) = self.decode_tier.route(req) {
-                    self.dispatch_decode(idx, target, now, queue);
-                }
+                let target = self
+                    .decode_tier
+                    .route(req)
+                    .expect("least-outstanding never defers");
+                self.dispatch_decode(idx, target, now, queue);
             }
             DisaggEvent::Wakeup(replica) => {
                 self.replicas[replica as usize].clear_wakeup();
@@ -385,19 +347,11 @@ impl Simulation for DisaggSimulator {
                             // over once the KV transfer lands.
                             ev.finished = false;
                             let bytes = tr.prefill_tokens * kv_per_token;
-                            let arrive = now + config.transfer_time(bytes);
+                            let arrive = now + transfer_time(bytes);
                             queue.push(arrive, DisaggEvent::KvArrived(ev.id as u32));
                         }
                     },
                 );
-                let free = self.replicas[r].scheduler.blocks().free_blocks();
-                let tier = if decode {
-                    &mut self.decode_tier
-                } else {
-                    &mut self.prefill_tier
-                };
-                tier.set_free_kv_blocks(local, free);
-                self.drain_pool(decode, now, queue);
                 self.try_schedule(replica, now, queue);
             }
         }
@@ -489,9 +443,8 @@ mod tests {
 
     #[test]
     fn transfer_time_scales_with_prompt() {
-        let cfg = DisaggConfig::new(base(), 1, 1);
-        let small = cfg.transfer_time(1 << 20);
-        let large = cfg.transfer_time(1 << 30);
+        let small = transfer_time(1 << 20);
+        let large = transfer_time(1 << 30);
         assert!(large > small * 10);
     }
 

@@ -1,83 +1,49 @@
-//! Fault injection and elastic-fleet policy: [`FaultPlan`], the recovery
-//! warm-up model, and the [`AutoscalerSpec`] policy.
+//! Elastic-fleet policy: the recovery warm-up delay and the
+//! [`AutoscalerSpec`] policy.
 //!
-//! A [`FaultPlan`] arms the cluster engine with a deterministic
-//! [`FaultSchedule`] (crashes, recoveries, straggler episodes, graceful
-//! drains — see [`vidur_workload::faults`] for the on-disk format) plus a
-//! [`WarmupModel`] that prices how long a recovering or scaled-up replica
-//! takes before it is routable. [`AutoscalerSpec::decide`] closes the loop
-//! from observed SLO attainment and queue depth back to fleet size.
+//! [`ClusterConfig::faults`](crate::ClusterConfig::faults) arms the cluster
+//! engine with a deterministic fault schedule (crashes, recoveries,
+//! straggler episodes, graceful drains — see [`vidur_workload::faults`] for
+//! the on-disk format). A recovering or scaled-up replica is routable only
+//! after a fixed warm-up: 10 s of process start and model load plus its
+//! weights over a 100 Gbit (12.5 GB/s) provisioning NIC.
+//! [`AutoscalerSpec::decide`] closes the loop from observed SLO attainment
+//! and queue depth back to fleet size.
 //!
-//! Arming either feature changes nothing until it fires: an empty plan with
-//! no autoscaler is **byte-identical** to a run without the elastic layer
-//! (pinned in `tests/engine_regression.rs`), and the sharded fast path
-//! automatically falls back to the sequential engine whenever a plan or
+//! Arming either feature changes nothing until it fires: an empty schedule
+//! with no autoscaler is **byte-identical** to a run without the elastic
+//! layer (pinned in `tests/engine_regression.rs`), and the sharded fast path
+//! automatically falls back to the sequential engine whenever a schedule or
 //! autoscaler is armed — membership churn is cross-shard by nature.
 
 use serde::{Deserialize, Serialize};
-use vidur_workload::faults::FaultSchedule;
 
-/// How long a replica takes from "start warm-up" to "routable": model-load
-/// (weights off local disk / page cache into HBM plus process start) and
-/// weight transfer over the provisioning network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct WarmupModel {
-    /// Fixed process-start + model-load cost in seconds.
-    pub model_load_secs: f64,
-    /// Provisioning-network bandwidth for weight transfer, in gigabytes per
-    /// second (e.g. 12.5 for a 100 Gbit NIC).
-    pub transfer_gb_per_sec: f64,
+/// Fixed process-start + model-load cost of a warm-up, in seconds.
+const MODEL_LOAD_SECS: f64 = 10.0;
+
+/// Provisioning-network bandwidth for weight transfer, in gigabytes per
+/// second (a 100 Gbit NIC).
+const TRANSFER_GB_PER_SEC: f64 = 12.5;
+
+/// Warm-up delay in seconds, from "start warm-up" to "routable", for a
+/// replica whose weights total `weight_bytes` across all its devices.
+pub(crate) fn warmup_delay_secs(weight_bytes: f64) -> f64 {
+    MODEL_LOAD_SECS + weight_bytes / (TRANSFER_GB_PER_SEC * 1e9)
 }
 
-impl Default for WarmupModel {
-    /// 10 s of process start + model load, weights over a 100 Gbit NIC.
-    fn default() -> Self {
-        WarmupModel {
-            model_load_secs: 10.0,
-            transfer_gb_per_sec: 12.5,
-        }
-    }
-}
+/// TTFT SLO in seconds the autoscaler judges per prefill completion within
+/// a window.
+pub(crate) const TTFT_SLO_SECS: f64 = 2.0;
 
-impl WarmupModel {
-    /// Warm-up delay in seconds for a replica whose weights total
-    /// `weight_bytes` across all its devices.
-    pub fn delay_secs(&self, weight_bytes: f64) -> f64 {
-        assert!(
-            self.model_load_secs >= 0.0 && self.transfer_gb_per_sec > 0.0,
-            "warm-up model needs non-negative load time and positive bandwidth"
-        );
-        self.model_load_secs + weight_bytes / (self.transfer_gb_per_sec * 1e9)
-    }
-}
+/// The autoscaler scales up when windowed TTFT attainment drops below this
+/// fraction.
+const TARGET_ATTAINMENT: f64 = 0.99;
 
-/// A fault-injection plan: a deterministic schedule plus the warm-up model
-/// recoveries (and autoscaler scale-ups) pay before a replica is routable.
-///
-/// The default plan is empty and guarantees byte-identical reports to a
-/// build without the fault layer; see the module docs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
-pub struct FaultPlan {
-    /// Time-ordered fault records.
-    pub schedule: FaultSchedule,
-    /// Recovery / scale-up warm-up pricing.
-    pub warmup: WarmupModel,
-}
+/// The autoscaler scales up when queued work per live replica exceeds this.
+const QUEUE_HIGH: f64 = 8.0;
 
-impl FaultPlan {
-    /// An empty plan: nothing ever fires, reports stay byte-identical.
-    pub fn none() -> Self {
-        FaultPlan::default()
-    }
-
-    /// True when no fault will ever fire.
-    pub fn is_empty(&self) -> bool {
-        self.schedule.is_empty()
-    }
-}
-
-/// The autoscaler: evaluation cadence, fleet bounds, and the SLO/queue
-/// thresholds [`AutoscalerSpec::decide`] reacts to.
+/// The autoscaler: evaluation cadence, fleet bounds, and the scale-down
+/// threshold and step [`AutoscalerSpec::decide`] reacts with.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AutoscalerSpec {
     /// Seconds between policy evaluations (one observation window).
@@ -87,12 +53,6 @@ pub struct AutoscalerSpec {
     /// Never warm up beyond this many replicas; the engine pre-allocates
     /// this fleet, so it also bounds memory.
     pub max_replicas: usize,
-    /// TTFT SLO in seconds judged per prefill completion within a window.
-    pub ttft_slo_secs: f64,
-    /// Scale up when windowed TTFT attainment drops below this fraction.
-    pub target_attainment: f64,
-    /// Scale up when queued work per live replica exceeds this.
-    pub queue_high: f64,
     /// Scale down only if the post-drain queue per replica stays below this.
     pub queue_low: f64,
     /// Replicas added or drained per decision.
@@ -116,9 +76,6 @@ impl AutoscalerSpec {
             interval_secs: 30.0,
             min_replicas,
             max_replicas,
-            ttft_slo_secs: 2.0,
-            target_attainment: 0.99,
-            queue_high: 8.0,
             queue_low: 2.0,
             scale_step: 1,
         }
@@ -133,8 +90,8 @@ impl AutoscalerSpec {
     pub fn decide(&self, obs: &FleetObservation) -> ScaleDecision {
         let live = obs.live.max(1);
         let queue_per_live = (obs.deferred + obs.outstanding) as f64 / live as f64;
-        let missed_slo = obs.attainment().is_some_and(|a| a < self.target_attainment);
-        if missed_slo || obs.deferred > 0 || queue_per_live > self.queue_high {
+        let missed_slo = obs.attainment().is_some_and(|a| a < TARGET_ATTAINMENT);
+        if missed_slo || obs.deferred > 0 || queue_per_live > QUEUE_HIGH {
             return ScaleDecision::Up(self.scale_step);
         }
         let step = self
@@ -209,18 +166,8 @@ mod tests {
 
     #[test]
     fn warmup_prices_load_plus_transfer() {
-        let w = WarmupModel {
-            model_load_secs: 10.0,
-            transfer_gb_per_sec: 12.5,
-        };
         // 125 GB of weights over 12.5 GB/s = 10 s transfer + 10 s load.
-        assert!((w.delay_secs(125e9) - 20.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn empty_plan_is_empty() {
-        assert!(FaultPlan::none().is_empty());
-        assert!(FaultPlan::default().is_empty());
+        assert!((warmup_delay_secs(125e9) - 20.0).abs() < 1e-9);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub use cluster::{ClusterSimulator, RunStats};
 pub use config::{ClusterConfig, PrefixCacheConfig};
 pub use disagg::{DisaggConfig, DisaggSimulator};
 pub use engine::{BatchEngine, EngineReplica, RuntimeSource};
-pub use faults::{AutoscalerSpec, FaultPlan, FleetObservation, ScaleDecision, WarmupModel};
+pub use faults::{AutoscalerSpec, FleetObservation, ScaleDecision};
 pub use fidelity::{run_fidelity_pair, FidelityReport};
 pub use metrics::{
     DigestSummary, FleetStats, MetricsCollector, PrefixStats, SimulationReport, TenantReport,

@@ -300,11 +300,15 @@ impl FaultSchedule {
     /// Returns a [`FaultError`] on I/O failure or malformed input.
     pub fn from_file<P: AsRef<Path>>(path: P) -> Result<Self, FaultError> {
         let path = path.as_ref();
-        let file = std::fs::File::open(path).map_err(|e| FaultError::Io {
+        let io = |message| FaultError::Io {
             path: path.display().to_string(),
-            message: e.to_string(),
-        })?;
-        Self::from_reader(std::io::BufReader::new(file))
+            message,
+        };
+        let file = std::fs::File::open(path).map_err(|e| io(e.to_string()))?;
+        Self::from_reader(std::io::BufReader::new(file)).map_err(|e| match e {
+            FaultError::Io { message, .. } => io(message),
+            other => other,
+        })
     }
 
     /// Writes the schedule in the line format; parsing the output yields an
@@ -405,6 +409,23 @@ mod tests {
         assert_eq!(schedule.records[2].action, FaultAction::Slow(1.75));
         assert_eq!(schedule.records[3].action, FaultAction::Restore);
         assert_eq!(schedule.records[4].action, FaultAction::Drain);
+    }
+
+    #[test]
+    fn empty_plan_is_empty() {
+        assert!(FaultSchedule::new().is_empty());
+        assert!(FaultSchedule::default().is_empty());
+    }
+
+    #[test]
+    fn read_errors_name_the_file() {
+        // Opening a directory succeeds on Linux, so the first read fails;
+        // either way the error must name the path.
+        let dir = env!("CARGO_MANIFEST_DIR");
+        match FaultSchedule::from_file(dir) {
+            Err(FaultError::Io { path, .. }) => assert_eq!(path, dir),
+            other => panic!("expected an I/O error naming {dir}, got {other:?}"),
+        }
     }
 
     #[test]

@@ -292,7 +292,7 @@ fn main() {
     // episode, a graceful drain, and autoscaler-driven resizing. Nothing is
     // lost — displaced work requeues through the routing tier.
     let mut elastic_config = sharded_config.clone();
-    elastic_config.faults.schedule = FaultSchedule::parse(
+    elastic_config.faults = FaultSchedule::parse(
         "#vidur-faults v1\n\
          # replica 1 hard-crashes, replica 2 throttles to 2.5x slow,\n\
          # replica 3 is gracefully drained for maintenance; all recover.\n\

@@ -62,10 +62,10 @@ pub mod prelude {
     pub use vidur_simulator::cluster::RuntimeSource;
     pub use vidur_simulator::{
         onboard, onboard_timer, run_fidelity_pair, AutoscalerSpec, CacheStats, ClusterConfig,
-        ClusterSimulator, DisaggConfig, DisaggSimulator, FaultPlan, FidelityReport,
-        FleetObservation, FleetStats, PrefixCacheConfig, PrefixStats, QuantileMode, RunStats,
-        ScaleDecision, SimulationReport, StageTimer, TenantReport, TenantRoutingStats, TenantSlo,
-        TimeseriesConfig, TimeseriesRow, WarmupModel,
+        ClusterSimulator, DisaggConfig, DisaggSimulator, FidelityReport, FleetObservation,
+        FleetStats, PrefixCacheConfig, PrefixStats, QuantileMode, RunStats, ScaleDecision,
+        SimulationReport, StageTimer, TenantReport, TenantRoutingStats, TenantSlo,
+        TimeseriesConfig, TimeseriesRow,
     };
     pub use vidur_workload::faults::{FaultAction, FaultRecord, FaultSchedule};
     pub use vidur_workload::{

@@ -966,7 +966,7 @@ fn sharded_fallback_keeps_pinned_reports() {
 #[test]
 fn empty_fault_plan_reports_byte_identical() {
     let mut cfg = base_config();
-    cfg.faults = FaultPlan::none();
+    cfg.faults = FaultSchedule::new();
     cfg.autoscaler = None;
     let report = ClusterSimulator::new(cfg, fixed_trace(80, 2.5, 42), oracle(), 42).run();
     assert_fingerprint(
@@ -999,7 +999,7 @@ fn empty_fault_plan_reports_byte_identical() {
 fn empty_fault_plan_sharded_and_mergeable_identical() {
     let mut cfg = base_config();
     cfg.num_replicas = 4;
-    cfg.faults = FaultPlan::none();
+    cfg.faults = FaultSchedule::new();
     assert_sharded_identical(
         "rr_4x4_empty_plan",
         cfg.clone(),
@@ -1023,7 +1023,7 @@ fn empty_fault_plan_sharded_and_mergeable_identical() {
 fn armed_inert_fault_plan_falls_back_and_keeps_fingerprint() {
     let mut cfg = base_config();
     cfg.shards = 4;
-    cfg.faults.schedule = FaultSchedule {
+    cfg.faults = FaultSchedule {
         records: vec![FaultRecord {
             at: SimTime::from_secs_f64(1e6),
             replica: 0,
@@ -1065,7 +1065,7 @@ fn armed_inert_fault_plan_falls_back_and_keeps_fingerprint() {
 fn crash_requeues_and_recovery_completes_everything() {
     let mut cfg = base_config();
     cfg.num_replicas = 2;
-    cfg.faults.schedule = FaultSchedule {
+    cfg.faults = FaultSchedule {
         records: vec![
             FaultRecord {
                 at: SimTime::from_secs_f64(8.0),
@@ -1103,7 +1103,7 @@ fn straggler_episode_slows_run_without_losing_work() {
     let baseline =
         ClusterSimulator::new(base_config(), trace.clone(), estimator_source(), 42).run();
     let mut cfg = base_config();
-    cfg.faults.schedule = FaultSchedule {
+    cfg.faults = FaultSchedule {
         records: vec![
             FaultRecord {
                 at: SimTime::from_secs_f64(2.0),
@@ -1136,7 +1136,7 @@ fn straggler_episode_slows_run_without_losing_work() {
 fn graceful_drain_migrates_queue_without_evictions() {
     let mut cfg = base_config();
     cfg.num_replicas = 2;
-    cfg.faults.schedule = FaultSchedule {
+    cfg.faults = FaultSchedule {
         records: vec![FaultRecord {
             at: SimTime::from_secs_f64(8.0),
             replica: 1,
@@ -1172,7 +1172,7 @@ fn fault_plan_report_bits_pinned() {
         replica,
         action,
     };
-    cfg.faults.schedule = FaultSchedule {
+    cfg.faults = FaultSchedule {
         records: vec![
             record(5.0, 0, FaultAction::Slow(2.5)),
             record(12.0, 0, FaultAction::Crash),
@@ -1221,7 +1221,7 @@ fn crash_during_warmup_report_bits_pinned() {
         replica: 0,
         action,
     };
-    cfg.faults.schedule = FaultSchedule {
+    cfg.faults = FaultSchedule {
         records: vec![
             record(8.0, FaultAction::Crash),
             record(20.0, FaultAction::Recover),

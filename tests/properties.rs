@@ -191,7 +191,7 @@ proptest! {
             );
             config.global_policy = policy;
             config.tenant_kv_quota = vec![0.6, 0.6];
-            config.faults.schedule = schedule.clone();
+            config.faults = schedule.clone();
             let est = onboard(
                 &config.model,
                 &config.parallelism,

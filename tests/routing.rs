@@ -1,6 +1,5 @@
 //! Integration tests for the global scheduling tier: fair-share starvation
-//! bounds, per-tenant KV quotas, and routing statistics in the report —
-//! plus the disaggregated simulator running non-default tier policies.
+//! bounds, per-tenant KV quotas, and routing statistics in the report.
 
 use vidur::prelude::*;
 
@@ -175,24 +174,6 @@ fn tenant_kv_quota_denials_reported_and_run_drains() {
         light_worst(&report),
         light_worst(&unconstrained)
     );
-}
-
-/// The disaggregated simulator accepts non-default tier policies per pool
-/// and still drains (its *default* policies stay pinned bit-exactly in
-/// `tests/engine_regression.rs`).
-#[test]
-fn disagg_runs_configurable_pool_policies() {
-    let mut rng = SimRng::new(41);
-    let trace =
-        TraceWorkload::chat_1m().generate(60, &ArrivalProcess::Poisson { qps: 2.0 }, &mut rng);
-    let mut cfg = DisaggConfig::new(base_config(), 1, 1);
-    cfg.base.num_replicas = 1;
-    cfg.prefill_policy = GlobalPolicyKind::LeastOutstanding;
-    cfg.decode_policy = GlobalPolicyKind::Deferred {
-        max_outstanding: 48,
-    };
-    let report = DisaggSimulator::new(cfg, trace, oracle(), 41).run();
-    assert_eq!(report.completed, 60);
 }
 
 /// Affinity routing keeps a tenant's requests on its home replica under

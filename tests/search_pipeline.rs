@@ -18,7 +18,6 @@ fn small_configs() -> Vec<ClusterConfig> {
             BatchPolicyKind::SarathiServe { chunk_size: 512 },
         ],
         batch_sizes: vec![32, 128],
-        routing: vec![GlobalPolicyKind::RoundRobin],
         max_gpus: 2,
     };
     space.enumerate(&ModelSpec::llama2_7b())

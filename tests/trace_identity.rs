@@ -47,7 +47,7 @@ fn sparse_descending_ids_report_as_renumbered() {
 #[test]
 fn crash_requeue_keys_requests_by_trace_index() {
     let mut cfg = base_config(2);
-    cfg.faults.schedule = FaultSchedule {
+    cfg.faults = FaultSchedule {
         records: vec![
             FaultRecord {
                 at: SimTime::from_secs_f64(8.0),
